@@ -4,7 +4,7 @@ Commands: per-sweep, search, connectivity, bench, gen-fixtures.  Each
 command reads a single YAML config, runs non-interactively, and emits
 CSV/JSON files stamped with a run manifest (command, config digest, seed,
 version, timestamp).  Identical (config, seed) reproduce identical data
-rows; the worker count never changes results.
+rows; bench's worker count never changes its hard decisions.
 """
 
 from __future__ import annotations
@@ -102,13 +102,20 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
     snrs = cfg.get("snr_db")
     if not snrs:
         raise ConfigError("empty sweep: snr_db list is required")
-    detectors = cfg.get("detectors", ["mmse", "mpnl"])
     n = cfg.get("n_streams", 4)
     m = cfg.get("m_antennas", 8)
     mcs = mcs_entry(cfg.get("mcs", 7))
     n_channels = cfg.get("channels", 10)
     frames = cfg.get("frames_per_channel", 20)
     fx = _fixture_config(cfg, seed)
+    # every config is checked before the first SNR point runs
+    configs = [linksim.LinkConfig(
+        n_streams=n, m_antennas=m, mcs=mcs, detector=name,
+        n_paths=cfg.get("n_paths", 32), csi=cfg.get("csi", "genie"),
+        seed=seed,
+        rb_per_vehicle=min(linksim.default_rb_allocation(mcs),
+                           fx.n_subcarriers // DEFAULT_NUMEROLOGY.sc_per_rb))
+        for name in cfg.get("detectors", ["mmse", "mpnl"])]
     rows = []
     for snr in snrs:
         region = ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
@@ -121,17 +128,10 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
                                 n_subcarriers=fx.n_subcarriers)
             grids.append(g)
             nvs.append(ch.calibrate_noise(region, g, ss.spawn(1)[0]))
-        for name in detectors:
-            lc = linksim.LinkConfig(
-                n_streams=n, m_antennas=m, mcs=mcs, detector=name,
-                n_paths=cfg.get("n_paths", 32), csi=cfg.get("csi", "genie"),
-                seed=seed,
-                rb_per_vehicle=min(
-                    linksim.default_rb_allocation(mcs),
-                    fx.n_subcarriers // DEFAULT_NUMEROLOGY.sc_per_rb))
+        for lc in configs:
             res = linksim.measure_per(lc, grids, nvs,
                                       frames_per_channel=frames)
-            rows.append([snr, name, f"{res.per:.6g}",
+            rows.append([snr, lc.detector, f"{res.per:.6g}",
                          f"{res.ci95_halfwidth:.6g}", res.frames])
     _write_csv(out, manifest, ["snr_db", "detector", "per", "ci95", "frames"],
                rows)
@@ -233,17 +233,8 @@ def _bench_chunk(args):
     noise = np.sqrt(nv / 2) * (rng.standard_normal((chunk_size, m))
                                + 1j * rng.standard_normal((chunk_size, m)))
     y = np.einsum("bmn,bn->bm", h, c.points[labels_true]) + noise
-    if name == "mpnl":
-        plan = det.mpnl_plan_batch(h, nv, n_paths, c)
-        labels, metrics, best = det.mpnl_detect_batch(plan, h, y, c)
-        hard = np.take_along_axis(labels, best[:, None, None], axis=1)[:, 0]
-    elif name == "ml":
-        labels, metrics, best = det.ml_detect_batch(h, y, nv, c)
-        hard = labels[np.arange(chunk_size), best]
-    elif name in ("zf", "mmse"):
-        hard, _ = det.linear_detect_batch(h, y, nv, c, name)
-    else:
-        raise ValueError(f"detector {name!r} not benchmarkable")
+    detector = det.soft_detector(name)
+    hard, _ = detector.apply(detector.plan(h, nv, c, n_paths), h, y, nv, c)
     return chunk_idx, hard
 
 
@@ -356,6 +347,8 @@ def main(argv=None) -> int:
         cfg, digest = _load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         if args.workers is not None:
+            if args.command != "bench":
+                raise ConfigError("--workers applies only to bench")
             cfg["workers"] = [args.workers]
         manifest = _manifest(args.command, digest, seed)
         COMMANDS[args.command](cfg, manifest, args.out, seed)

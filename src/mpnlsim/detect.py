@@ -10,8 +10,12 @@ number of workers with bit-identical results.
 
 All detectors break metric ties lexicographically over candidate bit
 labels.  Batched variants (trailing `_batch`) operate on stacks of
-instances and are the kernels used by the link simulator and the
-throughput benchmark.
+instances and hold the math; the single-instance ZF, MMSE, ML and MPNL
+functions are B=1 views of them, and the sphere decoder is the one
+non-batched oracle.  `DETECTORS` is the one table every caller
+dispatches through: per name, the single-instance function, the batched
+channel-time plan and transmission-time apply, and the smallest antenna
+count the detector can serve.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -47,14 +52,6 @@ class DetectorInput:
             raise ValueError("noise_var must be positive")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "y", y)
-
-    @property
-    def m(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[1]
 
 
 @dataclass(frozen=True)
@@ -97,26 +94,66 @@ def _enumerate_labels(n: int, q: int) -> np.ndarray:
 # linear detectors
 # ---------------------------------------------------------------------------
 
-def zf_detect(inp: DetectorInput) -> DetectionOutput:
-    """Zero-forcing: pseudo-inverse equalization + per-stream slicing."""
-    h, y, c = inp.h, inp.y, inp.constellation
-    if inp.m < inp.n:
+def _linear_batch(h: np.ndarray, y: np.ndarray, noise_var,
+                  c: Constellation, mode: str):
+    """Batched ZF/MMSE: (hard labels (B, N), llrs (B, N, bps), raw soft
+    estimates (B, N)).  ZF raises SingularChannelError when M < N or any
+    channel of the stack is rank-deficient, for single and batched callers
+    alike."""
+    b, m, n = h.shape
+    if mode not in ("zf", "mmse"):
+        raise ValueError(f"unknown linear mode {mode!r}")
+    zf = mode == "zf"
+    if zf and m < n:
         raise SingularChannelError("ZF requires M >= N")
-    gram = h.conj().T @ h
+    hh = h.conj().transpose(0, 2, 1)
+    gram = hh @ h
+    hy = np.einsum("bnm,bm->bn", hh, y)
+    nv = np.broadcast_to(np.asarray(noise_var, dtype=float), (b,))
+    a = gram if zf else gram + nv[:, None, None] * np.eye(n)
     try:
-        gram_inv = np.linalg.inv(gram)
+        a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise SingularChannelError("rank-deficient channel") from None
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
+    # a NaN or infinite condition number fails the comparison too
+    if zf and not np.all(np.linalg.cond(gram) <= 1e12):
         raise SingularChannelError("rank-deficient channel")
-    soft = gram_inv @ (h.conj().T @ y)
-    nv_eff = inp.noise_var * np.real(np.diag(gram_inv))
-    labels = c.nearest(soft)
-    llrs = np.stack([demap_llr(soft[i], nv_eff[i], c) for i in range(inp.n)])
-    hard = c.points[labels]
-    return DetectionOutput(hard=hard, hard_labels=labels, llrs=llrs,
-                           min_metric=_residual_metric(h, y, hard), soft=soft)
+    soft = np.einsum("bij,bj->bi", a_inv, hy)
+    diag = np.real(np.einsum("bii->bi", a_inv))
+    if zf:
+        est, nv_eff = soft, nv[:, None] * diag
+    else:
+        beta = np.clip(1.0 - nv[:, None] * diag, 1e-12, None)
+        est = soft / beta
+        nv_eff = np.clip((1.0 - beta) / beta, 1e-15, None)
+    labels = c.nearest(est)
+    llrs = np.empty((b, n, c.bits_per_symbol))
+    for i in range(n):
+        raw = demap_llr(est[:, i], 1.0, c, clip=np.inf)
+        llrs[:, i] = raw / nv_eff[:, i, None]
+    return labels, np.clip(llrs, -LLR_CLIP, LLR_CLIP), soft
+
+
+def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
+                        c: Constellation, mode: str):
+    """Batched ZF/MMSE.  Returns (hard labels (B, N), llrs (B, N, bps))."""
+    return _linear_batch(h, y, noise_var, c, mode)[:2]
+
+
+def _linear_detect(inp: DetectorInput, mode: str) -> DetectionOutput:
+    """B=1 view of the linear kernel."""
+    c = inp.constellation
+    labels, llrs, soft = _linear_batch(inp.h[None], inp.y[None],
+                                       inp.noise_var, c, mode)
+    hard = c.points[labels[0]]
+    return DetectionOutput(hard=hard, hard_labels=labels[0], llrs=llrs[0],
+                           min_metric=_residual_metric(inp.h, inp.y, hard),
+                           soft=soft[0])
+
+
+def zf_detect(inp: DetectorInput) -> DetectionOutput:
+    """Zero-forcing: pseudo-inverse equalization + per-stream slicing."""
+    return _linear_detect(inp, "zf")
 
 
 def mmse_detect(inp: DetectorInput) -> DetectionOutput:
@@ -127,50 +164,40 @@ def mmse_detect(inp: DetectorInput) -> DetectionOutput:
     soft_i / beta_i with effective noise variance (1 - beta_i) / beta_i,
     beta_i = 1 - nv * [(H^H H + nv I)^-1]_ii.
     """
-    h, y, c = inp.h, inp.y, inp.constellation
-    n = inp.n
-    a = h.conj().T @ h + inp.noise_var * np.eye(n)
-    # Cholesky route; the acceptance oracle uses a direct solve instead
-    from scipy.linalg import cho_factor, cho_solve
-    cf = cho_factor(a)
-    soft = cho_solve(cf, h.conj().T @ y)
-    a_inv_diag = np.real(np.diag(cho_solve(cf, np.eye(n))))
-    beta = np.clip(1.0 - inp.noise_var * a_inv_diag, 1e-12, None)
-    unbiased = soft / beta
-    nv_eff = np.clip((1.0 - beta) / beta, 1e-15, None)
-    labels = c.nearest(unbiased)
-    llrs = np.stack([demap_llr(unbiased[i], nv_eff[i], c) for i in range(n)])
-    hard = c.points[labels]
-    return DetectionOutput(hard=hard, hard_labels=labels, llrs=llrs,
-                           min_metric=_residual_metric(h, y, hard), soft=soft)
+    return _linear_detect(inp, "mmse")
 
 
 # ---------------------------------------------------------------------------
 # exact non-linear oracles
 # ---------------------------------------------------------------------------
 
-def ml_detect(inp: DetectorInput) -> DetectionOutput:
-    """Exhaustive maximum-likelihood search over all Q^N candidates."""
-    c = inp.constellation
-    q, n = c.order, inp.n
+def ml_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
+                    c: Constellation):
+    """Exhaustive search over a (B, M, N) / (B, M) stack.  Returns (labels
+    (B, Q^N, N), metrics (B, Q^N), best (B,)); best is the first minimum,
+    so ties break lexicographically."""
+    b, m, n = h.shape
+    q = c.order
     if q ** n > ML_ENUM_GUARD:
         raise ValueError(f"enumeration {q}^{n} exceeds guard {ML_ENUM_GUARD}")
     labels = _enumerate_labels(n, q)
-    cands = c.points[labels]
-    resid = inp.y[None, :] - cands @ inp.h.T
-    metrics = np.sum(np.abs(resid) ** 2, axis=1)
-    best = int(np.argmin(metrics))       # first hit = lexicographic tie-break
-    hard = cands[best]
-    clist = CandidateList(candidates=cands, labels=labels, metrics=metrics)
-    llrs = llr_from_candidates(clist, inp.noise_var, c)
-    return DetectionOutput(hard=hard, hard_labels=labels[best], llrs=llrs,
-                           min_metric=_residual_metric(inp.h, inp.y, hard))
+    cands = c.points[labels]                             # (C, N)
+    resid = y[:, None, :] - np.einsum("bmn,cn->bcm", h, cands)
+    metrics = np.sum(np.abs(resid) ** 2, axis=2)         # (B, C)
+    best = np.argmin(metrics, axis=1)
+    return (np.broadcast_to(labels, (b,) + labels.shape), metrics, best)
+
+
+def ml_detect(inp: DetectorInput) -> DetectionOutput:
+    """Exhaustive maximum-likelihood search over all Q^N candidates."""
+    return _list_detection(inp, *ml_detect_batch(
+        inp.h[None], inp.y[None], inp.noise_var, inp.constellation))[1]
 
 
 def sphere_detect(inp: DetectorInput) -> DetectionOutput:
     """Depth-first Schnorr-Euchner sphere decoder; exact ML hard output."""
     h, y, c = inp.h, inp.y, inp.constellation
-    m, n = inp.m, inp.n
+    m, n = h.shape
     if m < n:
         raise SingularChannelError("sphere decoder requires M >= N")
     qm, r = np.linalg.qr(h)
@@ -289,17 +316,10 @@ class BatchPathPlan:
     r: np.ndarray = field(repr=False)           # (B, N, N) upper triangular
     expansions: np.ndarray = field(repr=False)  # (N,) shared across the batch
     n_paths: int = 0
-    augmented: bool = False
-    noise_var: float = 0.0
-    fingerprint: bytes = b""
 
     @property
     def batch(self) -> int:
         return self.perm.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.perm.shape[1]
 
 
 @dataclass(frozen=True)
@@ -367,13 +387,10 @@ def mpnl_plan_batch(h: np.ndarray, noise_var: float, n_paths: int,
     layers are then fully expanded.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim == 2:
-        h = h[None]
     b, m, n = h.shape
-    augmented = n > m
     expansions, realized = allocate_expansions(
         n, c.order, n_paths, n_forced=max(0, n - m))
-    if augmented:
+    if n > m:
         a = np.concatenate(
             [h, np.sqrt(noise_var) * np.broadcast_to(np.eye(n), (b, n, n))],
             axis=1)
@@ -381,11 +398,8 @@ def mpnl_plan_batch(h: np.ndarray, noise_var: float, n_paths: int,
         a = h
     perm, q, r = _sorted_qr_batch(a)
     qh = q[:, :m, :].conj().transpose(0, 2, 1)   # (B, N, M)
-    fp = hashlib.sha1(h.tobytes()).digest()
     return BatchPathPlan(perm=perm, qh=np.ascontiguousarray(qh), r=r,
-                         expansions=expansions, n_paths=realized,
-                         augmented=augmented, noise_var=noise_var,
-                         fingerprint=fp)
+                         expansions=expansions, n_paths=realized)
 
 
 def mpnl_preprocess(h: np.ndarray, noise_var: float, n_paths: int,
@@ -397,7 +411,7 @@ def mpnl_preprocess(h: np.ndarray, noise_var: float, n_paths: int,
                     r_factor=bp.r[0], expansions=bp.expansions,
                     n_paths=bp.n_paths, requested_paths=n_paths,
                     channel=h, noise_var=noise_var,
-                    fingerprint=bp.fingerprint, _batch=bp)
+                    fingerprint=hashlib.sha1(h.tobytes()).digest(), _batch=bp)
 
 
 def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
@@ -488,14 +502,9 @@ def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
     return labels, metrics, best
 
 
-def mpnl_detect(plan: PathPlan, inp: DetectorInput):
-    """Evaluate the planned candidate paths for one observation."""
-    fp = hashlib.sha1(np.asarray(inp.h, dtype=complex).tobytes()).digest()
-    if fp != plan.fingerprint:
-        raise ValueError("plan/channel fingerprint mismatch")
+def _list_detection(inp: DetectorInput, labels, metrics, best):
+    """B=1 view of a list search: (CandidateList, DetectionOutput)."""
     c = inp.constellation
-    labels, metrics, best = mpnl_detect_batch(
-        plan._batch, inp.h[None], inp.y[None], c)
     labels, metrics, b = labels[0], metrics[0], int(best[0])
     cands = c.points[labels]
     clist = CandidateList(candidates=cands, labels=labels, metrics=metrics)
@@ -506,71 +515,88 @@ def mpnl_detect(plan: PathPlan, inp: DetectorInput):
     return clist, out
 
 
+def mpnl_detect(plan: PathPlan, inp: DetectorInput):
+    """Evaluate the planned candidate paths for one observation."""
+    if hashlib.sha1(inp.h.tobytes()).digest() != plan.fingerprint:
+        raise ValueError("plan/channel fingerprint mismatch")
+    return _list_detection(inp, *mpnl_detect_batch(
+        plan._batch, inp.h[None], inp.y[None], inp.constellation))
+
+
 # ---------------------------------------------------------------------------
-# batched kernels for the link simulator / benchmark
+# detector table
 # ---------------------------------------------------------------------------
 
-def ml_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
-                    c: Constellation):
-    """Exhaustive search over a (B, M, N) / (B, M) stack."""
-    b, m, n = h.shape
-    q = c.order
-    if q ** n > ML_ENUM_GUARD:
-        raise ValueError("enumeration guard exceeded")
-    labels = _enumerate_labels(n, q)
-    cands = c.points[labels]                             # (C, N)
-    resid = y[:, None, :] - np.einsum("bmn,cn->bcm", h, cands)
-    metrics = np.sum(np.abs(resid) ** 2, axis=2)         # (B, C)
-    best = np.argmin(metrics, axis=1)
-    return (np.broadcast_to(labels, (b,) + labels.shape), metrics, best)
+@dataclass(frozen=True)
+class Detector:
+    """One row of DETECTORS: single(inp, n_paths) -> DetectionOutput;
+    min_antennas(n, q, n_paths), the smallest M serving n streams;
+    plan(h, noise_var, c, n_paths), channel-time work on a (B, M, N) stack;
+    apply(plan, h, y, noise_var, c) -> (hard labels (B, N), LLRs (B, N,
+    bps)), None without batched soft output.  Entries look kernels up as
+    module globals at call time, so a wrapper installed on one sees every
+    call.
+    """
+
+    single: Callable
+    min_antennas: Callable
+    plan: Callable = lambda h, noise_var, c, n_paths: None
+    apply: Callable | None = None
 
 
-def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
-                        c: Constellation, mode: str):
-    """Batched ZF/MMSE.  Returns (hard labels (B, N), llrs (B, N, bps))."""
-    b, m, n = h.shape
-    hh = h.conj().transpose(0, 2, 1)
-    gram = hh @ h
-    hy = np.einsum("bnm,bm->bn", hh, y)
-    nv = np.broadcast_to(np.asarray(noise_var, dtype=float), (b,))
-    if mode == "zf":
-        a = gram
-    elif mode == "mmse":
-        a = gram + nv[:, None, None] * np.eye(n)
-    else:
-        raise ValueError(f"unknown linear mode {mode!r}")
-    a_inv = np.linalg.inv(a)
-    soft = np.einsum("bij,bj->bi", a_inv, hy)
-    diag = np.real(np.einsum("bii->bi", a_inv))
-    if mode == "zf":
-        est = soft
-        nv_eff = nv[:, None] * diag
-    else:
-        beta = np.clip(1.0 - nv[:, None] * diag, 1e-12, None)
-        est = soft / beta
-        nv_eff = np.clip((1.0 - beta) / beta, 1e-15, None)
-    labels = c.nearest(est)
-    llrs = np.empty((b, n, c.bits_per_symbol))
-    for i in range(n):
-        raw = demap_llr(est[:, i], 1.0, c, clip=np.inf)
-        llrs[:, i] = raw / nv_eff[:, i, None]
-    return labels, np.clip(llrs, -LLR_CLIP, LLR_CLIP)
+def _list_output(labels, metrics, best, noise_var, c):
+    """Hard labels and max-log LLRs of a batched candidate-list search."""
+    hard = np.take_along_axis(labels, best[:, None, None], axis=1)[:, 0]
+    return hard, _candidate_llrs_batch(labels, metrics, noise_var, c)
 
 
-DETECTOR_NAMES = ("zf", "mmse", "ml", "sphere", "mpnl")
+def _mpnl_min_antennas(n: int, q: int, n_paths: int) -> int:
+    """Smallest M whose N - M rank-deficient layers the budget expands."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    return next(m for m in range(1, n + 1) if q ** (n - m) <= n_paths)
+
+
+DETECTORS = {
+    "zf": Detector(
+        single=lambda inp, _: zf_detect(inp),
+        min_antennas=lambda n, q, n_paths: n,
+        apply=lambda _, h, y, nv, c: linear_detect_batch(h, y, nv, c, "zf")),
+    "mmse": Detector(
+        single=lambda inp, _: mmse_detect(inp),
+        min_antennas=lambda n, q, n_paths: 1,
+        apply=lambda _, h, y, nv, c: linear_detect_batch(h, y, nv, c,
+                                                         "mmse")),
+    "ml": Detector(
+        single=lambda inp, _: ml_detect(inp),
+        min_antennas=lambda n, q, n_paths: 1,
+        apply=lambda _, h, y, nv, c: _list_output(
+            *ml_detect_batch(h, y, nv, c), nv, c)),
+    "sphere": Detector(
+        single=lambda inp, _: sphere_detect(inp),
+        min_antennas=lambda n, q, n_paths: n),
+    "mpnl": Detector(
+        single=lambda inp, n_paths: mpnl_detect(mpnl_preprocess(
+            inp.h, inp.noise_var, n_paths, inp.constellation), inp)[1],
+        min_antennas=_mpnl_min_antennas,
+        plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),
+        apply=lambda plan, h, y, nv, c: _list_output(
+            *mpnl_detect_batch(plan, h, y, c), nv, c)),
+}
+DETECTOR_NAMES = tuple(DETECTORS)
+
+
+def soft_detector(name: str) -> Detector:
+    """The table entry of a detector with batched soft output."""
+    if name not in DETECTORS:
+        raise ValueError(f"unknown detector {name!r}")
+    if DETECTORS[name].apply is None:
+        raise ValueError(f"detector {name!r} has no batched soft output")
+    return DETECTORS[name]
 
 
 def detect(name: str, inp: DetectorInput, n_paths: int = 32) -> DetectionOutput:
     """Name-based detector dispatch."""
-    if name == "zf":
-        return zf_detect(inp)
-    if name == "mmse":
-        return mmse_detect(inp)
-    if name == "ml":
-        return ml_detect(inp)
-    if name == "sphere":
-        return sphere_detect(inp)
-    if name == "mpnl":
-        plan = mpnl_preprocess(inp.h, inp.noise_var, n_paths, inp.constellation)
-        return mpnl_detect(plan, inp)[1]
-    raise ValueError(f"unknown detector {name!r}")
+    if name not in DETECTORS:
+        raise ValueError(f"unknown detector {name!r}")
+    return DETECTORS[name].single(inp, n_paths)

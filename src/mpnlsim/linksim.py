@@ -45,8 +45,11 @@ class LinkConfig:
             raise ValueError("n_streams must be in [1, 12]")
         if not 1 <= self.m_antennas <= 32:
             raise ValueError("m_antennas must be in [1, 32]")
-        if self.detector not in det.DETECTOR_NAMES:
-            raise ValueError(f"unknown detector {self.detector!r}")
+        need = det.soft_detector(self.detector).min_antennas(
+            self.n_streams, self.mcs.constellation.order, self.n_paths)
+        if self.m_antennas < need:
+            raise ValueError(f"detector {self.detector!r} needs at least "
+                             f"{need} antennas for {self.n_streams} streams")
         if self.csi not in ("genie", "ls_dmrs"):
             raise ValueError("csi must be 'genie' or 'ls_dmrs'")
         if self.rb_per_vehicle is None:
@@ -137,25 +140,6 @@ def estimate_channel_ls(grid_obs: np.ndarray, pilots: np.ndarray,
     return h_est
 
 
-def _detect_llrs(cfg: LinkConfig, h_re: np.ndarray, y_re: np.ndarray,
-                 noise_var: float, plan=None):
-    """Per-RE detection over a flat batch; returns LLRs (B, N, bps)."""
-    c = cfg.mcs.constellation
-    name = cfg.detector
-    if name in ("zf", "mmse"):
-        _, llrs = det.linear_detect_batch(h_re, y_re, noise_var, c, name)
-        return llrs
-    if name == "ml":
-        labels, metrics, _ = det.ml_detect_batch(h_re, y_re, noise_var, c)
-        return det._candidate_llrs_batch(labels, metrics, noise_var, c)
-    if name == "mpnl":
-        if plan is None:
-            plan = det.mpnl_plan_batch(h_re, noise_var, cfg.n_paths, c)
-        labels, metrics, _ = det.mpnl_detect_batch(plan, h_re, y_re, c)
-        return det._candidate_llrs_batch(labels, metrics, noise_var, c)
-    raise ValueError(f"detector {name!r} has no link-level soft output")
-
-
 def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
                     chan_idx: int, frame_indices) -> np.ndarray:
     """Simulate a batch of frames on one channel realization.
@@ -206,24 +190,20 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
 
     y = np.einsum("tfmn,btfn->btfm", h, x) + noise    # (F, sym, sc, M)
 
+    # per-RE detection: genie CSI is the same for every frame, so it is
+    # planned once per slot; LS estimates are planned once per frame
+    detector = det.DETECTORS[cfg.detector]
+    y_re = y[:, data_syms].reshape(f, n_re, m)
     if cfg.csi == "genie":
-        h_re = h[data_syms]                            # (12, sc, M, N)
-        h_flat = h_re.reshape(n_re, m, n)
-        plan = None
-        if cfg.detector == "mpnl":
-            plan = det.mpnl_plan_batch(h_flat, noise_var, cfg.n_paths, c)
-        # same channel for all frames: tile observations
-        y_flat = y[:, data_syms].reshape(f, n_re, m)
-        llrs = np.empty((f, n_re, n, bps))
-        for i in range(f):
-            llrs[i] = _detect_llrs(cfg, h_flat, y_flat[i], noise_var, plan)
-    else:
-        llrs = np.empty((f, n_re, n, bps))
-        for i in range(f):
+        h_re = h[data_syms].reshape(n_re, m, n)
+        plan = detector.plan(h_re, noise_var, c, cfg.n_paths)
+    llrs = np.empty((f, n_re, n, bps))
+    for i in range(f):
+        if cfg.csi == "ls_dmrs":
             h_est = estimate_channel_ls(y[i], pilots, cfg)
-            h_flat = h_est[data_syms].reshape(n_re, m, n)
-            llrs[i] = _detect_llrs(cfg, h_flat,
-                                   y[i, data_syms].reshape(n_re, m), noise_var)
+            h_re = h_est[data_syms].reshape(n_re, m, n)
+            plan = detector.plan(h_re, noise_var, c, cfg.n_paths)
+        llrs[i] = detector.apply(plan, h_re, y_re[i], noise_var, c)[1]
 
     # per-vehicle LLR concatenation in RE order -> decode
     llrs_v = llrs.transpose(0, 2, 1, 3).reshape(f * n, n_re * bps)

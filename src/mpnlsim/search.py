@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as ch
-from . import linksim
+from . import detect, linksim
 from .core import DEFAULT_NUMEROLOGY, Numerology, mcs_entry
 
 PER_THRESHOLD = 0.10
@@ -73,17 +73,12 @@ def min_antennas(n: int, mcs_index: int, detector: str,
                  m_range=(M_MIN, M_MAX)) -> SearchCell:
     """Smallest antenna count meeting the PER threshold (first hit)."""
     mcs = mcs_entry(mcs_index)
-    prev_per = float("nan")
+    m_needed = detect.soft_detector(detector).min_antennas(
+        n, mcs.constellation.order, n_paths)
     lo, hi = m_range
-    for m in range(lo, hi + 1):
-        if detector == "mpnl" and n > m and \
-                mcs.constellation.order ** (n - m) > n_paths:
-            # overloaded beyond the path budget: counts as failing
-            prev_per = 1.0
-            continue
-        if detector in ("zf", "sphere") and m < n:
-            prev_per = 1.0
-            continue
+    # too few antennas for the detector counts as failing
+    prev_per = 1.0 if lo < m_needed else float("nan")
+    for m in range(max(lo, m_needed), hi + 1):
         cfg = linksim.LinkConfig(n_streams=n, m_antennas=m, mcs=mcs,
                                  detector=detector, n_paths=n_paths,
                                  numerology=fixtures.numerology,
@@ -110,11 +105,13 @@ def heatmap(streams, mcs_list, detectors, fixtures: FixtureConfig,
             frames_per_channel: int = 8, n_paths: int = 32,
             progress=None) -> list[SearchCell]:
     """Full (streams x MCS x detector) minimum-antenna grid."""
+    for name in detectors:     # fail on a bad name before any cell runs
+        detect.soft_detector(name)
     cells = []
     for n in streams:
         for mi in mcs_list:
-            for det in detectors:
-                cell = min_antennas(n, mi, det, fixtures,
+            for name in detectors:
+                cell = min_antennas(n, mi, name, fixtures,
                                     frames_per_channel=frames_per_channel,
                                     n_paths=n_paths)
                 cells.append(cell)

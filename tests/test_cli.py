@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mpnlsim import cli, search
+from mpnlsim import cli, linksim, search
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -84,6 +84,30 @@ def test_per_sweep_reproducible(tmp_path):
     cli.main(["per-sweep", "--config", cfgp, "--out", str(a), "--seed", "3"])
     cli.main(["per-sweep", "--config", cfgp, "--out", str(b), "--seed", "3"])
     assert read_rows(a)[1] == read_rows(b)[1]
+
+
+def test_search_rejects_bad_detector_before_any_cell(tmp_path, capsys,
+                                                    monkeypatch):
+    def measure_per(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(linksim, "measure_per", measure_per)
+    cfgp = write_config(tmp_path, dict(
+        streams=[2], mcs=[0], detectors=["mmse", "sphere"],
+        channels_per_group=2, frames_per_channel=2, n_subcarriers=12))
+    out = tmp_path / "grid.csv"
+    assert cli.main(["search", "--config", cfgp, "--out", str(out)]) == 2
+    assert "sphere" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_flag_only_for_bench(tmp_path, capsys):
+    cfgp = sweep_config(tmp_path)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["per-sweep", "--config", cfgp, "--out", str(out),
+                     "--workers", "2"]) == 2
+    assert "--workers applies only to bench" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_search_command_writes_grid(tmp_path):

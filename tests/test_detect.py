@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpnlsim import detect as det
-from mpnlsim.core import QAM16, QPSK, constellation_for
+from mpnlsim.core import QAM16, QPSK, constellation_for, demap_llr
 
 
 def rand_channel(rng, m, n):
@@ -55,6 +55,12 @@ def test_zf_rejects_singular_channel():
                             constellation=QPSK)
     with pytest.raises(det.SingularChannelError):
         det.zf_detect(inp)
+    # the batched kernel rejects the same channel, and too few antennas
+    stack, y = np.ones((3, 2, 2), dtype=complex), np.ones((3, 2))
+    with pytest.raises(det.SingularChannelError):
+        det.linear_detect_batch(stack, y, 0.1, QPSK, "zf")
+    with pytest.raises(det.SingularChannelError):
+        det.linear_detect_batch(stack[:, :1], y[:, :1], 0.1, QPSK, "zf")
 
 
 def test_mmse_identity_closed_form():
@@ -87,17 +93,28 @@ def test_mmse_matches_direct_solve():
 
 
 def test_linear_batch_matches_scalar():
+    # reference: a direct solve per instance, then per-stream slicing and
+    # demapping at the effective noise variance
     rng = np.random.default_rng(9)
     h = np.stack([rand_channel(rng, 3, 2) for _ in range(20)])
     y = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
-    for mode, fn in (("zf", det.zf_detect), ("mmse", det.mmse_detect)):
-        labels, llrs = det.linear_detect_batch(h, y, 0.2, QPSK, mode)
+    nv = 0.2
+    for mode in ("zf", "mmse"):
+        labels, llrs = det.linear_detect_batch(h, y, nv, QPSK, mode)
         for i in range(20):
-            inp = det.DetectorInput(h=h[i], y=y[i], noise_var=0.2,
-                                    constellation=QPSK)
-            out = fn(inp)
-            assert np.array_equal(labels[i], out.hard_labels)
-            assert np.allclose(llrs[i], out.llrs, atol=1e-9)
+            hh = h[i].conj().T
+            a = hh @ h[i] + (nv * np.eye(2) if mode == "mmse" else 0)
+            soft = np.linalg.solve(a, hh @ y[i])
+            diag = np.real(np.diag(np.linalg.inv(a)))
+            if mode == "zf":
+                est, nv_eff = soft, nv * diag
+            else:
+                beta = 1 - nv * diag
+                est, nv_eff = soft / beta, (1 - beta) / beta
+            ref = np.stack([demap_llr(est[k], nv_eff[k], QPSK)
+                            for k in range(2)])
+            assert np.array_equal(labels[i], QPSK.nearest(est))
+            assert np.allclose(llrs[i], ref, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

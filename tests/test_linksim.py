@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpnlsim import channel as ch
-from mpnlsim import fec, linksim
+from mpnlsim import detect, fec, linksim
 from mpnlsim.core import DEFAULT_NUMEROLOGY, mcs_entry
 
 MCS_QPSK = mcs_entry(7)      # QPSK, mid rate
@@ -31,6 +31,18 @@ def test_config_validation():
         make_cfg(csi="perfect")
     with pytest.raises(ValueError):
         make_cfg(rb_per_vehicle=10_000)
+    # detectors without batched soft output or with too few antennas
+    with pytest.raises(ValueError, match="sphere"):
+        make_cfg(detector="sphere")
+    with pytest.raises(ValueError, match="'zf' needs at least 4"):
+        make_cfg(detector="zf", n_streams=4, m_antennas=2)
+    # QPSK, N=4, M=1 needs 4^3 = 64 > 32 paths; M=2 needs 16
+    with pytest.raises(ValueError, match="'mpnl' needs at least 2"):
+        make_cfg(detector="mpnl", n_streams=4, m_antennas=1)
+    make_cfg(detector="mpnl", n_streams=4, m_antennas=2)
+    with pytest.raises(ValueError, match="n_paths"):
+        make_cfg(detector="mpnl", n_paths=0)
+    make_cfg(detector="mmse", n_streams=4, m_antennas=1)
 
 
 def test_bits_per_block():
@@ -90,7 +102,8 @@ def test_ls_estimate_exact_on_constant_channel():
     assert np.allclose(est, h[None, None], atol=1e-12)
 
 
-@pytest.mark.parametrize("detector", ["mmse", "zf", "mpnl", "ml"])
+@pytest.mark.parametrize(
+    "detector", [n for n, d in detect.DETECTORS.items() if d.apply])
 def test_near_noiseless_all_blocks_decode(detector):
     cfg = make_cfg(detector=detector)
     grid = make_grid(cfg)
