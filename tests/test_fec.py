@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,67 @@ def test_decode_batch_matches_single(code):
         single_out, single_conv = fec.ldpc_decode(code, llr[i][None])
         assert np.array_equal(batch_out[i], single_out[0])
         assert batch_conv[i] == single_conv[0]
+
+
+# SHA-256 of (info, converged) from the dense reference decoder, one per
+# case in _golden_cases.  Any change to the decoder must reproduce them.
+GOLDEN_DECODE = {
+    "awgn_-1.0dB": "42214ab47716923fdd8bc89fe905fbbb89e8118c3f36137f4f98c756c586747e",
+    "awgn_+1.5dB": "b670b21501252bd46a59eafe573bcd5a316f3861ea4782e35f41611af5f0539f",
+    "awgn_+2.5dB": "c9a3f648609781bbe1b43f606c512a815eabe2f14d708dc8538e7b4a2bb018f4",
+    "awgn_+4.0dB": "2886b06fc33846592347e1ff4fecb7d8207f313d46c7608d492c98c5fc812d76",
+    "max_iter_0": "723b072bb5e7b98242d26cf1b905090895a267ba30e5c2029c49fd3277aad383",
+    "max_iter_1": "9959b0a04b5aa19f3e05251e04db88841612443f78679e0022205a960f17f0ee",
+    "max_iter_5": "cc1997c9ad0b24f98109afe125d77548b3156a58ab7d37e3f3e9b339ececd80e",
+    "max_iter_10": "1e999c93fc40f34ec7a6c29e5e4804ac01810991f9422f281538574b0ad54cd3",
+    "rate_matched": "b6134cf42a4527b7e9bbb86ad3e4209ab705f523446cf9c015959b6c856cf796",
+    "single": "228905275bfa5bf27754ee582ac2bbed2a2aec6e586b4a58e73c9a469dd2b8eb",
+    "empty": "15243e0df6f2b29be1cb091914a1ad61a54914d43cad0f36190b4e0055562c65",
+}
+
+
+def _awgn_llrs(code, rng, words, snr_db):
+    info = rng.integers(0, 2, (words, code.k)).astype(np.uint8)
+    tx = 1 - 2 * fec.ldpc_encode(code, info).astype(np.float64)
+    nv = 10 ** (-snr_db / 10)
+    return 2 * (tx + rng.normal(0, np.sqrt(nv), tx.shape)) / nv
+
+
+def _golden_cases(code):
+    """(name, decode thunk) pairs: 64-word AWGN batches from none to all
+    converged, a max_iter sweep, a shortened+punctured batch, a 1-D word
+    and an empty batch."""
+    for snr in (-1.0, 1.5, 2.5, 4.0):      # converged: 0, 6, 49, 64 of 64
+        llr = _awgn_llrs(code, np.random.default_rng(int(100 + 10 * snr)),
+                         64, snr)
+        yield f"awgn_{snr:+.1f}dB", lambda llr=llr: fec.ldpc_decode(code, llr)
+    llr = _awgn_llrs(code, np.random.default_rng(200), 64, 2.5)
+    for it in (0, 1, 5, 10):
+        yield (f"max_iter_{it}",
+               lambda it=it: fec.ldpc_decode(code, llr, max_iter=it))
+    rm = fec.design_rate_match(code, Fraction(1, 3), 900)
+    rng = np.random.default_rng(300)
+    info = rng.integers(0, 2, (64, rm.k_tb)).astype(np.uint8)
+    tx = 1 - 2 * fec.encode_rate_matched(code, rm, info).astype(np.float64)
+    nv = 10 ** (-0.5 / 10)
+    rm_llr = 2 * (tx + rng.normal(0, np.sqrt(nv), tx.shape)) / nv
+    yield "rate_matched", lambda: fec.decode_rate_matched(code, rm, rm_llr)
+    word = _awgn_llrs(code, np.random.default_rng(400), 1, 2.0)[0]
+    yield "single", lambda: fec.ldpc_decode(code, word)
+    yield "empty", lambda: fec.ldpc_decode(code, np.zeros((0, code.n)))
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_decode_matches_golden(code):
+    got = {name: _digest(*run()) for name, run in _golden_cases(code)}
+    assert got == GOLDEN_DECODE
 
 
 # ---------------------------------------------------------------------------
