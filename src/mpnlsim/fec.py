@@ -18,6 +18,9 @@ import numpy as np
 
 MIN_SUM_NORMALIZATION = 0.8125
 DEFAULT_MAX_ITER = 10
+# Words decoded together; larger batches are split into blocks this size,
+# which keeps the working arrays small and leaves every output unchanged.
+DECODE_BLOCK = 128
 
 # LLR magnitude assigned to shortened (known-zero) bits at the decoder.
 SHORTENED_LLR = 1e7
@@ -107,23 +110,29 @@ class LdpcCode:
         return _gf2_parity_solver(self.parity_check)
 
     @cached_property
+    def _encoder_f32(self) -> np.ndarray:
+        # float32 sums of at most k ones are exact while k < 2**24
+        return self._encoder.astype(np.float32)
+
+    @cached_property
     def _graph(self):
-        """Padded edge structures for vectorized min-sum."""
+        """Padded edge structures for vectorized min-sum, slot-major: the
+        s-th variable of check r is check_vars[s, r], edge s * m + r."""
         h = self.parity_check
         m, n = h.shape
         rows, cols = np.nonzero(h)
         dc = np.bincount(rows, minlength=m)
         dv = np.bincount(cols, minlength=n)
         max_dc, max_dv = int(dc.max()), int(dv.max())
-        check_vars = np.zeros((m, max_dc), dtype=np.int64)
-        check_mask = np.zeros((m, max_dc), dtype=bool)
+        check_vars = np.zeros((max_dc, m), dtype=np.int64)
+        check_mask = np.zeros((max_dc, m), dtype=bool)
         slot = np.zeros(m, dtype=np.int64)
         edge_flat = np.empty(rows.size, dtype=np.int64)
         for e, (r, c) in enumerate(zip(rows, cols)):
             s = slot[r]
-            check_vars[r, s] = c
-            check_mask[r, s] = True
-            edge_flat[e] = r * max_dc + s
+            check_vars[s, r] = c
+            check_mask[s, r] = True
+            edge_flat[e] = s * m + r
             slot[r] = s + 1
         # var-centric view: flat edge indices, padded with a dummy slot
         pad = m * max_dc
@@ -143,14 +152,18 @@ def ldpc_encode(code: LdpcCode, info: np.ndarray) -> np.ndarray:
         info = info[None]
     if info.shape[-1] != code.k:
         raise ValueError(f"info length {info.shape[-1]} != k = {code.k}")
-    parity = (info @ code._encoder.T) % 2
-    cw = np.concatenate([info, parity.astype(np.uint8)], axis=-1)
+    parity = (info.astype(np.float32) @ code._encoder_f32.T).astype(np.uint32)
+    cw = np.concatenate([info, (parity & 1).astype(np.uint8)], axis=-1)
     return cw[0] if single else cw
 
 
 def ldpc_syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
+    """H @ bits mod 2 over the last axis, as an XOR over each check's
+    variables; (..., n) -> (..., m) uint8."""
+    check_vars, check_mask, _ = code._graph
     bits = np.asarray(bits, dtype=np.uint8)
-    return (bits @ code.parity_check.T) % 2
+    return np.bitwise_xor.reduce(np.take(bits, check_vars, axis=-1)
+                                 & check_mask, axis=-2)
 
 
 def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
@@ -161,7 +174,8 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
     llrs: (n,) or (B, n), positive = bit 0 more likely.  Returns
     (info bits, converged) with matching leading shape.  Convergence is a
     zero syndrome on the running hard decision; non-convergence yields the
-    final-iteration hard decision.
+    final-iteration hard decision.  Words are decoded DECODE_BLOCK at a
+    time; each word's result does not depend on the others.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     single = llrs.ndim == 1
@@ -172,52 +186,75 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
     b, n = llrs.shape
     if n != code.n:
         raise ValueError(f"LLR length {n} != codeword length {code.n}")
+    info = np.empty((b, code.k), dtype=np.uint8)
+    done = np.empty(b, dtype=bool)
+    for i in range(0, b, DECODE_BLOCK):
+        blk = slice(i, i + DECODE_BLOCK)
+        info[blk], done[blk] = _min_sum(code, llrs[blk], max_iter, alpha)
+    if single:
+        return info[0], bool(done[0])
+    return info, done
+
+
+def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int, alpha: float):
+    """ldpc_decode on one (B, n) block.  A converged word leaves the
+    working arrays; the others are updated until max_iter."""
     check_vars, check_mask, var_edges = code._graph
-    m, max_dc = check_vars.shape
+    max_dc, m = check_vars.shape
+    pad = ~check_mask
 
     out_bits = (llrs < 0).astype(np.uint8)
     done = ~np.any(ldpc_syndrome(code, out_bits), axis=1)
 
-    m_vc = llrs[:, check_vars].copy()                 # (B, m, dc)
-    m_vc[:, ~check_mask] = np.inf
-    m_cv_flat = np.zeros((b, m * max_dc + 1))
+    act = np.flatnonzero(~done)                       # words still decoding
+    llrs = llrs[act]
+    m_vc = np.take(llrs, check_vars, axis=1)          # (B', dc, m)
+    m_vc[:, pad] = np.inf
+    # check-to-variable messages by flat edge, plus a zero for var_edges' pad
+    m_cv_flat = np.zeros((act.size, max_dc * m + 1))
+    m_cv = m_cv_flat[:, :-1].reshape(act.size, max_dc, m)
 
     for _ in range(max_iter):
-        if np.all(done):
+        if act.size == 0:
             break
-        # check-node update
+        # check-node update: alpha * sign * min over the check's other edges
         neg = m_vc < 0
-        par = np.logical_xor.reduce(neg, axis=2)       # (B, m)
-        sgn = np.where(np.logical_xor(par[:, :, None], neg), -1.0, 1.0)
-        mag = np.abs(m_vc)
-        amin = np.argmin(mag, axis=2)
-        min1 = np.take_along_axis(mag, amin[:, :, None], axis=2)[:, :, 0]
-        tmp = mag.copy()
-        np.put_along_axis(tmp, amin[:, :, None], np.inf, axis=2)
-        min2 = tmp.min(axis=2)
-        ext = np.where(np.arange(max_dc) == amin[:, :, None],
-                       min2[:, :, None], min1[:, :, None])
-        m_cv = alpha * sgn * ext
-        m_cv[:, ~check_mask] = 0.0
-        m_cv_flat[:, :-1] = m_cv.reshape(b, -1)
-        # variable-node update
-        total = llrs + m_cv_flat[:, var_edges].sum(axis=2)
+        flip = neg ^ np.logical_xor.reduce(neg, axis=1)[:, None]
+        np.multiply(alpha - 2 * alpha * flip,
+                    _min_of_others(np.abs(m_vc, out=m_vc)), out=m_cv)
+        # variable-node update, summing each variable's edges in order
+        total = np.take(m_cv_flat, var_edges[:, 0], axis=1)
+        for j in range(1, var_edges.shape[1]):
+            total += np.take(m_cv_flat, var_edges[:, j], axis=1)
+        total = np.add(llrs, total, out=total)
         bits = (total < 0).astype(np.uint8)
-        newly = ~done & ~np.any(ldpc_syndrome(code, bits), axis=1)
-        out_bits[newly] = bits[newly]
-        done |= newly
-        m_vc = total[:, check_vars] - m_cv
-        m_vc[:, ~check_mask] = np.inf
+        conv = ~np.any(ldpc_syndrome(code, bits), axis=1)
+        # unconverged words keep their latest hard decision
+        out_bits[act] = bits
+        if conv.any():
+            keep = ~conv
+            done[act[conv]] = True
+            act, llrs, total = act[keep], llrs[keep], total[keep]
+            m_cv_flat = m_cv_flat[keep]
+            m_cv = m_cv_flat[:, :-1].reshape(act.size, max_dc, m)
+        m_vc = np.take(total, check_vars, axis=1)
+        m_vc -= m_cv
+        m_vc[:, pad] = np.inf
 
-    if not np.all(done):
-        # final-iteration hard decision for unconverged words
-        total = llrs + m_cv_flat[:, var_edges].sum(axis=2)
-        bits = (total < 0).astype(np.uint8)
-        out_bits[~done] = bits[~done]
-    info = out_bits[:, :code.k]
-    if single:
-        return info[0], bool(done[0])
-    return info, done
+    return out_bits[:, :code.k], done
+
+
+def _min_of_others(mag: np.ndarray) -> np.ndarray:
+    """For each slot of axis 1, the minimum over the other slots (inf if
+    there is none), from running minima taken from both ends."""
+    d = mag.shape[1]
+    before = np.empty_like(mag)
+    after = np.empty_like(mag)
+    before[:, 0] = after[:, -1] = np.inf
+    for j in range(1, d):
+        np.minimum(before[:, j - 1], mag[:, j - 1], out=before[:, j])
+        np.minimum(after[:, d - j], mag[:, d - j], out=after[:, d - j - 1])
+    return np.minimum(before, after, out=before)
 
 
 _DEFAULT_CODE = None

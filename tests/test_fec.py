@@ -130,6 +130,38 @@ def test_decode_batch_matches_single(code):
         assert batch_conv[i] == single_conv[0]
 
 
+def _irregular_code():
+    """Small code whose checks have degrees 2 to 7, so the padded check
+    slots are used; the parity part is dual-diagonal, hence invertible."""
+    rng = np.random.default_rng(11)
+    m, k = 6, 10
+    info_part = np.zeros((m, k), dtype=np.uint8)
+    for r, deg in enumerate((1, 2, 3, 4, 5, 5)):
+        info_part[r, rng.choice(k, deg, replace=False)] = 1
+    parity_part = np.eye(m, dtype=np.uint8) + np.eye(m, k=-1, dtype=np.uint8)
+    return fec.LdpcCode(np.hstack([info_part, parity_part]))
+
+
+@pytest.mark.parametrize("which", ["default", "irregular"])
+def test_syndrome_and_encode_match_dense(code, which):
+    c = code if which == "default" else _irregular_code()
+    if which == "irregular":
+        assert len(set(c.parity_check.sum(axis=1))) > 1
+    h, enc = c.parity_check, c._encoder
+    rng = np.random.default_rng(12)
+    for lead in ((), (7,)):
+        bits = rng.integers(0, 2, lead + (c.n,), dtype=np.uint8)
+        want = (bits @ h.T) % 2
+        got = fec.ldpc_syndrome(c, bits)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        info = rng.integers(0, 2, lead + (c.k,), dtype=np.uint8)
+        cw = fec.ldpc_encode(c, info)
+        assert cw.dtype == np.uint8 and cw.shape == lead + (c.n,)
+        assert np.array_equal(cw[..., :c.k], info)
+        assert np.array_equal(cw[..., c.k:], (info @ enc.T) % 2)
+        assert not fec.ldpc_syndrome(c, cw).any()
+
+
 # SHA-256 of (info, converged) from the dense reference decoder, one per
 # case in _golden_cases.  Any change to the decoder must reproduce them.
 GOLDEN_DECODE = {
