@@ -10,9 +10,12 @@ rows; bench's worker count never changes its hard decisions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import hashlib
 import json
+import multiprocessing
 import statistics
 import sys
 import time
@@ -238,20 +241,38 @@ def _bench_chunk(args):
     return chunk_idx, hard
 
 
+def run_bench(name, n, m, order, n_paths, snr_db, seed, n_instances,
+              chunk_size, workers, repeats):
+    """Timed passes on one worker pool; returns (elapsed seconds per pass,
+    stacked hard decisions of the last pass).  With workers > 1, starting
+    the pool is not timed."""
+    chunks = [(name, n, m, order, n_paths, snr_db, seed, i, chunk_size)
+              for i in range(n_instances // chunk_size)]
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            # each worker imports this module and runs one chunk as it
+            # starts; the untimed map below starts all of them
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_bench_chunk, initargs=(chunks[0],)))
+            run = functools.partial(pool.map, chunksize=1)
+            list(run(_bench_chunk, chunks[:workers]))
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            results = list(run(_bench_chunk, chunks))
+            times.append(time.perf_counter() - t0)
+    results.sort(key=lambda t: t[0])
+    return times, np.concatenate([r[1] for r in results])
+
+
 def run_bench_once(name, n, m, order, n_paths, snr_db, seed,
                    n_instances, chunk_size, workers):
     """One timed pass; returns (elapsed seconds, stacked hard decisions)."""
-    chunks = [(name, n, m, order, n_paths, snr_db, seed, i, chunk_size)
-              for i in range(n_instances // chunk_size)]
-    t0 = time.perf_counter()
-    if workers == 1:
-        results = [_bench_chunk(a) for a in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_chunk, chunks, chunksize=1))
-    elapsed = time.perf_counter() - t0
-    results.sort(key=lambda t: t[0])
-    return elapsed, np.concatenate([r[1] for r in results])
+    times, hard = run_bench(name, n, m, order, n_paths, snr_db, seed,
+                            n_instances, chunk_size, workers, repeats=1)
+    return times[0], hard
 
 
 def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
@@ -271,12 +292,8 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
     baseline = None
     ref_hard = None
     for w in workers_list:
-        times = []
-        for _ in range(repeats):
-            elapsed, hard = run_bench_once(name, n, m, order, n_paths,
-                                           snr_db, seed, n_instances,
-                                           chunk_size, w)
-            times.append(elapsed)
+        times, hard = run_bench(name, n, m, order, n_paths, snr_db, seed,
+                                n_instances, chunk_size, w, repeats)
         if ref_hard is None:
             ref_hard = hard
         identical = bool(np.array_equal(hard, ref_hard))

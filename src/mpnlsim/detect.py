@@ -331,9 +331,6 @@ class PathPlan:
     r_factor: np.ndarray = field(repr=False)
     expansions: np.ndarray
     n_paths: int
-    requested_paths: int
-    channel: np.ndarray = field(repr=False)
-    noise_var: float = 0.0
     fingerprint: bytes = b""
     _batch: BatchPathPlan = field(default=None, repr=False)
 
@@ -409,8 +406,7 @@ def mpnl_preprocess(h: np.ndarray, noise_var: float, n_paths: int,
     bp = mpnl_plan_batch(h[None], noise_var, n_paths, c)
     return PathPlan(ordering=bp.perm[0], q_factor=bp.qh[0].conj().T,
                     r_factor=bp.r[0], expansions=bp.expansions,
-                    n_paths=bp.n_paths, requested_paths=n_paths,
-                    channel=h, noise_var=noise_var,
+                    n_paths=bp.n_paths,
                     fingerprint=hashlib.sha1(h.tobytes()).digest(), _batch=bp)
 
 
