@@ -222,11 +222,11 @@ def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int, alpha: float):
         flip = neg ^ np.logical_xor.reduce(neg, axis=1)[:, None]
         np.multiply(alpha - 2 * alpha * flip,
                     _min_of_others(np.abs(m_vc, out=m_vc)), out=m_cv)
-        # variable-node update, summing each variable's edges in order
+        # variable-node update; edges summed left to right (fixes rounding)
         total = np.take(m_cv_flat, var_edges[:, 0], axis=1)
         for j in range(1, var_edges.shape[1]):
             total += np.take(m_cv_flat, var_edges[:, j], axis=1)
-        total = np.add(llrs, total, out=total)
+        total += llrs
         bits = (total < 0).astype(np.uint8)
         conv = ~np.any(ldpc_syndrome(code, bits), axis=1)
         # unconverged words keep their latest hard decision
