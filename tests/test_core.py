@@ -95,6 +95,31 @@ def test_demap_scaling_before_clip(label, nv):
     assert np.allclose(a, b, rtol=1e-10)
 
 
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_demap_matches_direct_formula(order):
+    """Each bit's LLR is the nearest 1-labelled point's distance minus the
+    nearest 0-labelled point's, over noise_var, for scalar, 1-D and 2-D
+    inputs, NaN and infinite observations included."""
+    c = core.constellation_for(order)
+    rng = np.random.default_rng(order)
+    y = 1.5 * (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7)))
+    y[0, :4] = [np.nan, np.inf, c.points[1], (c.points[0] + c.points[1]) / 2]
+    for inp in (y[1, 2], 0.0, y[0], y):
+        d = np.abs(np.asarray(inp, dtype=complex)[..., None] - c.points) ** 2
+        for nv, clip in ((0.3, core.LLR_CLIP), (1.0, np.inf)):
+            want = np.empty(np.shape(inp) + (c.bits_per_symbol,))
+            with np.errstate(invalid="ignore"):
+                for idx in np.ndindex(np.shape(inp)):
+                    for k in range(c.bits_per_symbol):
+                        one = c.labels[:, k] == 1
+                        want[idx + (k,)] = (np.min(d[idx][one])
+                                            - np.min(d[idx][~one])) / nv
+                got = core.demap_llr(inp, nv, c, clip=clip)
+            want = np.clip(want, -clip, clip)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_mcs_table_shape_and_monotonicity():
     ses = [e.spectral_efficiency for e in core.MCS_TABLE]
     assert len(core.MCS_TABLE) == 28

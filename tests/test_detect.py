@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mpnlsim import detect as det
-from mpnlsim.core import QAM16, QPSK, constellation_for, demap_llr
+from mpnlsim.core import QAM16, QAM64, QPSK, constellation_for, demap_llr
 
 
 def rand_channel(rng, m, n):
@@ -369,6 +371,183 @@ def test_mpnl_overloaded_runs():
     assert plan.expansions[2] == 4       # rank-deficient top layer forced
     _, out = det.mpnl_detect(plan, inp)
     assert np.array_equal(out.hard_labels, labels)
+
+
+def _stack(rng, b, m, n):
+    return (rng.standard_normal((b, m, n))
+            + 1j * rng.standard_normal((b, m, n))) / np.sqrt(2)
+
+
+def _kernel_case(h, y, nv, c, n_paths, llr_nv=None):
+    """Digest inputs of one MPNL kernel run: labels, metrics and best of
+    mpnl_detect_batch, then _candidate_llrs_batch at llr_nv (default nv)."""
+    def run():
+        plan = det.mpnl_plan_batch(h, nv, n_paths, c)
+        labels, metrics, best = det.mpnl_detect_batch(plan, h, y, c)
+        llrs = det._candidate_llrs_batch(
+            labels, metrics, nv if llr_nv is None else llr_nv, c)
+        return labels, metrics, best, llrs
+    return run
+
+
+def _mpnl_golden_cases():
+    """(name, thunk) pairs over N in {2, 4, 8} and QPSK/16/64-QAM: single
+    path, mixed and full trees, overloaded N > M with forced layers,
+    noiseless on-grid and midpoint observations (distance ties), an
+    all-zero channel column (the 1e-300 diagonal floor), scalar and
+    per-row noise_var, and the LLR and best-path reductions on crafted
+    tied, infinite and NaN metrics."""
+    rng = np.random.default_rng(20241)
+    for n, m, c, n_paths in ((2, 2, QPSK, 16), (2, 2, QAM64, 1),
+                             (4, 4, QAM16, 32), (4, 2, QPSK, 32),
+                             (4, 4, QAM64, 128), (8, 8, QAM16, 32),
+                             (8, 8, QPSK, 1), (8, 8, QAM64, 8)):
+        h = _stack(rng, 48, m, n)
+        x = c.points[rng.integers(0, c.order, (48, n))]
+        nv = n / 10 ** (12.0 / 10)
+        noise = np.sqrt(nv / 2) * (rng.standard_normal((48, m))
+                                   + 1j * rng.standard_normal((48, m)))
+        y = np.einsum("bmn,bn->bm", h, x)
+        tag = f"n{n}m{m}_q{c.order}_p{n_paths}"
+        yield f"{tag}_noisy", _kernel_case(h, y + noise, nv, c, n_paths)
+        yield f"{tag}_noiseless", _kernel_case(h, y, 1e-3, c, n_paths)
+        yield f"{tag}_rownv", _kernel_case(
+            h, y + noise, nv, c, n_paths,
+            llr_nv=nv * rng.uniform(0.5, 2.0, 48))
+    # identity and diagonal channels: observations on the grid, halfway
+    # between neighbours and at the origin tie the layer distances exactly
+    for c, n_paths in ((QPSK, 1), (QPSK, 8), (QAM16, 1), (QAM16, 32)):
+        p = c.points
+        near = p[np.argsort(np.abs(p - p[0]), kind="stable")[1]]
+        obs = np.array([p[0], (p[0] + near) / 2, 0.0, p[-1],
+                        (p[0] + p[-1]) / 2, 0.5 * p[3]])
+        y = obs[rng.integers(0, obs.size, (24, 4))]
+        h = np.broadcast_to(np.eye(4, dtype=complex), (24, 4, 4))
+        diag = h * np.array([1.0, 2.0, 0.5, 1.0])
+        tag = f"eye4_q{c.order}_p{n_paths}"
+        yield f"{tag}_identity", _kernel_case(h, y, 0.1, c, n_paths)
+        yield f"{tag}_diagonal", _kernel_case(
+            diag, np.einsum("bmn,bn->bm", diag, y), 0.1, c, n_paths)
+    # an all-zero column hits the diagonal floor of the sorted QR
+    for c, n_paths in ((QPSK, 4), (QAM16, 32)):
+        h = _stack(rng, 24, 4, 4)
+        h[:, :, 2] = 0
+        x = c.points[rng.integers(0, c.order, (24, 4))]
+        y = np.einsum("bmn,bn->bm", h, x)
+        yield f"zero_col_q{c.order}_p{n_paths}_noiseless", _kernel_case(
+            h, y, 0.05, c, n_paths)
+        yield f"zero_col_q{c.order}_p{n_paths}_noisy", _kernel_case(
+            h, y + 0.1 * _stack(rng, 24, 4, 1)[..., 0], 0.05, c, n_paths)
+    # the reductions alone: tied, infinite and NaN metrics
+    labels = rng.integers(0, 16, (6, 8, 3))
+    metrics = rng.integers(0, 4, (6, 8)).astype(float)
+    metrics[1] = 2.0
+    metrics[2, [1, 5]] = np.inf
+    metrics[3] = np.inf
+    metrics[4, 3] = np.nan
+    metrics[5, [0, 6]] = np.nan
+    metrics[5, 2] = -0.0
+    for clip in (det.LLR_CLIP, np.inf):
+        yield f"crafted_llrs_clip{clip}", lambda clip=clip: (
+            det._candidate_llrs_batch(labels, metrics, 0.5, QAM16, clip),)
+    yield "crafted_best", lambda: (det._select_best(labels, metrics),)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of (labels, metrics, best, llrs) per case in _mpnl_golden_cases,
+# taken from the dense-sort kernels.  Any change to the MPNL search, the
+# best-path selection or the list LLRs must reproduce them.
+GOLDEN_MPNL = {
+    "n2m2_q4_p16_noisy": "f442a5f04deb5b29d359dd41e80dc8d6fd8e1d64e8856973dc2ef467ba8c58b8",
+    "n2m2_q4_p16_noiseless": "5dcf1e7b86a11ebf277ab919fb47c50efb8feb65d3547e0c5eead04567d1bc01",
+    "n2m2_q4_p16_rownv": "6e7998270f86a2a67802a92f6e39ceace5692e96100143add1586450349bfa38",
+    "n2m2_q64_p1_noisy": "cdcc722ff5c82f7557f6d3bd1a1e3ad63eae1582cc0db16515b7b0b7654f9518",
+    "n2m2_q64_p1_noiseless": "04b67fd808b9df5b50dad50f44a8c7d23afd4bdcf6fd6a5ba33becd5332bfc0d",
+    "n2m2_q64_p1_rownv": "cdcc722ff5c82f7557f6d3bd1a1e3ad63eae1582cc0db16515b7b0b7654f9518",
+    "n4m4_q16_p32_noisy": "283d7fa9fd04b748d50476757ab61b5704a8362400d21947db1810f7b94f9681",
+    "n4m4_q16_p32_noiseless": "08dfc9d7b675b9fb0d3a29799d7a93251ae4c239928d1826d1a302b7ed09f488",
+    "n4m4_q16_p32_rownv": "e3573a75f4291cbb4f47977a0ef894f1809dacff7b6de6bdf4a32ebd681e6e42",
+    "n4m2_q4_p32_noisy": "a568d1b55c24d3c50e18dae90e6a64a49dccb9c6eefcd4ec97cf3a21843cfe29",
+    "n4m2_q4_p32_noiseless": "5cd62e32048db147e4a0834d05a57affa473b216a053cb416b8febce75c9f1be",
+    "n4m2_q4_p32_rownv": "0afa88a07a8f472a290a2259b510a5672c2846b8ca146d43b81479760a68f438",
+    "n4m4_q64_p128_noisy": "b085e219177dfa3490f981480ae96cbd6f28c31cefd5b176d48574dfee7c2d96",
+    "n4m4_q64_p128_noiseless": "54fc0385e76d87f956d150f8ba167dad80dd7f78e7dc264fa73d766c4ea8140d",
+    "n4m4_q64_p128_rownv": "65c0ebbd12f417ecf941939efc3fbb0a025ca9bc4ef98902952feb81222f9935",
+    "n8m8_q16_p32_noisy": "a0c2614c12a7d24b5b5a725dd7a18ed860ff54951d278af09671eec2e8637b76",
+    "n8m8_q16_p32_noiseless": "3d9b939308cf19675475483d6a2315b4bbe69a26af6d21649e6525dd4adc99d5",
+    "n8m8_q16_p32_rownv": "5d07da17a12c3aef0e39baf2f07f8ca15ef078010525ebc4ca7c0d3b1e6e6a2b",
+    "n8m8_q4_p1_noisy": "fa87e9cf96e8c8cd6b1a3e33436f23b2bb563d2c4e5b721312adb983c4f8df5a",
+    "n8m8_q4_p1_noiseless": "8b69fd13fe52243fa76777a299884f60a91852d6a09430686ce2931446591612",
+    "n8m8_q4_p1_rownv": "fa87e9cf96e8c8cd6b1a3e33436f23b2bb563d2c4e5b721312adb983c4f8df5a",
+    "n8m8_q64_p8_noisy": "cdf9fc8b52d48983dfb8f5b3c959088defedf1c020f12983e53105e5c71f5c25",
+    "n8m8_q64_p8_noiseless": "660a0a8d404cc1de749d847963a36972012f987dd1150c32f92c7d797ed2d306",
+    "n8m8_q64_p8_rownv": "354e3b450b7a4d3669ed3d2135022ff6352868cdc6f113ef3f005e0dccd26a70",
+    "eye4_q4_p1_identity": "23e47def8a50a30b1d523e38886c5d1c7686d7ba44c8ea254ef12546bade0d7d",
+    "eye4_q4_p1_diagonal": "80c82e43f1977548c557c8230d0b9da8f84b1ca503c3e612ca5b4db45ae72384",
+    "eye4_q4_p8_identity": "ed60b86b678f0a40f2da279c77e00781bbc8d5c87cc24e7e1a5b8e424c72057d",
+    "eye4_q4_p8_diagonal": "40e753cf861d733d39d28a06970e645304e348c2c0c21d1bae7b92ab6f3b9ddc",
+    "eye4_q16_p1_identity": "2d69c2e898cb7efa875209ab8833f1d5eeeff301e9560bbbdafc417f69522a2f",
+    "eye4_q16_p1_diagonal": "e2d9607007d3653d27ee22d61037774caa042ebb771e6a8c786555bcc7a8ae04",
+    "eye4_q16_p32_identity": "eaa593593a9d2ca2252206572951ed2d57b16e0acc1e23f47aee11c696bb7507",
+    "eye4_q16_p32_diagonal": "24293116c0f038b441f5b12157794850a14b7a3cf3e81205939696cfe46f6bb8",
+    "zero_col_q4_p4_noiseless": "02a0141899a4189178504f7a2b480b7f206698771e9a84a4f2b1b2461e46e7fd",
+    "zero_col_q4_p4_noisy": "7cd982cd18eb838d7c86c465b2f383d0f8f9dc8748dfe21ea3e6289bb3b536a9",
+    "zero_col_q16_p32_noiseless": "83c86440ae30196fa09c0b8ea10fad9967a9c108bb3352c2c709f55e62b416ee",
+    "zero_col_q16_p32_noisy": "4e81681801abaacc2da665cc630149afcf2fb4d2b401fdcdab81ebc584e5d1c3",
+    "crafted_llrs_clip20.0": "5f09cbd3b7adf4c9ed9e93e0981c60422553b9ed60192133fa85b97f471ec2cb",
+    "crafted_llrs_clipinf": "f26c11bfc738dbe87b5e36787ca38d82775ad0b9afc0932daa61f5c4d91881e6",
+    "crafted_best": "fb85fc7ba0394ab01ff57f73546eb4f0828eafa4f4a78abce13a155e2eda720f",
+}
+
+
+def test_mpnl_kernels_match_golden():
+    got = {name: _digest(*run()) for name, run in _mpnl_golden_cases()}
+    assert got == GOLDEN_MPNL
+
+
+def _reference_tree(z, r, expansions, points):
+    """Per-path Schnorr-Euchner expansion, one stable sort per node: the
+    list of (labels, interference) partial paths grows top layer first;
+    each node keeps its expansions[pos] closest children in order."""
+    n = z.size
+    paths = [(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=complex))]
+    for pos in range(n - 1, -1, -1):
+        grown = []
+        for labels, acc in paths:
+            center = (z[pos:pos + 1] - acc[pos:pos + 1]) / r[pos, pos:pos + 1].real
+            d = np.abs(center - points) ** 2
+            for k in np.argsort(d, kind="stable")[:expansions[pos]]:
+                child = labels.copy()
+                child[pos] = k
+                grown.append((child, acc + r[:, pos] * points[k]))
+        paths = grown
+    return np.array([labels for labels, _ in paths])
+
+
+def test_tree_labels_match_per_path_reference():
+    rng = np.random.default_rng(151)
+    for n, m, c, n_paths in ((2, 2, QPSK, 1), (3, 3, QPSK, 2),
+                             (3, 3, QAM16, 6), (4, 4, QPSK, 8),
+                             (4, 4, QAM16, 32), (4, 3, QAM16, 32),
+                             (3, 3, QAM64, 12), (5, 5, QPSK, 4)):
+        h = _stack(rng, 16, m, n)
+        x = c.points[rng.integers(0, c.order, (16, n))]
+        y = np.einsum("bmn,bn->bm", h, x) + 0.3 * _stack(rng, 16, m, 1)[..., 0]
+        y[:4] = np.einsum("bmn,bn->bm", h[:4], x[:4])     # noiseless rows
+        plan = det.mpnl_plan_batch(h, 0.1, n_paths, c)
+        assert 1 in plan.expansions
+        z = np.einsum("bnm,bm->bn", plan.qh, y)
+        got = det._tree_labels(z, plan.r, plan.expansions, c.points)
+        for i in range(16):
+            want = _reference_tree(z[i], plan.r[i], plan.expansions, c.points)
+            assert np.array_equal(got[i], want)
 
 
 # ---------------------------------------------------------------------------
