@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,13 @@ class Constellation:
         b = self.bits_per_symbol
         idx = np.arange(q)
         return (idx[:, None] >> np.arange(b - 1, -1, -1)) & 1
+
+    @cached_property
+    def bit_sets(self) -> np.ndarray:
+        """Point indices (Q/2, 2, bits_per_symbol), built once: [:, 0, k]
+        are the points whose bit k is 1, [:, 1, k] those whose bit k is 0."""
+        ones_first = np.argsort(1 - self.labels, axis=0, kind="stable")
+        return ones_first.reshape(2, -1, self.bits_per_symbol).swapaxes(0, 1)
 
     def nearest(self, y: np.ndarray) -> np.ndarray:
         """Integer labels of the nearest constellation points to y."""
@@ -199,10 +207,8 @@ def demap_llr(y_eq, noise_var: float, c: Constellation,
         raise ValueError("noise_var must be positive")
     y = np.asarray(y_eq, dtype=complex)
     d = np.abs(y[..., None] - c.points) ** 2      # (..., Q)
-    bits = c.labels.astype(bool)                   # (Q, bps)
-    d1 = np.where(bits.T, d[..., None, :], np.inf).min(axis=-1)
-    d0 = np.where(~bits.T, d[..., None, :], np.inf).min(axis=-1)
-    llr = (d1 - d0) / noise_var
+    near = np.take(d, c.bit_sets, axis=-1).min(axis=-3)   # (..., 2, bps)
+    llr = (near[..., 0, :] - near[..., 1, :]) / noise_var
     return np.clip(llr, -clip, clip)
 
 

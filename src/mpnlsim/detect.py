@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LLR_CLIP, Constellation, bits_from_labels, demap_llr
+from .core import LLR_CLIP, Constellation, demap_llr
 
 ML_ENUM_GUARD = 1 << 16
 
@@ -418,23 +418,33 @@ def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
     Each partial path expands to its expansions[pos] best children in
     Schnorr-Euchner (closest-first) order; paths never interact, so the
     result is independent of evaluation order and worker partitioning.
+    A single-child layer takes the first minimum, which is where a stable
+    sort puts it.  Partial path j of width w is the ancestor of final
+    paths j * (P // w) onward, so each layer's choices are written once.
     """
     b, n = z.shape
-    acc = np.zeros((b, 1, n), dtype=complex)
-    labels = np.zeros((b, 1, n), dtype=np.int64)
+    acc = np.zeros((b, 1, n), dtype=complex)  # interference on columns < pos
+    chosen = []
     for pos in range(n - 1, -1, -1):
         e = int(expansions[pos])
+        w = acc.shape[1]
         center = (z[:, None, pos] - acc[:, :, pos]) / r[:, None, pos, pos].real
         d = np.abs(center[:, :, None] - points) ** 2
-        idx = np.argsort(d, axis=-1, kind="stable")[..., :e]   # (B, P, e)
-        p = labels.shape[1]
-        labels = np.repeat(labels[:, :, None, :], e, axis=2).reshape(b, p * e, n)
-        labels[:, :, pos] = idx.reshape(b, p * e)
+        if e == 1:
+            idx = np.argmin(d, axis=-1)                          # (B, W)
+        else:
+            idx = np.argsort(d, axis=-1, kind="stable")[..., :e].reshape(
+                b, w * e)
+        chosen.append((pos, idx))
         if pos:
-            sym = points[idx]                                   # (B, P, e)
-            acc = (acc[:, :, None, :]
-                   + r[:, None, None, :, pos] * sym[..., None]).reshape(
-                       b, p * e, n)
+            sym = points[idx].reshape(b, w, e, 1)
+            acc = (acc[:, :, None, :pos]
+                   + r[:, None, None, :pos, pos] * sym).reshape(b, w * e, pos)
+    p = chosen[-1][1].shape[1]
+    labels = np.empty((b, p, n), dtype=np.int64)
+    for pos, idx in chosen:
+        w = idx.shape[1]
+        labels.reshape(b, w, p // w, n)[:, :, :, pos] = idx[:, :, None]
     return labels
 
 
@@ -450,11 +460,22 @@ def _order_by_position(labels_pos: np.ndarray, perm: np.ndarray) -> np.ndarray:
 def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
                           noise_var, c: Constellation,
                           clip: float = LLR_CLIP) -> np.ndarray:
-    """Max-log LLRs over candidate lists: labels (B, P, N), metrics (B, P)."""
-    bits = bits_from_labels(labels, c).astype(bool)      # (B, P, N, bps)
-    mm = metrics[:, :, None, None]
-    min1 = np.where(bits, mm, np.inf).min(axis=1)        # (B, N, bps)
-    min0 = np.where(~bits, mm, np.inf).min(axis=1)
+    """Max-log LLRs over candidate lists: labels (B, P, N), metrics (B, P).
+
+    On every bit, the side holding the first minimum-metric path has the
+    list's minimum (NaN if any metric is NaN), so only the other side is
+    reduced over paths.
+    """
+    rows = np.arange(labels.shape[0])
+    top = np.argmin(metrics, axis=1)
+    low = metrics[rows, top][:, None, None]              # (B, 1, 1)
+    top_labels = labels[rows, top]                       # (B, N)
+    table = c.labels.astype(bool)                        # (Q, bps)
+    top_bits = table[top_labels]                         # (B, N, bps)
+    flip = np.take(table, labels ^ top_labels[:, None], axis=0)
+    other = np.where(flip, metrics[:, :, None, None], np.inf).min(axis=1)
+    min1 = np.where(top_bits, low, other)                # (B, N, bps)
+    min0 = np.where(top_bits, other, low)
     nv = np.asarray(noise_var)
     if nv.ndim:
         nv = nv.reshape((-1,) + (1,) * (min0.ndim - 1))
@@ -473,11 +494,18 @@ def llr_from_candidates(clist: CandidateList, noise_var: float,
 
 
 def _select_best(labels: np.ndarray, metrics: np.ndarray):
-    """Total-order (metric, label) argmin per batch row."""
+    """Total-order (metric, label) argmin per batch row.  The first
+    minimum decides unless it is tied or NaN; those rows are lexsorted."""
     b, p, n = labels.shape
-    keys = [labels[:, :, j] for j in range(n - 1, -1, -1)] + [metrics]
-    order = np.lexsort(tuple(keys), axis=1)
-    return order[:, 0]
+    best = np.argmin(metrics, axis=1)
+    low = metrics[np.arange(b), best][:, None]
+    redo = np.flatnonzero(np.isnan(low[:, 0])
+                          | (np.count_nonzero(metrics == low, axis=1) > 1))
+    if redo.size:
+        keys = ([labels[redo, :, j] for j in range(n - 1, -1, -1)]
+                + [metrics[redo]])
+        best[redo] = np.lexsort(tuple(keys), axis=1)[:, 0]
+    return best
 
 
 def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,

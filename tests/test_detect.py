@@ -512,6 +512,20 @@ def test_mpnl_kernels_match_golden():
     assert got == GOLDEN_MPNL
 
 
+
+def test_select_best_matches_lexsort():
+    """The best path is the (metric, labels) lexicographic minimum: metrics
+    drawn from few values tie two or more paths on most rows."""
+    rng = np.random.default_rng(161)
+    labels = rng.integers(0, 4, (400, 6, 3))
+    metrics = rng.integers(0, 6, (400, 6)).astype(float)
+    metrics[::7, 2] = np.inf
+    metrics[::11] = np.inf
+    metrics[::13, 4] = np.nan
+    keys = [labels[:, :, j] for j in range(2, -1, -1)] + [metrics]
+    want = np.lexsort(tuple(keys), axis=1)[:, 0]
+    assert np.array_equal(det._select_best(labels, metrics), want)
+
 def _reference_tree(z, r, expansions, points):
     """Per-path Schnorr-Euchner expansion, one stable sort per node: the
     list of (labels, interference) partial paths grows top layer first;
