@@ -207,8 +207,9 @@ def demap_llr(y_eq, noise_var: float, c: Constellation,
         raise ValueError("noise_var must be positive")
     y = np.asarray(y_eq, dtype=complex)
     d = np.abs(y[..., None] - c.points) ** 2      # (..., Q)
-    near = np.take(d, c.bit_sets, axis=-1).min(axis=-3)   # (..., 2, bps)
-    llr = (near[..., 0, :] - near[..., 1, :]) / noise_var
+    # points on the leading axis, so the minimum runs over whole rows
+    near = np.take(np.moveaxis(d, -1, 0), c.bit_sets, axis=0).min(axis=0)
+    llr = np.moveaxis(near[0] - near[1], 0, -1) / noise_var   # (..., bps)
     return np.clip(llr, -clip, clip)
 
 

@@ -419,8 +419,9 @@ def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
     Schnorr-Euchner (closest-first) order; paths never interact, so the
     result is independent of evaluation order and worker partitioning.
     A single-child layer takes the first minimum, which is where a stable
-    sort puts it.  Partial path j of width w is the ancestor of final
-    paths j * (P // w) onward, so each layer's choices are written once.
+    sort puts it.  Partial path j of width w is the ancestor of the P // w
+    final paths from j * (P // w) on, so each layer's choices are written
+    once, at the end.
     """
     b, n = z.shape
     acc = np.zeros((b, 1, n), dtype=complex)  # interference on columns < pos
@@ -471,7 +472,7 @@ def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
     low = metrics[rows, top][:, None, None]              # (B, 1, 1)
     top_labels = labels[rows, top]                       # (B, N)
     table = c.labels.astype(bool)                        # (Q, bps)
-    top_bits = table[top_labels]                         # (B, N, bps)
+    top_bits = np.take(table, top_labels, axis=0)        # (B, N, bps)
     flip = np.take(table, labels ^ top_labels[:, None], axis=0)
     other = np.where(flip, metrics[:, :, None, None], np.inf).min(axis=1)
     min1 = np.where(top_bits, low, other)                # (B, N, bps)
