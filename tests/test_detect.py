@@ -379,8 +379,9 @@ def _stack(rng, b, m, n):
 
 
 def _kernel_case(h, y, nv, c, n_paths, llr_nv=None):
-    """Digest inputs of one MPNL kernel run: labels, metrics and best of
-    mpnl_detect_batch, then _candidate_llrs_batch at llr_nv (default nv)."""
+    """A thunk running the MPNL kernels on one stack; it returns labels,
+    metrics and best of mpnl_detect_batch and the _candidate_llrs_batch
+    LLRs at llr_nv (default nv)."""
     def run():
         plan = det.mpnl_plan_batch(h, nv, n_paths, c)
         labels, metrics, best = det.mpnl_detect_batch(plan, h, y, c)
