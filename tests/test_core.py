@@ -120,6 +120,76 @@ def test_demap_matches_direct_formula(order):
             assert np.array_equal(got, want, equal_nan=True)
 
 
+def _ulp_walk(x, steps):
+    """x and the `steps` floats on either side of it, one ulp apart."""
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.array(out)
+
+
+def _cplx(re, im):
+    """re + 1j*im without the NaN that 1j * inf makes in the real part."""
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _slicing_inputs(c, rng):
+    """Observations for nearest(): random points, every interior decision
+    boundary +-0..50 ulp on each axis, midpoints between neighbours,
+    far-outside corners, magnitudes whose squared distance overflows,
+    denormals, +-0.0, NaN and +-inf in either part."""
+    levels = np.unique(c.points.real)
+    walks = np.concatenate([_ulp_walk((a + b) / 2, 50)
+                            for a, b in zip(levels, levels[1:])])
+    other = rng.choice(np.concatenate([levels, 1.7 * rng.standard_normal(8)]),
+                       walks.size)
+    p = c.points
+    mid = ((p[:, None] + p[None, :]) / 2).ravel()
+    corners = (np.array([1, -1, 1j, -1j, 1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j])
+               * np.array([2.0, 10.0, 1e3, 1e9, 1e20])[:, None]).ravel()
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                        1e154, -1.34e154, 1e160, -3e200, 1e300, 1.7e308,
+                        -1.7e308, np.inf, -np.inf, np.nan])
+    sp_re, sp_im = np.meshgrid(np.concatenate([special, levels[:2]]),
+                               np.concatenate([special, levels[-2:]]))
+    return np.concatenate([
+        1.5 * (rng.standard_normal(400) + 1j * rng.standard_normal(400)),
+        _cplx(walks, other), _cplx(other, walks), _cplx(walks, walks[::-1]),
+        mid, (p[0] + p[-1]) / 2 + mid[::7], corners,
+        _cplx(sp_re, sp_im).ravel(),
+    ])
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_nearest_matches_direct_argmin(order):
+    """nearest() is the first minimum of |y - p|^2 over the points, element
+    by element, for scalar, 1-D and N-D inputs, on and near every
+    decision boundary and at non-finite or overflowing observations."""
+    c = core.constellation_for(order)
+    y = _slicing_inputs(c, np.random.default_rng(order + 7))
+    cut = y[: y.size // 60 * 60]
+
+    def direct(obs):
+        return np.array([np.argmin(np.abs(v - c.points) ** 2)
+                         for v in np.ravel(obs)]).reshape(np.shape(obs))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 1-D, N-D, strided and real inputs; scalars of both kinds
+        for obs in (y, cut.reshape(3, 4, -1), cut.reshape(-1, 6)[:, ::2],
+                    cut.reshape(5, -1).T, y.real[::3]):
+            got = c.nearest(obs)
+            assert got.shape == obs.shape
+            assert np.array_equal(got, direct(obs))
+        for v in y[::37]:
+            for obs in (v, complex(v)):
+                got = c.nearest(obs)
+                assert np.shape(got) == () and got == direct(v)
+
+
 def test_mcs_table_shape_and_monotonicity():
     ses = [e.spectral_efficiency for e in core.MCS_TABLE]
     assert len(core.MCS_TABLE) == 28

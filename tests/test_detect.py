@@ -115,7 +115,8 @@ def test_linear_batch_matches_scalar():
                 est, nv_eff = soft / beta, (1 - beta) / beta
             ref = np.stack([demap_llr(est[k], nv_eff[k], QPSK)
                             for k in range(2)])
-            assert np.array_equal(labels[i], QPSK.nearest(est))
+            near = np.argmin(np.abs(est[:, None] - QPSK.points) ** 2, axis=1)
+            assert np.array_equal(labels[i], near)
             assert np.allclose(llrs[i], ref, atol=1e-9)
 
 
@@ -299,7 +300,7 @@ def test_mpnl_single_path_equals_sic():
         x = np.zeros(4, dtype=complex)
         for i in range(3, -1, -1):
             center = (z[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
-            sic[i] = QPSK.nearest(center)
+            sic[i] = np.argmin(np.abs(center - QPSK.points) ** 2)
             x[i] = QPSK.points[sic[i]]
         expect = np.empty(4, dtype=np.int64)
         expect[plan.ordering] = sic
@@ -391,13 +392,22 @@ def _kernel_case(h, y, nv, c, n_paths, llr_nv=None):
     return run
 
 
+def _quiet(run):
+    """run with floating-point warnings silenced (inf and NaN inputs)."""
+    def quiet():
+        with np.errstate(all="ignore"):
+            return run()
+    return quiet
+
+
 def _mpnl_golden_cases():
     """(name, thunk) pairs over N in {2, 4, 8} and QPSK/16/64-QAM: single
     path, mixed and full trees, overloaded N > M with forced layers,
     noiseless on-grid and midpoint observations (distance ties), an
     all-zero channel column (the 1e-300 diagonal floor), scalar and
-    per-row noise_var, and the LLR and best-path reductions on crafted
-    tied, infinite and NaN metrics."""
+    per-row noise_var, observations that overflow or are infinite or NaN,
+    and the LLR and best-path reductions on crafted tied, infinite and NaN
+    metrics."""
     rng = np.random.default_rng(20241)
     for n, m, c, n_paths in ((2, 2, QPSK, 16), (2, 2, QAM64, 1),
                              (4, 4, QAM16, 32), (4, 2, QPSK, 32),
@@ -452,6 +462,26 @@ def _mpnl_golden_cases():
         yield f"crafted_llrs_clip{clip}", lambda clip=clip: (
             det._candidate_llrs_batch(labels, metrics, 0.5, QAM16, clip),)
     yield "crafted_best", lambda: (det._select_best(labels, metrics),)
+    # huge, infinite and NaN observations put 1e300, inf and NaN in z, so
+    # every distance of a layer overflows to inf or is NaN, on single-child
+    # layers, on layers keeping 2..Q-1 children and on fully expanded ones
+    rng = np.random.default_rng(20242)
+    for n, c, n_paths in ((4, QAM16, 32), (3, QAM16, 6), (4, QPSK, 8),
+                          (8, QAM16, 32)):
+        h = _stack(rng, 12, n, n)
+        y = np.einsum("bmn,bn->bm", h,
+                      c.points[rng.integers(0, c.order, (12, n))])
+        y[0] = 1e300
+        y[1, 0] = 1e300
+        y[2, -1] = -1e300j
+        y[3] = 1.7e308 * (1 + 1j)
+        y[4, 1] = np.nan
+        y[5, 0] = np.inf
+        y[6, 0] = complex(np.inf, np.nan)
+        y[7] = 1.3e154
+        y[8, 0] = 1e160
+        yield f"nonfinite_n{n}_q{c.order}_p{n_paths}", _quiet(
+            _kernel_case(h, y, 0.1, c, n_paths))
 
 
 def _digest(*arrays):
@@ -463,8 +493,10 @@ def _digest(*arrays):
 
 
 # SHA-256 of (labels, metrics, best, llrs) per case in _mpnl_golden_cases,
-# taken from the dense-sort kernels.  Any change to the MPNL search, the
-# best-path selection or the list LLRs must reproduce them.
+# taken from the dense-sort kernels (the nonfinite cases from the argmin
+# tree search that followed them, before per-axis slicing).  Any change to
+# the MPNL search, the best-path selection or the list LLRs must reproduce
+# them.
 GOLDEN_MPNL = {
     "n2m2_q4_p16_noisy": "f442a5f04deb5b29d359dd41e80dc8d6fd8e1d64e8856973dc2ef467ba8c58b8",
     "n2m2_q4_p16_noiseless": "5dcf1e7b86a11ebf277ab919fb47c50efb8feb65d3547e0c5eead04567d1bc01",
@@ -505,6 +537,10 @@ GOLDEN_MPNL = {
     "crafted_llrs_clip20.0": "5f09cbd3b7adf4c9ed9e93e0981c60422553b9ed60192133fa85b97f471ec2cb",
     "crafted_llrs_clipinf": "f26c11bfc738dbe87b5e36787ca38d82775ad0b9afc0932daa61f5c4d91881e6",
     "crafted_best": "fb85fc7ba0394ab01ff57f73546eb4f0828eafa4f4a78abce13a155e2eda720f",
+    "nonfinite_n4_q16_p32": "bf084807158ce4590aa83276e9d9952ca59a68d8fa7f41933ef2a9f614b6718d",
+    "nonfinite_n3_q16_p6": "ff080f37f21f466c48df99c256507f1eb2871c20b7b03fde9632d1b3b8e695bd",
+    "nonfinite_n4_q4_p8": "fea0bd7ca01fcfff99577266e5294fc4f36cd8f10be0a4f474b490f196a23434",
+    "nonfinite_n8_q16_p32": "434388be45941ad04aa028ee09018476898c018ac0e67635860bb5e8669e2bbd",
 }
 
 
@@ -546,6 +582,11 @@ def _reference_tree(z, r, expansions, points):
     return np.array([labels for labels, _ in paths])
 
 
+def _tree(z, plan, c):
+    """The batched tree search on given z and plan."""
+    return det._tree_labels(z, plan.r, plan.expansions, c.points)
+
+
 def test_tree_labels_match_per_path_reference():
     rng = np.random.default_rng(151)
     for n, m, c, n_paths in ((2, 2, QPSK, 1), (3, 3, QPSK, 2),
@@ -559,10 +600,21 @@ def test_tree_labels_match_per_path_reference():
         plan = det.mpnl_plan_batch(h, 0.1, n_paths, c)
         assert 1 in plan.expansions
         z = np.einsum("bnm,bm->bn", plan.qh, y)
-        got = det._tree_labels(z, plan.r, plan.expansions, c.points)
-        for i in range(16):
-            want = _reference_tree(z[i], plan.r[i], plan.expansions, c.points)
-            assert np.array_equal(got[i], want)
+        # rows whose layer distances overflow to inf or are NaN
+        z[4, -1] = 1e300
+        z[5] = 1e300
+        z[6, n // 2] = np.nan
+        z[7, -1] = np.inf
+        z[8, 0] = complex(-np.inf, np.inf)
+        z[9] = 1.3e154 * np.exp(1j * np.arange(n))
+        z[10, 1] = 1e160j
+        z[11, -1] = complex(np.nan, 1.0)
+        with np.errstate(all="ignore"):
+            got = _tree(z, plan, c)
+            for i in range(16):
+                want = _reference_tree(z[i], plan.r[i], plan.expansions,
+                                       c.points)
+                assert np.array_equal(got[i], want)
 
 
 # ---------------------------------------------------------------------------
