@@ -21,6 +21,10 @@ import numpy as np
 # Default max-log LLR clipping magnitude.
 LLR_CLIP = 20.0
 
+# Relative margin an observation must keep from every decision boundary
+# before Constellation.nearest slices it per axis (see nearest).
+SLICE_GUARD = 1e-9
+
 
 def _gray(i: int) -> int:
     return i ^ (i >> 1)
@@ -54,11 +58,67 @@ class Constellation:
         ones_first = np.argsort(1 - self.labels, axis=0, kind="stable")
         return ones_first.reshape(2, -1, self.bits_per_symbol).swapaxes(0, 1)
 
+    @cached_property
+    def _slicer(self) -> tuple[float, np.ndarray]:
+        """(scale, table), read from the points once: y * scale puts each
+        axis's L levels on the odd integers -(L-1)..L-1, and table[i, j]
+        is the label of the point with in-phase level L-1-2i and
+        quadrature level L-1-2j."""
+        scale = 1.0 / np.min(np.abs(self.points.real))
+        side = round(np.sqrt(self.order))
+        row, col = (np.rint((side - 1 - part * scale) / 2).astype(int)
+                    for part in (self.points.real, self.points.imag))
+        table = np.empty((side, side), dtype=np.intp)
+        table[row, col] = np.arange(self.order)
+        return scale, table
+
     def nearest(self, y: np.ndarray) -> np.ndarray:
-        """Integer labels of the nearest constellation points to y."""
+        """Integer labels of the nearest constellation points to y: the
+        first minimum of np.abs(y - points) ** 2, as computed.
+
+        Square QAM is sliced per axis.  In scaled units (u, v) = y * scale
+        the levels are the odd integers up to L - 1 and the interior
+        decision boundaries the even integers from -(L - 2) to L - 2.  Let
+        m be the distance of u or v, whichever is nearer, to its nearest
+        interior boundary, and S = |u| + |v| + L.  Every other point is
+        farther from (u, v) than the sliced one by at least 4 * m in
+        squared scaled distance: moving one level across a boundary at
+        distance m' >= m changes (u - level)^2 by 4 * m', and moving
+        further only adds.  Each computed |c - p|^2 is within about 4 ulp
+        of exact, because the subtraction is correctly rounded and abs and
+        the square add about 1 ulp each; no squared scaled distance exceeds
+        4 * S^2, so rounding moves the gap by less than 1e-14 * S^2.  Hence
+        where m > SLICE_GUARD * S^2 the sliced point is the strict computed
+        minimum, with ample room for the rounding of y * scale and of the
+        points themselves.  Every other element takes the exact argmin,
+        whose ties go to the lower label: one near a boundary, one with a
+        NaN or infinite part (the comparison fails), and any past
+        |u| + |v| = 1 / SLICE_GUARD, far below where a distance overflows.
+        """
         y = np.asarray(y)
-        d = np.abs(y[..., None] - self.points) ** 2
-        return np.argmin(d, axis=-1)
+        flat = y.reshape(-1)
+        scale, table = self._slicer
+        side = table.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # t = (L - u) / 2: level k of either axis (from the top) holds
+            # k <= t < k + 1, and the interior boundaries sit at t = 1..L-1
+            a, b = flat.real * (scale / 2), flat.imag * (scale / 2)
+            tu, tv = side / 2 - a, side / 2 - b
+            margin = np.minimum(
+                np.abs(tu - np.clip(np.rint(tu), 1, side - 1)),
+                np.abs(tv - np.clip(np.rint(tv), 1, side - 1)))
+            # m = 2 * margin, and (|u| + |v| + L)^2 = 4 * (|a| + |b| + L/2)^2
+            ok = margin > 2 * SLICE_GUARD * (np.abs(a) + np.abs(b)
+                                             + side / 2) ** 2
+            cell = (np.clip(np.floor(tu), 0, side - 1) * side
+                    + np.clip(np.floor(tv), 0, side - 1)).astype(np.intp)
+        # an element failing the guard may hold any cell until it is redone
+        labels = np.take(table, cell, mode="clip")
+        if not ok.all():
+            redo = ~ok
+            labels[redo] = np.argmin(
+                np.abs(flat[redo, None] - self.points) ** 2, axis=-1)
+        return labels.reshape(y.shape)[()]
 
 
 def _axis_levels(bits: int) -> np.ndarray:

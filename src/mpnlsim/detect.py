@@ -127,10 +127,7 @@ def _linear_batch(h: np.ndarray, y: np.ndarray, noise_var,
         est = soft / beta
         nv_eff = np.clip((1.0 - beta) / beta, 1e-15, None)
     labels = c.nearest(est)
-    llrs = np.empty((b, n, c.bits_per_symbol))
-    for i in range(n):
-        raw = demap_llr(est[:, i], 1.0, c, clip=np.inf)
-        llrs[:, i] = raw / nv_eff[:, i, None]
+    llrs = demap_llr(est, 1.0, c, clip=np.inf) / nv_eff[..., None]
     return labels, np.clip(llrs, -LLR_CLIP, LLR_CLIP), soft
 
 
@@ -410,32 +407,59 @@ def mpnl_preprocess(h: np.ndarray, noise_var: float, n_paths: int,
                     fingerprint=hashlib.sha1(h.tobytes()).digest(), _batch=bp)
 
 
+def _first_smallest(d: np.ndarray, e: int) -> np.ndarray:
+    """The first e indices of a stable ascending sort of d's last axis,
+    taken as e successive first minima.  Each pick is then set to inf,
+    which is exact while every pick is finite; rows with an inf or NaN
+    pick (argmin takes NaN first, a sort puts it last) are sorted.
+    Overwrites d."""
+    q = d.shape[-1]
+    rows = d.reshape(-1, q)
+    flat = rows.reshape(-1)
+    base = np.arange(0, flat.size, q)
+    picks = np.empty((rows.shape[0], e), dtype=np.intp)
+    vals = np.empty((rows.shape[0], e))
+    for i in range(e):
+        picks[:, i] = np.argmin(rows, axis=-1)
+        at = base + picks[:, i]
+        vals[:, i] = flat[at]
+        flat[at] = np.inf
+    if not np.isfinite(vals).all():
+        redo = np.flatnonzero(~np.isfinite(vals).all(axis=-1))
+        for i in range(e - 1, -1, -1):       # undo the writes, last first
+            rows[redo, picks[redo, i]] = vals[redo, i]
+        picks[redo] = np.argsort(rows[redo], axis=-1, kind="stable")[:, :e]
+    return picks.reshape(d.shape[:-1] + (e,))
+
+
 def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
-                 points: np.ndarray) -> np.ndarray:
+                 c: Constellation) -> np.ndarray:
     """Expand the planned tree; returns point labels (B, n_paths, N) in
     tree-position order (column 0 = bottom layer).
 
     Each partial path expands to its expansions[pos] best children in
     Schnorr-Euchner (closest-first) order; paths never interact, so the
     result is independent of evaluation order and worker partitioning.
-    A single-child layer takes the first minimum, which is where a stable
-    sort puts it.  Partial path j of width w is the ancestor of the P // w
-    final paths from j * (P // w) on, so each layer's choices are written
-    once, at the end.
+    A single-child layer slices its centres (c.nearest gives the first
+    minimum, which is where a stable sort puts it); a layer keeping
+    2..Q-1 children takes successive first minima.  Partial path j of
+    width w is the ancestor of the P // w final paths from j * (P // w)
+    on, so each layer's choices are written once, at the end.
     """
     b, n = z.shape
+    points, q = c.points, c.order
     acc = np.zeros((b, 1, n), dtype=complex)  # interference on columns < pos
     chosen = []
     for pos in range(n - 1, -1, -1):
         e = int(expansions[pos])
         w = acc.shape[1]
         center = (z[:, None, pos] - acc[:, :, pos]) / r[:, None, pos, pos].real
-        d = np.abs(center[:, :, None] - points) ** 2
         if e == 1:
-            idx = np.argmin(d, axis=-1)                          # (B, W)
+            idx = c.nearest(center)                              # (B, W)
         else:
-            idx = np.argsort(d, axis=-1, kind="stable")[..., :e].reshape(
-                b, w * e)
+            d = np.abs(center[:, :, None] - points) ** 2
+            idx = (_first_smallest(d, e) if e < q else
+                   np.argsort(d, axis=-1, kind="stable")).reshape(b, w * e)
         chosen.append((pos, idx))
         if pos:
             sym = points[idx].reshape(b, w, e, 1)
@@ -450,12 +474,10 @@ def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
 
 
 def _order_by_position(labels_pos: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Scatter tree-position labels back to original stream order."""
-    b, p, n = labels_pos.shape
-    out = np.empty_like(labels_pos)
-    bi = np.arange(b)[:, None, None]
-    out[bi, np.arange(p)[None, :, None], perm[:, None, :]] = labels_pos
-    return out
+    """Tree-position labels in original stream order: stream perm[b, j]
+    sits at position j."""
+    inverse = np.argsort(perm, axis=1)
+    return np.take_along_axis(labels_pos, inverse[:, None, :], axis=2)
 
 
 def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
@@ -518,7 +540,7 @@ def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
     used during planning.
     """
     z = np.einsum("bnm,bm->bn", plan.qh, y)
-    labels_pos = _tree_labels(z, plan.r, plan.expansions, c.points)
+    labels_pos = _tree_labels(z, plan.r, plan.expansions, c)
     labels = _order_by_position(labels_pos, plan.perm)
     cands = c.points[labels]                             # (B, P, N)
     resid = y[:, None, :] - np.einsum("bmn,bpn->bpm", h, cands)

@@ -563,6 +563,23 @@ def test_select_best_matches_lexsort():
     want = np.lexsort(tuple(keys), axis=1)[:, 0]
     assert np.array_equal(det._select_best(labels, metrics), want)
 
+def test_first_smallest_matches_stable_sort():
+    """Successive first minima equal a stable sort's first e indices on
+    rows drawn from few values, with inf and NaN: ties, one finite value
+    among infs, all-inf and all-NaN rows."""
+    rng = np.random.default_rng(171)
+    d = rng.choice([0.0, 1.0, 2.0, 2.0, 5.0, np.inf, np.inf, np.nan],
+                   (300, 16))
+    d[::9] = np.inf
+    d[::9, 5] = 3.0
+    d[::10] = np.nan
+    d[::11, 2] = 4.0
+    for e in (2, 3, 7, 15):
+        want = np.argsort(d, axis=-1, kind="stable")[:, :e]
+        got = det._first_smallest(d.copy().reshape(10, 30, 16), e)
+        assert np.array_equal(got.reshape(300, e), want)
+
+
 def _reference_tree(z, r, expansions, points):
     """Per-path Schnorr-Euchner expansion, one stable sort per node: the
     list of (labels, interference) partial paths grows top layer first;
@@ -584,7 +601,7 @@ def _reference_tree(z, r, expansions, points):
 
 def _tree(z, plan, c):
     """The batched tree search on given z and plan."""
-    return det._tree_labels(z, plan.r, plan.expansions, c.points)
+    return det._tree_labels(z, plan.r, plan.expansions, c)
 
 
 def test_tree_labels_match_per_path_reference():
