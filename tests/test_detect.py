@@ -599,11 +599,6 @@ def _reference_tree(z, r, expansions, points):
     return np.array([labels for labels, _ in paths])
 
 
-def _tree(z, plan, c):
-    """The batched tree search on given z and plan."""
-    return det._tree_labels(z, plan.r, plan.expansions, c)
-
-
 def test_tree_labels_match_per_path_reference():
     rng = np.random.default_rng(151)
     for n, m, c, n_paths in ((2, 2, QPSK, 1), (3, 3, QPSK, 2),
@@ -627,7 +622,7 @@ def test_tree_labels_match_per_path_reference():
         z[10, 1] = 1e160j
         z[11, -1] = complex(np.nan, 1.0)
         with np.errstate(all="ignore"):
-            got = _tree(z, plan, c)
+            got = det._tree_labels(z, plan.r, plan.expansions, c)
             for i in range(16):
                 want = _reference_tree(z[i], plan.r[i], plan.expansions,
                                        c.points)
