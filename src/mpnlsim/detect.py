@@ -407,31 +407,6 @@ def mpnl_preprocess(h: np.ndarray, noise_var: float, n_paths: int,
                     fingerprint=hashlib.sha1(h.tobytes()).digest(), _batch=bp)
 
 
-def _first_smallest(d: np.ndarray, e: int) -> np.ndarray:
-    """The first e indices of a stable ascending sort of d's last axis,
-    taken as e successive first minima.  Each pick is then set to inf,
-    which is exact while every pick is finite; rows with an inf or NaN
-    pick (argmin takes NaN first, a sort puts it last) are sorted.
-    Overwrites d."""
-    q = d.shape[-1]
-    rows = d.reshape(-1, q)
-    flat = rows.reshape(-1)
-    base = np.arange(0, flat.size, q)
-    picks = np.empty((rows.shape[0], e), dtype=np.intp)
-    vals = np.empty((rows.shape[0], e))
-    for i in range(e):
-        picks[:, i] = np.argmin(rows, axis=-1)
-        at = base + picks[:, i]
-        vals[:, i] = flat[at]
-        flat[at] = np.inf
-    if not np.isfinite(vals).all():
-        redo = np.flatnonzero(~np.isfinite(vals).all(axis=-1))
-        for i in range(e - 1, -1, -1):       # undo the writes, last first
-            rows[redo, picks[redo, i]] = vals[redo, i]
-        picks[redo] = np.argsort(rows[redo], axis=-1, kind="stable")[:, :e]
-    return picks.reshape(d.shape[:-1] + (e,))
-
-
 def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
                  c: Constellation) -> np.ndarray:
     """Expand the planned tree; returns point labels (B, n_paths, N) in
@@ -441,13 +416,12 @@ def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
     Schnorr-Euchner (closest-first) order; paths never interact, so the
     result is independent of evaluation order and worker partitioning.
     A single-child layer slices its centres (c.nearest gives the first
-    minimum, which is where a stable sort puts it); a layer keeping
-    2..Q-1 children takes successive first minima.  Partial path j of
+    minimum, which is where a stable sort puts it).  Partial path j of
     width w is the ancestor of the P // w final paths from j * (P // w)
     on, so each layer's choices are written once, at the end.
     """
     b, n = z.shape
-    points, q = c.points, c.order
+    points = c.points
     acc = np.zeros((b, 1, n), dtype=complex)  # interference on columns < pos
     chosen = []
     for pos in range(n - 1, -1, -1):
@@ -458,8 +432,8 @@ def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
             idx = c.nearest(center)                              # (B, W)
         else:
             d = np.abs(center[:, :, None] - points) ** 2
-            idx = (_first_smallest(d, e) if e < q else
-                   np.argsort(d, axis=-1, kind="stable")).reshape(b, w * e)
+            idx = np.argsort(d, axis=-1, kind="stable")[..., :e].reshape(
+                b, w * e)
         chosen.append((pos, idx))
         if pos:
             sym = points[idx].reshape(b, w, e, 1)

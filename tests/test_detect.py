@@ -549,7 +549,6 @@ def test_mpnl_kernels_match_golden():
     assert got == GOLDEN_MPNL
 
 
-
 def test_select_best_matches_lexsort():
     """The best path is the (metric, labels) lexicographic minimum: metrics
     drawn from few values tie two or more paths on most rows."""
@@ -562,22 +561,6 @@ def test_select_best_matches_lexsort():
     keys = [labels[:, :, j] for j in range(2, -1, -1)] + [metrics]
     want = np.lexsort(tuple(keys), axis=1)[:, 0]
     assert np.array_equal(det._select_best(labels, metrics), want)
-
-def test_first_smallest_matches_stable_sort():
-    """Successive first minima equal a stable sort's first e indices on
-    rows drawn from few values, with inf and NaN: ties, one finite value
-    among infs, all-inf and all-NaN rows."""
-    rng = np.random.default_rng(171)
-    d = rng.choice([0.0, 1.0, 2.0, 2.0, 5.0, np.inf, np.inf, np.nan],
-                   (300, 16))
-    d[::9] = np.inf
-    d[::9, 5] = 3.0
-    d[::10] = np.nan
-    d[::11, 2] = 4.0
-    for e in (2, 3, 7, 15):
-        want = np.argsort(d, axis=-1, kind="stable")[:, :e]
-        got = det._first_smallest(d.copy().reshape(10, 30, 16), e)
-        assert np.array_equal(got.reshape(300, e), want)
 
 
 def _reference_tree(z, r, expansions, points):
@@ -612,20 +595,23 @@ def test_tree_labels_match_per_path_reference():
         plan = det.mpnl_plan_batch(h, 0.1, n_paths, c)
         assert 1 in plan.expansions
         z = np.einsum("bnm,bm->bn", plan.qh, y)
-        # rows whose layer distances overflow to inf or are NaN
-        z[4, -1] = 1e300
-        z[5] = 1e300
-        z[6, n // 2] = np.nan
-        z[7, -1] = np.inf
-        z[8, 0] = complex(-np.inf, np.inf)
-        z[9] = 1.3e154 * np.exp(1j * np.arange(n))
-        z[10, 1] = 1e160j
-        z[11, -1] = complex(np.nan, 1.0)
+        # eight more rows, on the factors of rows 4-11, whose layer
+        # distances overflow to inf or are NaN
+        r = np.concatenate([plan.r, plan.r[4:12]])
+        bad = z[4:12].copy()
+        bad[0, -1] = 1e300
+        bad[1] = 1e300
+        bad[2, n // 2] = np.nan
+        bad[3, -1] = np.inf
+        bad[4, 0] = complex(-np.inf, np.inf)
+        bad[5] = 1.3e154 * np.exp(1j * np.arange(n))
+        bad[6, 1] = 1e160j
+        bad[7, -1] = complex(np.nan, 1.0)
+        z = np.concatenate([z, bad])
         with np.errstate(all="ignore"):
-            got = det._tree_labels(z, plan.r, plan.expansions, c)
-            for i in range(16):
-                want = _reference_tree(z[i], plan.r[i], plan.expansions,
-                                       c.points)
+            got = det._tree_labels(z, r, plan.expansions, c)
+            for i in range(24):
+                want = _reference_tree(z[i], r[i], plan.expansions, c.points)
                 assert np.array_equal(got[i], want)
 
 
