@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: per-sweep, search, connectivity, bench, gen-fixtures.  Each
+Commands: per-sweep, search, connectivity, bench.  Each
 command reads a single YAML config, runs non-interactively, and emits
 CSV/JSON files stamped with a run manifest (command, config digest, seed,
 version, timestamp).  Identical (config, seed) reproduce identical data
@@ -20,7 +20,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import yaml
@@ -57,7 +57,10 @@ def _load_config(path) -> tuple[dict, str]:
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
     digest = hashlib.sha256(raw).hexdigest()
-    cfg = yaml.safe_load(raw)
+    try:
+        cfg = yaml.safe_load(raw)
+    except yaml.YAMLError as e:
+        raise ConfigError(f"cannot parse config: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
     return cfg, digest
@@ -123,14 +126,9 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
     for snr in snrs:
         region = ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
                               jitter_db=cfg.get("snr_jitter_db", 0.0))
-        grids, nvs = [], []
-        for i, ss in enumerate(np.random.SeedSequence(
-                entropy=(seed, int(round(snr * 1000)))).spawn(n_channels)):
-            g = ch.tdl_generate(fx.profile, fx.mobility, fx.numerology,
-                                m=m, n=n, seed=ss,
-                                n_subcarriers=fx.n_subcarriers)
-            grids.append(g)
-            nvs.append(ch.calibrate_noise(region, g, ss.spawn(1)[0]))
+        seeds = np.random.SeedSequence(
+            entropy=(seed, int(round(snr * 1000)))).spawn(n_channels)
+        grids, nvs = replace(fx, region=region).generate(n, m, seeds)
         for lc in configs:
             res = linksim.measure_per(lc, grids, nvs,
                                       frames_per_channel=frames)
@@ -286,6 +284,13 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
     chunk_size = cfg.get("chunk_size", 512)
     workers_list = cfg.get("workers", [1, 4, 8])
     repeats = cfg.get("repeats", 5)
+    if repeats < 1 or chunk_size < 1 or min(workers_list, default=1) < 1:
+        raise ConfigError(
+            f"repeats, chunk_size and workers must be >= 1 (got repeats="
+            f"{repeats}, chunk_size={chunk_size}, workers={workers_list})")
+    if n_instances < 1 or n_instances % chunk_size:
+        raise ConfigError("n_instances must be a positive multiple of "
+                          "chunk_size")
     if 1 not in workers_list:
         workers_list = [1] + list(workers_list)
     rows = []
@@ -311,32 +316,6 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# gen-fixtures
-# ---------------------------------------------------------------------------
-
-def cmd_gen_fixtures(cfg: dict, manifest: RunManifest, out, seed: int):
-    """Write channel fixture groups as .npz plus a JSON manifest."""
-    import os
-    fx = _fixture_config(cfg, seed)
-    streams = cfg.get("streams", [2, 4, 6])
-    m_values = cfg.get("m_antennas", list(range(2, 33)))
-    os.makedirs(out, exist_ok=True)
-    index = {"manifest": asdict(manifest), "groups": []}
-    for n in streams:
-        for m in m_values:
-            grids, nvs = fx.channels(n, m)
-            fname = f"chan_n{n}_m{m}.npz"
-            np.savez_compressed(
-                os.path.join(out, fname),
-                h=np.stack([g.h for g in grids]),
-                noise_var=np.asarray(nvs))
-            index["groups"].append({"n": n, "m": m, "file": fname,
-                                    "channels": len(grids)})
-    with open(os.path.join(out, "fixtures.json"), "w") as f:
-        json.dump(index, f, indent=2)
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -345,7 +324,6 @@ COMMANDS = {
     "search": cmd_search,
     "connectivity": cmd_connectivity,
     "bench": cmd_bench,
-    "gen-fixtures": cmd_gen_fixtures,
 }
 
 

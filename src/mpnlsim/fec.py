@@ -4,8 +4,8 @@ hit MCS code rates.
 
 The shipped code lifts a 12x24 base matrix with circulant size 54
 (n = 1296, k = 648).  The base matrix was searched offline for girth >= 6
-and full rank; the parity part is dual-diagonal.  Alternative codes can
-be loaded from alist files, so the mother code is config-swappable.
+and full rank; the parity part is dual-diagonal.  It is the only mother
+code: no config key selects another.
 """
 
 from __future__ import annotations
@@ -326,30 +326,25 @@ def design_rate_match(code: LdpcCode, target_rate, n_tx: int) -> RateMatch:
 
 def encode_rate_matched(code: LdpcCode, rm: RateMatch,
                         info: np.ndarray) -> np.ndarray:
-    """Encode k_tb info bits into n_tx transmitted bits."""
+    """Encode (B, k_tb) info bits into (B, n_tx) transmitted bits."""
     info = np.asarray(info, dtype=np.uint8)
-    single = info.ndim == 1
-    if single:
-        info = info[None]
-    if info.shape[-1] != rm.k_tb:
-        raise ValueError(f"info length {info.shape[-1]} != k_tb = {rm.k_tb}")
+    if info.ndim != 2 or info.shape[1] != rm.k_tb:
+        raise ValueError(f"info shape {info.shape} != (B, k_tb = {rm.k_tb})")
     full = np.zeros((info.shape[0], code.k), dtype=np.uint8)
     full[:, :rm.k_tb] = info
     cw = ldpc_encode(code, full)
     p = rm.n_tx - rm.k_tb
-    tx = np.concatenate([cw[:, :rm.k_tb], cw[:, code.k:code.k + p]], axis=-1)
-    return tx[0] if single else tx
+    return np.concatenate([cw[:, :rm.k_tb], cw[:, code.k:code.k + p]],
+                          axis=-1)
 
 
 def decode_rate_matched(code: LdpcCode, rm: RateMatch, llrs_tx: np.ndarray,
                         max_iter: int = DEFAULT_MAX_ITER):
-    """Decode transmitted-bit LLRs back to k_tb info bits."""
+    """Decode (B, n_tx) transmitted-bit LLRs back to (B, k_tb) info bits
+    and a (B,) converged flag."""
     llrs_tx = np.asarray(llrs_tx, dtype=np.float64)
-    single = llrs_tx.ndim == 1
-    if single:
-        llrs_tx = llrs_tx[None]
-    if llrs_tx.shape[-1] != rm.n_tx:
-        raise ValueError(f"LLR length {llrs_tx.shape[-1]} != n_tx = {rm.n_tx}")
+    if llrs_tx.ndim != 2 or llrs_tx.shape[1] != rm.n_tx:
+        raise ValueError(f"LLR shape {llrs_tx.shape} != (B, n_tx = {rm.n_tx})")
     b = llrs_tx.shape[0]
     p = rm.n_tx - rm.k_tb
     full = np.zeros((b, code.n))
@@ -357,49 +352,4 @@ def decode_rate_matched(code: LdpcCode, rm: RateMatch, llrs_tx: np.ndarray,
     full[:, rm.k_tb:code.k] = SHORTENED_LLR          # known zeros
     full[:, code.k:code.k + p] = llrs_tx[:, rm.k_tb:]
     info, conv = ldpc_decode(code, full, max_iter=max_iter)
-    info = info[:, :rm.k_tb]
-    if single:
-        return info[0], bool(conv[0])
-    return info, conv
-
-
-# ---------------------------------------------------------------------------
-# alist I/O
-# ---------------------------------------------------------------------------
-
-def load_alist(path) -> LdpcCode:
-    """Read a parity-check matrix in the common alist text format."""
-    with open(path) as f:
-        tokens = f.read().split()
-    it = iter(tokens)
-    n, m = int(next(it)), int(next(it))
-    max_dv = int(next(it))
-    int(next(it))                                    # max check degree
-    [int(next(it)) for _ in range(n)]                # per-column degrees
-    [int(next(it)) for _ in range(m)]                # per-row degrees
-    h = np.zeros((m, n), dtype=np.uint8)
-    for col in range(n):
-        for _ in range(max_dv):                      # zero-padded entries
-            row = int(next(it))
-            if row > 0:
-                h[row - 1, col] = 1
-    return LdpcCode(h)
-
-
-def save_alist(code: LdpcCode, path) -> None:
-    h = code.parity_check
-    m, n = h.shape
-    dv = h.sum(axis=0)
-    dc = h.sum(axis=1)
-    lines = [f"{n} {m}", f"{dv.max()} {dc.max()}",
-             " ".join(map(str, dv)), " ".join(map(str, dc))]
-    for col in range(n):
-        rows = np.nonzero(h[:, col])[0] + 1
-        pad = [0] * (dv.max() - rows.size)
-        lines.append(" ".join(map(str, list(rows) + pad)))
-    for row in range(m):
-        cols = np.nonzero(h[row])[0] + 1
-        pad = [0] * (dc.max() - cols.size)
-        lines.append(" ".join(map(str, list(cols) + pad)))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    return info[:, :rm.k_tb], conv

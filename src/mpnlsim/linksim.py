@@ -212,12 +212,6 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     return ok.reshape(f, n)
 
 
-def simulate_slot(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
-                  seed_frame: int = 0, chan_idx: int = 0) -> np.ndarray:
-    """Single-frame outcome vector (n_streams,), True = decoded."""
-    return simulate_frames(cfg, grid, noise_var, chan_idx, [seed_frame])[0]
-
-
 def measure_per(cfg: LinkConfig, channels, noise_vars,
                 frames_per_channel: int = 200,
                 stop_threshold: float | None = None,
@@ -230,6 +224,10 @@ def measure_per(cfg: LinkConfig, channels, noise_vars,
     """
     if frames_per_channel < 1:
         raise ValueError("need at least one frame per channel")
+    if len(channels) == 0 or len(channels) != len(noise_vars):
+        raise ValueError(f"need a non-empty channel set with one noise "
+                         f"variance per channel (got {len(channels)} "
+                         f"channels, {len(noise_vars)} noise variances)")
     frames = 0
     errors = 0
     batch = 25

@@ -41,8 +41,13 @@ class FixtureConfig:
 
     def channels(self, n: int, m: int):
         """The fixture group for one (streams, antennas) pair."""
+        return self.generate(n, m, self.seeds(n, m))
+
+    def generate(self, n: int, m: int, seeds):
+        """One channel grid and calibrated noise variance per SeedSequence;
+        a child of each seed draws the SNR jitter."""
         grids, nvs = [], []
-        for i, ss in enumerate(self.seeds(n, m)):
+        for ss in seeds:
             g = ch.tdl_generate(self.profile, self.mobility, self.numerology,
                                 m=m, n=n, seed=ss,
                                 n_subcarriers=self.n_subcarriers)

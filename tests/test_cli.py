@@ -48,6 +48,15 @@ def test_non_mapping_config_rejected(tmp_path, capsys):
     assert rc == 2
 
 
+def test_malformed_yaml_rejected(tmp_path, capsys):
+    p = tmp_path / "bad.yaml"
+    p.write_text("snr_db: [10\n  bad: ]\n")
+    rc = cli.main(["per-sweep", "--config", str(p),
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "cannot parse config" in capsys.readouterr().err
+
+
 def test_per_sweep_requires_snr_list(tmp_path, capsys):
     cfgp = write_config(tmp_path, {"snr_db": []})
     rc = cli.main(["per-sweep", "--config", cfgp,
@@ -84,6 +93,14 @@ def test_per_sweep_reproducible(tmp_path):
     cli.main(["per-sweep", "--config", cfgp, "--out", str(a), "--seed", "3"])
     cli.main(["per-sweep", "--config", cfgp, "--out", str(b), "--seed", "3"])
     assert read_rows(a)[1] == read_rows(b)[1]
+
+
+def test_per_sweep_rejects_zero_channels(tmp_path, capsys):
+    cfgp = sweep_config(tmp_path, channels=0)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["per-sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert "non-empty channel set" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_search_rejects_bad_detector_before_any_cell(tmp_path, capsys,
@@ -189,23 +206,29 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     assert [r[5] for r in rows[1:]] == ["1"]
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(repeats=0), "repeats"),
+    (dict(chunk_size=0), "chunk_size"),
+    (dict(workers=[1, 0]), "workers"),
+    (dict(n_instances=100), "multiple of chunk_size"),
+    (dict(n_instances=0), "multiple of chunk_size"),
+])
+def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
+                                  message):
+    def pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    cfgp = bench_config(tmp_path, **bad)
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--config", cfgp, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_chunk_is_deterministic():
     args = ("mpnl", 2, 2, 4, 4, 20.0, 7, 0, 32)
     i1, h1 = cli._bench_chunk(args)
     i2, h2 = cli._bench_chunk(args)
     assert i1 == i2 == 0
     assert np.array_equal(h1, h2)
-
-
-def test_gen_fixtures(tmp_path):
-    cfgp = write_config(tmp_path, dict(
-        streams=[2], m_antennas=[2, 3], channels_per_group=2,
-        n_subcarriers=12))
-    out = tmp_path / "fixtures"
-    assert cli.main(["gen-fixtures", "--config", cfgp, "--out", str(out),
-                     "--seed", "4"]) == 0
-    index = json.loads((out / "fixtures.json").read_text())
-    assert len(index["groups"]) == 2
-    data = np.load(out / index["groups"][0]["file"])
-    assert data["h"].shape[0] == 2
-    assert data["noise_var"].shape == (2,)

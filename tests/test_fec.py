@@ -285,8 +285,9 @@ def test_rate_matched_low_rate_outcodes_mother(code):
     assert ok.mean() > 0.9
 
 
-def test_alist_roundtrip(code, tmp_path):
-    p = tmp_path / "code.alist"
-    fec.save_alist(code, p)
-    back = fec.load_alist(p)
-    assert np.array_equal(back.parity_check, code.parity_check)
+def test_rate_matched_rejects_1d_input(code):
+    rm = fec.design_rate_match(code, Fraction(1, 3), 900)
+    with pytest.raises(ValueError, match="k_tb"):
+        fec.encode_rate_matched(code, rm, np.zeros(rm.k_tb, dtype=np.uint8))
+    with pytest.raises(ValueError, match="n_tx"):
+        fec.decode_rate_matched(code, rm, np.ones(rm.n_tx))

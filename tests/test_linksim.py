@@ -155,14 +155,6 @@ def test_grid_too_small_rejected():
         linksim.simulate_frames(cfg, grid, 0.1, 0, [0])
 
 
-def test_simulate_slot_matches_first_frame():
-    cfg = make_cfg()
-    grid = make_grid(cfg)
-    slot = linksim.simulate_slot(cfg, grid, 0.05)
-    assert np.array_equal(slot,
-                          linksim.simulate_frames(cfg, grid, 0.05, 0, [0])[0])
-
-
 def test_per_result_stats():
     r = linksim.PerResult(frames=400, errors=40)
     assert r.per == pytest.approx(0.1)
@@ -190,3 +182,12 @@ def test_measure_per_rejects_empty_budget():
     cfg = make_cfg()
     with pytest.raises(ValueError):
         linksim.measure_per(cfg, [], [], frames_per_channel=0)
+
+
+def test_measure_per_rejects_bad_channel_set():
+    cfg = make_cfg()
+    with pytest.raises(ValueError, match="got 0 channels"):
+        linksim.measure_per(cfg, [], [], frames_per_channel=5)
+    grids = [make_grid(cfg, seed=s) for s in range(2)]
+    with pytest.raises(ValueError, match="got 2 channels, 3 noise"):
+        linksim.measure_per(cfg, grids, [1e-9] * 3, frames_per_channel=5)
