@@ -98,21 +98,18 @@ def max_streams_for_budget(table: dict, detector: str, mcs_index: int,
 
 
 def connectivity_report(use_cases, se: float, table: dict, mcs_index: int,
-                        antenna_budgets,
-                        detectors=("mmse", "mpnl"),
-                        numerology: Numerology = DEFAULT_NUMEROLOGY,
-                        baseline: str = "mmse") -> list[ReportRow]:
-    """Vehicles per (use case, antenna budget) for each detector.
+                        antenna_budgets) -> list[ReportRow]:
+    """Vehicles per (use case, antenna budget) for mmse and mpnl.
 
     Rows where the table lacks entries are marked unavailable (None).
-    The gain ratio compares the last detector in `detectors` against
-    `baseline`; equal-zero rows get ratio 1.
+    The gain ratio compares mpnl against the mmse baseline; equal-zero
+    rows get ratio 1.
     """
     rows = []
     for uc in use_cases:
         for budget in antenna_budgets:
             streams, vehicles = {}, {}
-            for det in detectors:
+            for det in ("mmse", "mpnl"):
                 n = max_streams_for_budget(table, det, mcs_index, budget)
                 streams[det] = n
                 if n is None:
@@ -120,14 +117,12 @@ def connectivity_report(use_cases, se: float, table: dict, mcs_index: int,
                 elif n == 0:
                     vehicles[det] = 0
                 else:
-                    q = ConnectivityQuery(use_case=uc, se=se, n_streams=n,
-                                          numerology=numerology)
+                    q = ConnectivityQuery(use_case=uc, se=se, n_streams=n)
                     try:
                         vehicles[det] = max_vehicles(q)
                     except UnsupportableUseCase:
                         vehicles[det] = 0
-            other = [d for d in detectors if d != baseline][-1]
-            vb, vo = vehicles.get(baseline), vehicles.get(other)
+            vb, vo = vehicles["mmse"], vehicles["mpnl"]
             if vb is None or vo is None:
                 ratio = None
             elif vb == vo:

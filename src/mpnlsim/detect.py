@@ -13,9 +13,9 @@ labels.  Batched variants (trailing `_batch`) operate on stacks of
 instances and hold the math; the single-instance ZF, MMSE, ML and MPNL
 functions are B=1 views of them, and the sphere decoder is the one
 non-batched oracle.  `DETECTORS` is the one table every caller
-dispatches through: per name, the single-instance function, the batched
-channel-time plan and transmission-time apply, and the smallest antenna
-count the detector can serve.
+dispatches through: per name, the batched channel-time plan and
+transmission-time apply, and the smallest antenna count the detector can
+serve.
 """
 
 from __future__ import annotations
@@ -550,16 +550,15 @@ def mpnl_detect(plan: PathPlan, inp: DetectorInput):
 
 @dataclass(frozen=True)
 class Detector:
-    """One row of DETECTORS: single(inp, n_paths) -> DetectionOutput;
-    min_antennas(n, q, n_paths), the smallest M serving n streams;
-    plan(h, noise_var, c, n_paths), channel-time work on a (B, M, N) stack;
+    """One row of DETECTORS: min_antennas(n, q, n_paths), the smallest M
+    serving n streams; plan(h, noise_var, c, n_paths), channel-time work
+    on a (B, M, N) stack;
     apply(plan, h, y, noise_var, c) -> (hard labels (B, N), LLRs (B, N,
     bps)), None without batched soft output.  Entries look kernels up as
     module globals at call time, so a wrapper installed on one sees every
     call.
     """
 
-    single: Callable
     min_antennas: Callable
     plan: Callable = lambda h, noise_var, c, n_paths: None
     apply: Callable | None = None
@@ -580,31 +579,24 @@ def _mpnl_min_antennas(n: int, q: int, n_paths: int) -> int:
 
 DETECTORS = {
     "zf": Detector(
-        single=lambda inp, _: zf_detect(inp),
         min_antennas=lambda n, q, n_paths: n,
         apply=lambda _, h, y, nv, c: linear_detect_batch(h, y, nv, c, "zf")),
     "mmse": Detector(
-        single=lambda inp, _: mmse_detect(inp),
         min_antennas=lambda n, q, n_paths: 1,
         apply=lambda _, h, y, nv, c: linear_detect_batch(h, y, nv, c,
                                                          "mmse")),
     "ml": Detector(
-        single=lambda inp, _: ml_detect(inp),
         min_antennas=lambda n, q, n_paths: 1,
         apply=lambda _, h, y, nv, c: _list_output(
             *ml_detect_batch(h, y, nv, c), nv, c)),
     "sphere": Detector(
-        single=lambda inp, _: sphere_detect(inp),
         min_antennas=lambda n, q, n_paths: n),
     "mpnl": Detector(
-        single=lambda inp, n_paths: mpnl_detect(mpnl_preprocess(
-            inp.h, inp.noise_var, n_paths, inp.constellation), inp)[1],
         min_antennas=_mpnl_min_antennas,
         plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),
         apply=lambda plan, h, y, nv, c: _list_output(
             *mpnl_detect_batch(plan, h, y, c), nv, c)),
 }
-DETECTOR_NAMES = tuple(DETECTORS)
 
 
 def soft_detector(name: str) -> Detector:
@@ -615,9 +607,3 @@ def soft_detector(name: str) -> Detector:
         raise ValueError(f"detector {name!r} has no batched soft output")
     return DETECTORS[name]
 
-
-def detect(name: str, inp: DetectorInput, n_paths: int = 32) -> DetectionOutput:
-    """Name-based detector dispatch."""
-    if name not in DETECTORS:
-        raise ValueError(f"unknown detector {name!r}")
-    return DETECTORS[name].single(inp, n_paths)

@@ -43,17 +43,17 @@ BASE_MATRIX = (
 )
 
 
-def expand_base_matrix(base=BASE_MATRIX, lift: int = LIFT) -> np.ndarray:
-    """Lift a base matrix of circulant shifts to a dense binary H."""
-    base = np.asarray(base)
+def expand_base_matrix() -> np.ndarray:
+    """Lift BASE_MATRIX's circulant shifts to the dense binary H."""
+    base = np.asarray(BASE_MATRIX)
     mb, nb = base.shape
-    h = np.zeros((mb * lift, nb * lift), dtype=np.uint8)
-    eye = np.eye(lift, dtype=np.uint8)
+    h = np.zeros((mb * LIFT, nb * LIFT), dtype=np.uint8)
+    eye = np.eye(LIFT, dtype=np.uint8)
     for i in range(mb):
         for j in range(nb):
             s = base[i, j]
             if s >= 0:
-                h[i * lift:(i + 1) * lift, j * lift:(j + 1) * lift] = \
+                h[i * LIFT:(i + 1) * LIFT, j * LIFT:(j + 1) * LIFT] = \
                     np.roll(eye, -int(s), axis=1)
     return h
 
@@ -167,9 +167,8 @@ def ldpc_syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
 
 
 def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
-                max_iter: int = DEFAULT_MAX_ITER,
-                alpha: float = MIN_SUM_NORMALIZATION):
-    """Normalized min-sum decoding.
+                max_iter: int = DEFAULT_MAX_ITER):
+    """Normalized min-sum decoding (MIN_SUM_NORMALIZATION).
 
     llrs: (n,) or (B, n), positive = bit 0 more likely.  Returns
     (info bits, converged) with matching leading shape.  Convergence is a
@@ -190,13 +189,13 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
     done = np.empty(b, dtype=bool)
     for i in range(0, b, DECODE_BLOCK):
         blk = slice(i, i + DECODE_BLOCK)
-        info[blk], done[blk] = _min_sum(code, llrs[blk], max_iter, alpha)
+        info[blk], done[blk] = _min_sum(code, llrs[blk], max_iter)
     if single:
         return info[0], bool(done[0])
     return info, done
 
 
-def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int, alpha: float):
+def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int):
     """ldpc_decode on one (B, n) block.  A converged word leaves the
     working arrays; the others are updated until max_iter."""
     check_vars, check_mask, var_edges = code._graph
@@ -217,10 +216,11 @@ def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int, alpha: float):
     for _ in range(max_iter):
         if act.size == 0:
             break
-        # check-node update: alpha * sign * min over the check's other edges
+        # check-node update: normalized sign * min over the other edges
         neg = m_vc < 0
         flip = neg ^ np.logical_xor.reduce(neg, axis=1)[:, None]
-        np.multiply(alpha - 2 * alpha * flip,
+        np.multiply(np.where(flip, -MIN_SUM_NORMALIZATION,
+                             MIN_SUM_NORMALIZATION),
                     _min_of_others(np.abs(m_vc, out=m_vc)), out=m_cv)
         # variable-node update; edges summed left to right (fixes rounding)
         total = np.take(m_cv_flat, var_edges[:, 0], axis=1)
@@ -338,8 +338,7 @@ def encode_rate_matched(code: LdpcCode, rm: RateMatch,
                           axis=-1)
 
 
-def decode_rate_matched(code: LdpcCode, rm: RateMatch, llrs_tx: np.ndarray,
-                        max_iter: int = DEFAULT_MAX_ITER):
+def decode_rate_matched(code: LdpcCode, rm: RateMatch, llrs_tx: np.ndarray):
     """Decode (B, n_tx) transmitted-bit LLRs back to (B, k_tb) info bits
     and a (B,) converged flag."""
     llrs_tx = np.asarray(llrs_tx, dtype=np.float64)
@@ -351,5 +350,5 @@ def decode_rate_matched(code: LdpcCode, rm: RateMatch, llrs_tx: np.ndarray,
     full[:, :rm.k_tb] = llrs_tx[:, :rm.k_tb]
     full[:, rm.k_tb:code.k] = SHORTENED_LLR          # known zeros
     full[:, code.k:code.k + p] = llrs_tx[:, rm.k_tb:]
-    info, conv = ldpc_decode(code, full, max_iter=max_iter)
+    info, conv = ldpc_decode(code, full)
     return info[:, :rm.k_tb], conv

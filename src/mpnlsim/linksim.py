@@ -68,15 +68,15 @@ class LinkConfig:
         return re * self.mcs.constellation.bits_per_symbol
 
 
-def default_rb_allocation(mcs: McsEntry, num: Numerology = DEFAULT_NUMEROLOGY,
-                          code: fec.LdpcCode | None = None) -> int:
+def default_rb_allocation(mcs: McsEntry,
+                          num: Numerology = DEFAULT_NUMEROLOGY) -> int:
     """Largest RB count whose coded-bit load fits one mother codeword.
 
     The allocation is capped so the rate match stays realizable: the
     transport block needs at most k info bits and at most n - k parity
     bits from the mother code.
     """
-    code = code or fec.default_code()
+    code = fec.default_code()
     bits_per_rb = num.sc_per_rb * num.data_symbols * \
         mcs.constellation.bits_per_symbol
     r = float(mcs.code_rate)
@@ -117,14 +117,13 @@ def _dmrs_pattern(num: Numerology, n_streams: int, n_sc: int):
     return dmrs_syms, ports
 
 
-def estimate_channel_ls(grid_obs: np.ndarray, pilots: np.ndarray,
-                        cfg: LinkConfig) -> np.ndarray:
+def estimate_channel_ls(grid_obs: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     """LS channel estimate from DMRS observations.
 
-    grid_obs: (symbols, subcarriers, M) received samples of the whole slot;
-    pilots: (n_streams, n_pilot_sc) transmitted pilot values per stream.
-    Returns an (symbols, subcarriers, M, N) estimate via nearest-neighbour
-    interpolation from each stream's pilot positions.
+    grid_obs: (symbols, subcarriers, M) received samples of the whole slot.
+    Every pilot is 1, so a stream's observations at its pilot positions are
+    its LS estimate.  Returns an (symbols, subcarriers, M, N) estimate via
+    nearest-neighbour interpolation from each stream's pilot positions.
     """
     num = cfg.numerology
     n_sc = cfg.n_subcarriers
@@ -132,8 +131,7 @@ def estimate_channel_ls(grid_obs: np.ndarray, pilots: np.ndarray,
     _, ports = _dmrs_pattern(num, n, n_sc)
     h_est = np.empty((num.symbols_per_slot, n_sc, m, n), dtype=complex)
     for v, (sym, sc_idx) in enumerate(ports):
-        obs = grid_obs[sym, sc_idx, :]                   # (n_pilot, M)
-        h_pilot = obs / pilots[v][:, None]
+        h_pilot = grid_obs[sym, sc_idx, :]               # (n_pilot, M)
         # nearest pilot subcarrier, constant across symbols
         nearest = np.abs(np.arange(n_sc)[:, None] - sc_idx[None, :]).argmin(axis=1)
         h_est[:, :, :, v] = h_pilot[nearest][None, :, :]
@@ -157,8 +155,8 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     bps = c.bits_per_symbol
     code = fec.default_code()
     rm = fec.design_rate_match(code, cfg.mcs.code_rate, cfg.bits_per_block)
-    data_syms = [s for s in range(num.symbols_per_slot)
-                 if s not in _dmrs_pattern(num, n, n_sc)[0]]
+    dmrs_syms, ports = _dmrs_pattern(num, n, n_sc)
+    data_syms = [s for s in range(num.symbols_per_slot) if s not in dmrs_syms]
     n_re = len(data_syms) * n_sc
     frame_indices = list(frame_indices)
     f = len(frame_indices)
@@ -180,13 +178,8 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     x = np.zeros((f, num.symbols_per_slot, n_sc, n), dtype=complex)
     for si, s in enumerate(data_syms):
         x[:, s, :, :] = symbols[:, :, si, :].transpose(0, 2, 1)
-    dmrs_syms, ports = _dmrs_pattern(num, n, n_sc)
-    pilots = []
     for v, (sym, sc_idx) in enumerate(ports):
-        p = np.ones(sc_idx.size, dtype=complex)
-        x[:, sym, sc_idx, v] = p
-        pilots.append(p)
-    pilots = np.array(pilots)
+        x[:, sym, sc_idx, v] = 1                      # unit pilots
 
     y = np.einsum("tfmn,btfn->btfm", h, x) + noise    # (F, sym, sc, M)
 
@@ -200,7 +193,7 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     llrs = np.empty((f, n_re, n, bps))
     for i in range(f):
         if cfg.csi == "ls_dmrs":
-            h_est = estimate_channel_ls(y[i], pilots, cfg)
+            h_est = estimate_channel_ls(y[i], cfg)
             h_re = h_est[data_syms].reshape(n_re, m, n)
             plan = detector.plan(h_re, noise_var, c, cfg.n_paths)
         llrs[i] = detector.apply(plan, h_re, y_re[i], noise_var, c)[1]

@@ -657,11 +657,3 @@ def test_llr_signs_match_ml_when_ml_in_list():
         assert np.array_equal(bits, QPSK.labels[ml.hard_labels])
     assert hits > 50
 
-
-def test_detect_dispatch_names():
-    rng = np.random.default_rng(141)
-    inp, _ = rand_instance(rng, 2, 2, QPSK, 20.0)
-    outs = {name: det.detect(name, inp) for name in det.DETECTOR_NAMES}
-    assert np.array_equal(outs["ml"].hard_labels, outs["sphere"].hard_labels)
-    with pytest.raises(ValueError):
-        det.detect("turbo", inp)

@@ -31,7 +31,10 @@ def test_config_validation():
         make_cfg(csi="perfect")
     with pytest.raises(ValueError):
         make_cfg(rb_per_vehicle=10_000)
-    # detectors without batched soft output or with too few antennas
+    # unknown detectors, detectors without batched soft output or with
+    # too few antennas
+    with pytest.raises(ValueError, match="unknown detector 'turbo'"):
+        detect.soft_detector("turbo")
     with pytest.raises(ValueError, match="sphere"):
         make_cfg(detector="sphere")
     with pytest.raises(ValueError, match="'zf' needs at least 4"):
@@ -94,11 +97,9 @@ def test_ls_estimate_exact_on_constant_channel():
     num, n_sc = cfg.numerology, cfg.n_subcarriers
     _, ports = linksim._dmrs_pattern(num, 2, n_sc)
     obs = np.zeros((num.symbols_per_slot, n_sc, 3), dtype=complex)
-    pilots = []
     for v, (sym, sc) in enumerate(ports):
         obs[sym, sc, :] += h[:, v]
-        pilots.append(np.ones(sc.size, dtype=complex))
-    est = linksim.estimate_channel_ls(obs, np.array(pilots), cfg)
+    est = linksim.estimate_channel_ls(obs, cfg)
     assert np.allclose(est, h[None, None], atol=1e-12)
 
 
