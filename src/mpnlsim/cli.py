@@ -66,6 +66,19 @@ def _load_config(path) -> tuple[dict, str]:
     return cfg, digest
 
 
+def _int_setting(cfg: dict, key: str, default, floor: int = 1):
+    """cfg[key] (or default): an int, not a bool, >= floor; a list of
+    them where the default is a list."""
+    value = cfg.get(key, default)
+    many = isinstance(default, list)
+    items = value if many else [value]
+    if not (isinstance(items, list)
+            and all(type(v) is int and v >= floor for v in items)):
+        kind = "a list of integers" if many else "an integer"
+        raise ConfigError(f"{key} must be {kind} >= {floor} (got {value!r})")
+    return value
+
+
 def _manifest(command, digest, seed) -> RunManifest:
     return RunManifest(command=command, config_digest=digest, seed=seed,
                        version=__version__,
@@ -96,8 +109,8 @@ def _fixture_config(cfg: dict, seed: int) -> search.FixtureConfig:
                             carrier_hz=cfg.get("carrier_hz", 3.5e9))
     return search.FixtureConfig(
         profile=prof, mobility=mob, region=ch.REGIONS[region_name],
-        channels_per_group=cfg.get("channels_per_group", 50),
-        base_seed=seed, n_subcarriers=cfg.get("n_subcarriers", 24))
+        channels_per_group=_int_setting(cfg, "channels_per_group", 50, 0),
+        base_seed=seed, n_subcarriers=_int_setting(cfg, "n_subcarriers", 24))
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +121,19 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
     snrs = cfg.get("snr_db")
     if not snrs:
         raise ConfigError("empty sweep: snr_db list is required")
-    n = cfg.get("n_streams", 4)
-    m = cfg.get("m_antennas", 8)
-    mcs = mcs_entry(cfg.get("mcs", 7))
-    n_channels = cfg.get("channels", 10)
-    frames = cfg.get("frames_per_channel", 20)
+    for key in ("region", "channels_per_group"):
+        if key in cfg:
+            raise ConfigError(f"per-sweep does not read {key!r}")
+    n = _int_setting(cfg, "n_streams", 4)
+    m = _int_setting(cfg, "m_antennas", 8)
+    mcs = mcs_entry(_int_setting(cfg, "mcs", 7, 0))
+    n_channels = _int_setting(cfg, "channels", 10, 0)
+    frames = _int_setting(cfg, "frames_per_channel", 20)
     fx = _fixture_config(cfg, seed)
     # every config is checked before the first SNR point runs
     configs = [linksim.LinkConfig(
         n_streams=n, m_antennas=m, mcs=mcs, detector=name,
-        n_paths=cfg.get("n_paths", 32), csi=cfg.get("csi", "genie"),
+        n_paths=_int_setting(cfg, "n_paths", 32), csi=cfg.get("csi", "genie"),
         seed=seed,
         rb_per_vehicle=min(linksim.default_rb_allocation(mcs),
                            fx.n_subcarriers // DEFAULT_NUMEROLOGY.sc_per_rb))
@@ -145,12 +161,12 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
 def cmd_search(cfg: dict, manifest: RunManifest, out, seed: int):
     fx = _fixture_config(cfg, seed)
     cells = search.heatmap(
-        streams=cfg.get("streams", [2, 4, 6]),
-        mcs_list=cfg.get("mcs", [2, 7, 12]),
+        streams=_int_setting(cfg, "streams", [2, 4, 6]),
+        mcs_list=_int_setting(cfg, "mcs", [2, 7, 12], 0),
         detectors=cfg.get("detectors", ["mmse", "mpnl"]),
         fixtures=fx,
-        frames_per_channel=cfg.get("frames_per_channel", 8),
-        n_paths=cfg.get("n_paths", 32),
+        frames_per_channel=_int_setting(cfg, "frames_per_channel", 8),
+        n_paths=_int_setting(cfg, "n_paths", 32),
         progress=lambda c: print(
             f"  {c.detector} N={c.n_streams} mcs={c.mcs_index} -> "
             f"{c.min_antennas or 'unsupported'}", file=sys.stderr))
@@ -275,19 +291,15 @@ def run_bench_once(name, n, m, order, n_paths, snr_db, seed,
 
 def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
     name = cfg.get("detector", "mpnl")
-    n = cfg.get("n_streams", 8)
-    m = cfg.get("m_antennas", 8)
-    order = cfg.get("modulation_order", 16)
-    n_paths = cfg.get("n_paths", 32)
+    n = _int_setting(cfg, "n_streams", 8)
+    m = _int_setting(cfg, "m_antennas", 8)
+    order = _int_setting(cfg, "modulation_order", 16)
+    n_paths = _int_setting(cfg, "n_paths", 32)
     snr_db = cfg.get("snr_db", 20.0)
-    n_instances = cfg.get("n_instances", 8192)
-    chunk_size = cfg.get("chunk_size", 512)
-    workers_list = cfg.get("workers", [1, 4, 8])
-    repeats = cfg.get("repeats", 5)
-    if repeats < 1 or chunk_size < 1 or min(workers_list, default=1) < 1:
-        raise ConfigError(
-            f"repeats, chunk_size and workers must be >= 1 (got repeats="
-            f"{repeats}, chunk_size={chunk_size}, workers={workers_list})")
+    n_instances = _int_setting(cfg, "n_instances", 8192, 0)
+    chunk_size = _int_setting(cfg, "chunk_size", 512)
+    workers_list = _int_setting(cfg, "workers", [1, 4, 8])
+    repeats = _int_setting(cfg, "repeats", 5)
     if n_instances < 1 or n_instances % chunk_size:
         raise ConfigError("n_instances must be a positive multiple of "
                           "chunk_size")
@@ -340,7 +352,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, digest = _load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        seed = (_int_setting(cfg, "seed", 0, 0) if args.seed is None
+                else args.seed)
         if args.workers is not None:
             if args.command != "bench":
                 raise ConfigError("--workers applies only to bench")

@@ -10,7 +10,7 @@ comparison).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,16 +81,15 @@ def min_antennas(n: int, mcs_index: int, detector: str,
     m_needed = detect.soft_detector(detector).min_antennas(
         n, mcs.constellation.order, n_paths)
     lo, hi = m_range
+    rb = min(linksim.default_rb_allocation(mcs, fixtures.numerology),
+             fixtures.n_subcarriers // fixtures.numerology.sc_per_rb)
     # too few antennas for the detector counts as failing
     prev_per = 1.0 if lo < m_needed else float("nan")
     for m in range(max(lo, m_needed), hi + 1):
         cfg = linksim.LinkConfig(n_streams=n, m_antennas=m, mcs=mcs,
                                  detector=detector, n_paths=n_paths,
                                  numerology=fixtures.numerology,
-                                 seed=fixtures.base_seed)
-        if cfg.n_subcarriers > fixtures.n_subcarriers:
-            cfg = replace(cfg, rb_per_vehicle=fixtures.n_subcarriers
-                          // fixtures.numerology.sc_per_rb)
+                                 seed=fixtures.base_seed, rb_per_vehicle=rb)
         grids, nvs = fixtures.channels(n, m)
         res = linksim.measure_per(cfg, grids, nvs,
                                   frames_per_channel=frames_per_channel,

@@ -67,8 +67,7 @@ def test_per_sweep_requires_snr_list(tmp_path, capsys):
 
 def sweep_config(tmp_path, **kw):
     data = dict(snr_db=[20], detectors=["mmse"], n_streams=2, m_antennas=4,
-                mcs=2, channels=2, frames_per_channel=2, n_subcarriers=12,
-                channels_per_group=2)
+                mcs=2, channels=2, frames_per_channel=2, n_subcarriers=12)
     data.update(kw)
     return write_config(tmp_path, data)
 
@@ -100,6 +99,44 @@ def test_per_sweep_rejects_zero_channels(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert cli.main(["per-sweep", "--config", cfgp, "--out", str(out)]) == 2
     assert "non-empty channel set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def search_config(tmp_path, **kw):
+    data = dict(streams=[2], mcs=[0], detectors=["mmse"],
+                channels_per_group=2, frames_per_channel=2, n_subcarriers=12)
+    data.update(kw)
+    return write_config(tmp_path, data)
+
+
+@pytest.mark.parametrize("command, config, bad, key", [
+    ("per-sweep", sweep_config, dict(channels=-1), "channels"),
+    ("per-sweep", sweep_config, dict(frames_per_channel="2"),
+     "frames_per_channel"),
+    ("per-sweep", sweep_config, dict(n_streams=2.0), "n_streams"),
+    ("per-sweep", sweep_config, dict(mcs=True), "mcs"),
+    ("per-sweep", sweep_config, dict(seed="1"), "seed"),
+    ("per-sweep", sweep_config, dict(region="R2"), "region"),
+    ("per-sweep", sweep_config, dict(channels_per_group=7),
+     "channels_per_group"),
+    ("search", search_config, dict(channels_per_group=-1),
+     "channels_per_group"),
+    ("search", search_config, dict(frames_per_channel="2"),
+     "frames_per_channel"),
+    ("search", search_config, dict(streams=[2, "4"]), "streams"),
+    ("search", search_config, dict(mcs=7), "mcs"),
+    ("search", search_config, dict(n_subcarriers=0), "n_subcarriers"),
+])
+def test_rejects_bad_integer_setting_before_any_cell(
+        tmp_path, capsys, monkeypatch, command, config, bad, key):
+    def measure_per(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(linksim, "measure_per", measure_per)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", config(tmp_path, **bad),
+                     "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -212,6 +249,12 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     (dict(workers=[1, 0]), "workers"),
     (dict(n_instances=100), "multiple of chunk_size"),
     (dict(n_instances=0), "multiple of chunk_size"),
+    (dict(repeats="3"), "repeats"),
+    (dict(repeats=True), "repeats"),
+    (dict(chunk_size=64.0), "chunk_size"),
+    (dict(workers=2), "workers"),
+    (dict(workers=[1, "2"]), "workers"),
+    (dict(n_instances=-64), "n_instances"),
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
                                   message):
