@@ -254,7 +254,6 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     (dict(chunk_size=64.0), "chunk_size"),
     (dict(workers=2), "workers"),
     (dict(workers=[1, "2"]), "workers"),
-    (dict(n_instances=-64), "n_instances"),
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
                                   message):
