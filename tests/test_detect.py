@@ -238,6 +238,25 @@ def test_allocation_doubling_dominates_layerwise():
             assert np.all(e2 >= e1)
 
 
+def test_allocation_matches_golden():
+    """Every admitted input (budget >= q^forced) hashes to the digest of
+    the allocator before its degraded-forcing branch was removed."""
+    digest = hashlib.sha256()
+    paths = list(range(1, 300)) + [512, 1000, 1024, 4096, 5000, 65536]
+    for q in (4, 16, 64):
+        for n_layers in range(1, 9):
+            for n_forced in range(n_layers + 1):
+                for n_paths in paths:
+                    if n_paths < q ** min(n_forced, n_layers):
+                        continue
+                    e, realized = det.allocate_expansions(
+                        n_layers, q, n_paths, n_forced=n_forced)
+                    digest.update(e.tobytes())
+                    digest.update(str(realized).encode())
+    assert digest.hexdigest() == ("9f91bd3980c1560ce8db81788045d597"
+                                  "0906122eb8ebaaedfd5addb621a15ace")
+
+
 def test_plan_invariants():
     rng = np.random.default_rng(21)
     h = rand_channel(rng, 4, 4)
