@@ -303,6 +303,8 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
     if n_instances < 1 or n_instances % chunk_size:
         raise ConfigError("n_instances must be a positive multiple of "
                           "chunk_size")
+    constellation_for(order)
+    det.check_antenna_floor(name, n, m, order, n_paths)
     if 1 not in workers_list:
         workers_list = [1] + list(workers_list)
     rows = []

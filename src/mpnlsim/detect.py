@@ -12,16 +12,15 @@ All detectors break metric ties lexicographically over candidate bit
 labels.  Batched variants (trailing `_batch`) operate on stacks of
 instances and hold the math; the single-instance ZF, MMSE, ML and MPNL
 functions are B=1 views of them, and the sphere decoder is the one
-non-batched oracle.  `DETECTORS` is the one table every caller
-dispatches through: per name, the batched channel-time plan and
-transmission-time apply, and the smallest antenna count the detector can
-serve.
+non-batched oracle, kept out of the table.  `DETECTORS` is the one table
+every caller dispatches through: per name, the batched channel-time plan
+and transmission-time apply, and the smallest antenna count the detector
+can serve.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -248,18 +247,19 @@ def allocate_expansions(n_layers: int, q: int, n_paths: int,
 
     Returns (expansions indexed by tree position, realized path count).
     Position n_layers-1 is the top (first-detected) layer.  The top
-    `n_forced` layers are fully expanded when the budget allows (the
-    rank-deficient layers of an overloaded channel).  If n_paths is not
-    exactly representable as a product of factors <= q, the largest
-    representable value below it is used.
+    `n_forced` layers (the rank-deficient layers of an overloaded
+    channel) are fully expanded; a smaller budget than q^n_forced is a
+    ValueError.  Otherwise the largest multiple of q^n_forced up to
+    n_paths whose quotient is a product of factors <= q is realized.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_paths = min(n_paths, q ** n_layers)
-    if n_forced > 0 and n_paths < q ** n_forced:
-        warnings.warn(
-            f"n_paths={n_paths} < {q}^{n_forced}: cannot fully expand all "
-            "rank-deficient layers", stacklevel=2)
+    forced = min(n_forced, n_layers)
+    step = q ** forced
+    if n_paths < step:
+        raise ValueError(f"n_paths={n_paths} < {q}^{forced}: cannot fully "
+                         "expand all rank-deficient layers")
 
     def factorize(budget: int, slots: int, cap: int):
         if budget == 1:
@@ -274,34 +274,12 @@ def allocate_expansions(n_layers: int, q: int, n_paths: int,
                 return [d] + rest
         return None
 
-    for target in range(n_paths, 0, -1):
-        forced = min(n_forced, n_layers)
-        factors = []
-        budget = target
-        ok = True
-        for _ in range(forced):
-            if budget >= q and budget % q == 0:
-                factors.append(q)
-                budget //= q
-            elif budget >= q:
-                ok = False
-                break
-            else:
-                # degraded forcing: put the whole remaining budget here
-                factors.append(budget)
-                budget = 1
-        if not ok:
-            continue
-        rest = factorize(budget, n_layers - forced, min(q, factors[-1] if factors else q))
-        if rest is None:
-            continue
-        factors += rest
-        factors += [1] * (n_layers - len(factors))
-        e = np.array(sorted(factors, reverse=True), dtype=np.int64)
-        out = np.empty(n_layers, dtype=np.int64)
-        out[::-1] = e                    # largest at the top position
-        return out, target
-    raise AssertionError("unreachable: n_paths=1 is always representable")
+    # step itself factorizes (rest = []), so the walk always returns
+    for target in range(n_paths - n_paths % step, 0, -step):
+        rest = factorize(target // step, n_layers - forced, q)
+        if rest is not None:
+            e = [q] * forced + rest + [1] * (n_layers - forced - len(rest))
+            return np.array(sorted(e), dtype=np.int64), target
 
 
 @dataclass(frozen=True)
@@ -551,17 +529,16 @@ def mpnl_detect(plan: PathPlan, inp: DetectorInput):
 @dataclass(frozen=True)
 class Detector:
     """One row of DETECTORS: min_antennas(n, q, n_paths), the smallest M
-    serving n streams; plan(h, noise_var, c, n_paths), channel-time work
-    on a (B, M, N) stack;
-    apply(plan, h, y, noise_var, c) -> (hard labels (B, N), LLRs (B, N,
-    bps)), None without batched soft output.  Entries look kernels up as
+    serving n streams; apply(plan, h, y, noise_var, c) -> (hard labels
+    (B, N), LLRs (B, N, bps)); plan(h, noise_var, c, n_paths),
+    channel-time work on a (B, M, N) stack.  Entries look kernels up as
     module globals at call time, so a wrapper installed on one sees every
     call.
     """
 
     min_antennas: Callable
+    apply: Callable
     plan: Callable = lambda h, noise_var, c, n_paths: None
-    apply: Callable | None = None
 
 
 def _list_output(labels, metrics, best, noise_var, c):
@@ -589,8 +566,6 @@ DETECTORS = {
         min_antennas=lambda n, q, n_paths: 1,
         apply=lambda _, h, y, nv, c: _list_output(
             *ml_detect_batch(h, y, nv, c), nv, c)),
-    "sphere": Detector(
-        min_antennas=lambda n, q, n_paths: n),
     "mpnl": Detector(
         min_antennas=_mpnl_min_antennas,
         plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),
@@ -600,10 +575,15 @@ DETECTORS = {
 
 
 def soft_detector(name: str) -> Detector:
-    """The table entry of a detector with batched soft output."""
+    """The table entry of a detector."""
     if name not in DETECTORS:
         raise ValueError(f"unknown detector {name!r}")
-    if DETECTORS[name].apply is None:
-        raise ValueError(f"detector {name!r} has no batched soft output")
     return DETECTORS[name]
 
+
+def check_antenna_floor(name: str, n: int, m: int, q: int, n_paths: int):
+    """ValueError unless m antennas meet detector `name`'s floor for n."""
+    need = soft_detector(name).min_antennas(n, q, n_paths)
+    if m < need:
+        raise ValueError(f"detector {name!r} needs at least {need} "
+                         f"antennas for {n} streams")

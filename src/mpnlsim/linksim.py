@@ -45,11 +45,8 @@ class LinkConfig:
             raise ValueError("n_streams must be in [1, 12]")
         if not 1 <= self.m_antennas <= 32:
             raise ValueError("m_antennas must be in [1, 32]")
-        need = det.soft_detector(self.detector).min_antennas(
-            self.n_streams, self.mcs.constellation.order, self.n_paths)
-        if self.m_antennas < need:
-            raise ValueError(f"detector {self.detector!r} needs at least "
-                             f"{need} antennas for {self.n_streams} streams")
+        det.check_antenna_floor(self.detector, self.n_streams, self.m_antennas,
+                                self.mcs.constellation.order, self.n_paths)
         if self.csi not in ("genie", "ls_dmrs"):
             raise ValueError("csi must be 'genie' or 'ls_dmrs'")
         if self.rb_per_vehicle is None:

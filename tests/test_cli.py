@@ -254,6 +254,11 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     (dict(chunk_size=64.0), "chunk_size"),
     (dict(workers=2), "workers"),
     (dict(workers=[1, "2"]), "workers"),
+    (dict(n_streams=8, m_antennas=4, modulation_order=16, n_paths=32),
+     "needs at least 7"),
+    (dict(detector="zf", n_streams=4, m_antennas=2, workers=[2, 1]),
+     "needs at least 4"),
+    (dict(modulation_order=8), "constellation order 8"),
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
                                   message):

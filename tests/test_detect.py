@@ -280,10 +280,10 @@ def test_plan_reconstructs_channel():
     assert np.allclose(plan.q_factor @ plan.r_factor, hp, atol=1e-10)
 
 
-def test_plan_warns_when_budget_below_forced():
+def test_plan_rejects_budget_below_forced():
     rng = np.random.default_rng(23)
     h = rand_channel(rng, 1, 3)
-    with pytest.warns(UserWarning, match="rank-deficient"):
+    with pytest.raises(ValueError, match="rank-deficient"):
         det.mpnl_preprocess(h, 0.1, 8, QPSK)
 
 
