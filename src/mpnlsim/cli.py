@@ -15,6 +15,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import statistics
 import sys
@@ -66,16 +67,23 @@ def _load_config(path) -> tuple[dict, str]:
     return cfg, digest
 
 
-def _int_setting(cfg: dict, key: str, default, floor: int = 1):
-    """cfg[key] (or default): an int, not a bool, >= floor; a list of
-    them where the default is a list."""
+def _setting(cfg: dict, key: str, default, floor=1, number=False,
+             strict=False):
+    """cfg[key] (or default): an int, or a real number where `number` is
+    set, never a bool; >= floor (> floor where `strict`); a list of them
+    where the default is a list."""
     value = cfg.get(key, default)
     many = isinstance(default, list)
     items = value if many else [value]
-    if not (isinstance(items, list)
-            and all(type(v) is int and v >= floor for v in items)):
-        kind = "a list of integers" if many else "an integer"
-        raise ConfigError(f"{key} must be {kind} >= {floor} (got {value!r})")
+    types = (int, float) if number else (int,)
+    if not (isinstance(items, list) and all(
+            type(v) in types and (v > floor if strict else v >= floor)
+            for v in items)):
+        noun = "number" if number else "integer"
+        kind = (f"a list of {noun}s" if many
+                else "a number" if number else "an integer")
+        raise ConfigError(f"{key} must be {kind} {'>' if strict else '>='} "
+                          f"{floor} (got {value!r})")
     return value
 
 
@@ -105,12 +113,14 @@ def _fixture_config(cfg: dict, seed: int) -> search.FixtureConfig:
     region_name = cfg.get("region", "R1")
     if region_name not in ch.REGIONS:
         raise ConfigError(f"unknown region {region_name!r}")
-    mob = ch.MobilityConfig(speed_kmh=cfg.get("speed_kmh", 30.0),
-                            carrier_hz=cfg.get("carrier_hz", 3.5e9))
+    mob = ch.MobilityConfig(
+        speed_kmh=_setting(cfg, "speed_kmh", 30.0, 0, number=True),
+        carrier_hz=_setting(cfg, "carrier_hz", 3.5e9, 0, number=True,
+                            strict=True))
     return search.FixtureConfig(
         profile=prof, mobility=mob, region=ch.REGIONS[region_name],
-        channels_per_group=_int_setting(cfg, "channels_per_group", 50, 0),
-        base_seed=seed, n_subcarriers=_int_setting(cfg, "n_subcarriers", 24))
+        channels_per_group=_setting(cfg, "channels_per_group", 50, 0),
+        base_seed=seed, n_subcarriers=_setting(cfg, "n_subcarriers", 24))
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +128,23 @@ def _fixture_config(cfg: dict, seed: int) -> search.FixtureConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
-    snrs = cfg.get("snr_db")
+    snrs = _setting(cfg, "snr_db", [], -math.inf, number=True)
+    jitter = _setting(cfg, "snr_jitter_db", 0.0, 0, number=True)
     if not snrs:
         raise ConfigError("empty sweep: snr_db list is required")
     for key in ("region", "channels_per_group"):
         if key in cfg:
             raise ConfigError(f"per-sweep does not read {key!r}")
-    n = _int_setting(cfg, "n_streams", 4)
-    m = _int_setting(cfg, "m_antennas", 8)
-    mcs = mcs_entry(_int_setting(cfg, "mcs", 7, 0))
-    n_channels = _int_setting(cfg, "channels", 10, 0)
-    frames = _int_setting(cfg, "frames_per_channel", 20)
+    n = _setting(cfg, "n_streams", 4)
+    m = _setting(cfg, "m_antennas", 8)
+    mcs = mcs_entry(_setting(cfg, "mcs", 7, 0))
+    n_channels = _setting(cfg, "channels", 10, 0)
+    frames = _setting(cfg, "frames_per_channel", 20)
     fx = _fixture_config(cfg, seed)
     # every config is checked before the first SNR point runs
     configs = [linksim.LinkConfig(
         n_streams=n, m_antennas=m, mcs=mcs, detector=name,
-        n_paths=_int_setting(cfg, "n_paths", 32), csi=cfg.get("csi", "genie"),
+        n_paths=_setting(cfg, "n_paths", 32), csi=cfg.get("csi", "genie"),
         seed=seed,
         rb_per_vehicle=min(linksim.default_rb_allocation(mcs),
                            fx.n_subcarriers // DEFAULT_NUMEROLOGY.sc_per_rb))
@@ -141,7 +152,7 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
     rows = []
     for snr in snrs:
         region = ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
-                              jitter_db=cfg.get("snr_jitter_db", 0.0))
+                              jitter_db=jitter)
         seeds = np.random.SeedSequence(
             entropy=(seed, int(round(snr * 1000)))).spawn(n_channels)
         grids, nvs = replace(fx, region=region).generate(n, m, seeds)
@@ -161,12 +172,12 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
 def cmd_search(cfg: dict, manifest: RunManifest, out, seed: int):
     fx = _fixture_config(cfg, seed)
     cells = search.heatmap(
-        streams=_int_setting(cfg, "streams", [2, 4, 6]),
-        mcs_list=_int_setting(cfg, "mcs", [2, 7, 12], 0),
+        streams=_setting(cfg, "streams", [2, 4, 6]),
+        mcs_list=_setting(cfg, "mcs", [2, 7, 12], 0),
         detectors=cfg.get("detectors", ["mmse", "mpnl"]),
         fixtures=fx,
-        frames_per_channel=_int_setting(cfg, "frames_per_channel", 8),
-        n_paths=_int_setting(cfg, "n_paths", 32),
+        frames_per_channel=_setting(cfg, "frames_per_channel", 8),
+        n_paths=_setting(cfg, "n_paths", 32),
         progress=lambda c: print(
             f"  {c.detector} N={c.n_streams} mcs={c.mcs_index} -> "
             f"{c.min_antennas or 'unsupported'}", file=sys.stderr))
@@ -201,12 +212,13 @@ def cmd_connectivity(cfg: dict, manifest: RunManifest, out, seed: int):
     except OSError as e:
         raise ConfigError(f"cannot read antenna table: {e}") from None
     table = search.cells_to_table(cells)
-    mcs_index = cfg.get("mcs", 12)
-    se = cfg.get("se") or mcs_entry(mcs_index).spectral_efficiency
+    mcs_index = _setting(cfg, "mcs", 12, 0)
+    se = _setting(cfg, "se", mcs_entry(mcs_index).spectral_efficiency, 0,
+                  number=True, strict=True)
     rows = conn.connectivity_report(
         use_cases=_use_cases_from_config(cfg), se=se, table=table,
         mcs_index=mcs_index,
-        antenna_budgets=cfg.get("antenna_budgets", [2, 4, 6, 8]))
+        antenna_budgets=_setting(cfg, "antenna_budgets", [2, 4, 6, 8]))
     payload = {
         "manifest": asdict(manifest),
         "spectral_efficiency": se,
@@ -291,26 +303,25 @@ def run_bench_once(name, n, m, order, n_paths, snr_db, seed,
 
 def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
     name = cfg.get("detector", "mpnl")
-    n = _int_setting(cfg, "n_streams", 8)
-    m = _int_setting(cfg, "m_antennas", 8)
-    order = _int_setting(cfg, "modulation_order", 16)
-    n_paths = _int_setting(cfg, "n_paths", 32)
-    snr_db = cfg.get("snr_db", 20.0)
-    n_instances = _int_setting(cfg, "n_instances", 8192, 0)
-    chunk_size = _int_setting(cfg, "chunk_size", 512)
-    workers_list = _int_setting(cfg, "workers", [1, 4, 8])
-    repeats = _int_setting(cfg, "repeats", 5)
+    n = _setting(cfg, "n_streams", 8)
+    m = _setting(cfg, "m_antennas", 8)
+    order = _setting(cfg, "modulation_order", 16)
+    n_paths = _setting(cfg, "n_paths", 32)
+    snr_db = _setting(cfg, "snr_db", 20.0, -math.inf, number=True)
+    n_instances = _setting(cfg, "n_instances", 8192, 0)
+    chunk_size = _setting(cfg, "chunk_size", 512)
+    workers_list = _setting(cfg, "workers", [1, 4, 8])
+    repeats = _setting(cfg, "repeats", 5)
     if n_instances < 1 or n_instances % chunk_size:
         raise ConfigError("n_instances must be a positive multiple of "
                           "chunk_size")
     constellation_for(order)
     det.check_antenna_floor(name, n, m, order, n_paths)
-    if 1 not in workers_list:
-        workers_list = [1] + list(workers_list)
     rows = []
     baseline = None
     ref_hard = None
-    for w in workers_list:
+    # one worker runs first: the speed baseline and the bit-identity reference
+    for w in [1] + [w for w in workers_list if w != 1]:
         times, hard = run_bench(name, n, m, order, n_paths, snr_db, seed,
                                 n_instances, chunk_size, w, repeats)
         if ref_hard is None:
@@ -354,7 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, digest = _load_config(args.config)
-        seed = (_int_setting(cfg, "seed", 0, 0) if args.seed is None
+        seed = (_setting(cfg, "seed", 0, 0) if args.seed is None
                 else args.seed)
         if args.workers is not None:
             if args.command != "bench":

@@ -126,6 +126,14 @@ def search_config(tmp_path, **kw):
     ("search", search_config, dict(streams=[2, "4"]), "streams"),
     ("search", search_config, dict(mcs=7), "mcs"),
     ("search", search_config, dict(n_subcarriers=0), "n_subcarriers"),
+    ("per-sweep", sweep_config, dict(snr_db=10), "snr_db"),
+    ("per-sweep", sweep_config, dict(snr_db=[20, True]), "snr_db"),
+    ("per-sweep", sweep_config, dict(speed_kmh="30"), "speed_kmh"),
+    ("per-sweep", sweep_config, dict(snr_jitter_db="1"), "snr_jitter_db"),
+    ("per-sweep", sweep_config, dict(snr_jitter_db=-1.0), "snr_jitter_db"),
+    ("search", search_config, dict(speed_kmh=True), "speed_kmh"),
+    ("search", search_config, dict(carrier_hz=0), "carrier_hz"),
+    ("search", search_config, dict(carrier_hz="3.5e9"), "carrier_hz"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):
@@ -206,6 +214,23 @@ def test_connectivity_custom_use_cases_and_table(tmp_path):
     assert row["streams"]["mpnl"] == 2 and row["streams"]["mmse"] == 0
 
 
+@pytest.mark.parametrize("bad, key", [
+    (dict(mcs="12"), "mcs"),
+    (dict(mcs=-1), "mcs"),
+    (dict(antenna_budgets=4), "antenna_budgets"),
+    (dict(antenna_budgets=[4, 0]), "antenna_budgets"),
+    (dict(se="x"), "se"),
+    (dict(se=0), "se"),
+    (dict(se=False), "se"),
+])
+def test_connectivity_rejects_bad_setting(tmp_path, capsys, bad, key):
+    out = tmp_path / "r.json"
+    assert cli.main(["connectivity", "--config", write_config(tmp_path, bad),
+                     "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_connectivity_rejects_bad_use_case(tmp_path, capsys):
     cfgp = write_config(tmp_path, dict(use_cases=[{"name": "x"}]))
     rc = cli.main(["connectivity", "--config", cfgp,
@@ -221,8 +246,9 @@ def bench_config(tmp_path, **kw):
     return write_config(tmp_path, data)
 
 
-def test_bench_bit_identical_across_workers(tmp_path):
-    cfgp = bench_config(tmp_path)
+@pytest.mark.parametrize("workers", [[1, 2], [2, 1]])
+def test_bench_bit_identical_across_workers(tmp_path, workers):
+    cfgp = bench_config(tmp_path, workers=workers)
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--config", cfgp, "--out", str(out),
                      "--seed", "9"]) == 0
@@ -230,7 +256,8 @@ def test_bench_bit_identical_across_workers(tmp_path):
     head = rows[0]
     assert head[-1] == "bit_identical"
     workers = [int(r[head.index("workers")]) for r in rows[1:]]
-    assert workers[0] == 1 and 2 in workers
+    assert workers == [1, 2]
+    assert rows[1][head.index("speedup")] == "1.000"
     assert all(r[-1] == "True" for r in rows[1:])
 
 
@@ -259,6 +286,7 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     (dict(detector="zf", n_streams=4, m_antennas=2, workers=[2, 1]),
      "needs at least 4"),
     (dict(modulation_order=8), "constellation order 8"),
+    (dict(snr_db="20"), "snr_db"),
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
                                   message):
