@@ -124,23 +124,19 @@ class LdpcCode:
         dc = np.bincount(rows, minlength=m)
         dv = np.bincount(cols, minlength=n)
         max_dc, max_dv = int(dc.max()), int(dv.max())
+        # edges come row-major: a check slot is the edge index minus that
+        # of its check's first edge
+        slot = np.arange(rows.size) - (np.cumsum(dc) - dc)[rows]
         check_vars = np.zeros((max_dc, m), dtype=np.int64)
+        check_vars[slot, rows] = cols
         check_mask = np.zeros((max_dc, m), dtype=bool)
-        slot = np.zeros(m, dtype=np.int64)
-        edge_flat = np.empty(rows.size, dtype=np.int64)
-        for e, (r, c) in enumerate(zip(rows, cols)):
-            s = slot[r]
-            check_vars[s, r] = c
-            check_mask[s, r] = True
-            edge_flat[e] = s * m + r
-            slot[r] = s + 1
+        check_mask[slot, rows] = True
         # var-centric view: flat edge indices, padded with a dummy slot
-        pad = m * max_dc
-        var_edges = np.full((n, max_dv), pad, dtype=np.int64)
-        slot = np.zeros(n, dtype=np.int64)
-        for e, c in enumerate(cols):
-            var_edges[c, slot[c]] = edge_flat[e]
-            slot[c] += 1
+        by_var = np.argsort(cols, kind="stable")
+        var_cols = cols[by_var]
+        var_slot = np.arange(cols.size) - (np.cumsum(dv) - dv)[var_cols]
+        var_edges = np.full((n, max_dv), m * max_dc, dtype=np.int64)
+        var_edges[var_cols, var_slot] = (slot * m + rows)[by_var]
         return check_vars, check_mask, var_edges
 
 
