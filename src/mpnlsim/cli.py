@@ -315,6 +315,7 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
     if n_instances < 1 or n_instances % chunk_size:
         raise ConfigError("n_instances must be a positive multiple of "
                           "chunk_size")
+    # a bad order, name or antenna count fails before any pool starts
     constellation_for(order)
     det.check_antenna_floor(name, n, m, order, n_paths)
     rows = []
