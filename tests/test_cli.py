@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -92,6 +93,25 @@ def test_per_sweep_reproducible(tmp_path):
     cli.main(["per-sweep", "--config", cfgp, "--out", str(a), "--seed", "3"])
     cli.main(["per-sweep", "--config", cfgp, "--out", str(b), "--seed", "3"])
     assert read_rows(a)[1] == read_rows(b)[1]
+
+
+@pytest.mark.parametrize("csi, digest", [
+    ("genie",
+     "b4eabc491090552e7e9dc13bef4d7b9d79922304966c8b5bc6ab4f1f4c811ca9"),
+    ("ls_dmrs",
+     "affdb753c9f32c46587102084489d60f166b161a39cfc03cbb6ee3ab61ca8fd4"),
+])
+def test_per_sweep_matches_golden(tmp_path, csi, digest):
+    # mixed PERs (0 to 0.71), so any change in the link chain shows
+    cfgp = sweep_config(tmp_path, snr_db=[12, 20], detectors=["mmse", "mpnl"],
+                        n_streams=4, m_antennas=4, mcs=2, channels=3,
+                        frames_per_channel=4, n_subcarriers=24, csi=csi)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["per-sweep", "--config", cfgp, "--out", str(out),
+                     "--seed", "5"]) == 0
+    _, rows = read_rows(out)
+    text = "\n".join(",".join(r) for r in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_per_sweep_rejects_zero_channels(tmp_path, capsys):
