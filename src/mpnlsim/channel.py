@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import j0
 
-from .core import DEFAULT_NUMEROLOGY, Numerology
+from .core import DEFAULT_NUMEROLOGY
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -117,10 +117,6 @@ class ChannelGrid:
             raise ValueError("grid must be (symbols, subcarriers, M, N)")
 
     @property
-    def n_symbols(self) -> int:
-        return self.h.shape[0]
-
-    @property
     def n_subcarriers(self) -> int:
         return self.h.shape[1]
 
@@ -162,10 +158,10 @@ def _jakes_gains(rng, n_clusters: int, m: int, n: int,
     return white @ chol.T
 
 
-def tdl_generate(profile: ClusterProfile, mob: MobilityConfig,
-                 num: Numerology = DEFAULT_NUMEROLOGY, *, m: int, n: int,
-                 seed, n_subcarriers: int | None = None) -> ChannelGrid:
+def tdl_generate(profile: ClusterProfile, mob: MobilityConfig, *, m: int,
+                 n: int, seed, n_subcarriers: int | None = None) -> ChannelGrid:
     """Clustered TDL channel over one slot, unit average per-link power."""
+    num = DEFAULT_NUMEROLOGY
     delays = np.asarray(profile.delays)
     if delays.max() >= DELAY_GUARD_S:
         raise ValueError(f"cluster delay exceeds the {DELAY_GUARD_S*1e6} us guard")

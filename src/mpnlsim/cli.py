@@ -263,8 +263,7 @@ def _bench_chunk(args):
                                + 1j * rng.standard_normal((chunk_size, m)))
     y = np.einsum("bmn,bn->bm", h, c.points[labels_true]) + noise
     detector = det.soft_detector(name)
-    hard, _ = detector.apply(detector.plan(h, nv, c, n_paths), h, y, nv, c)
-    return chunk_idx, hard
+    return detector.apply(detector.plan(h, nv, c, n_paths), h, y, nv, c)[0]
 
 
 def run_bench(name, n, m, order, n_paths, snr_db, seed, n_instances,
@@ -289,8 +288,7 @@ def run_bench(name, n, m, order, n_paths, snr_db, seed, n_instances,
             t0 = time.perf_counter()
             results = list(run(_bench_chunk, chunks))
             times.append(time.perf_counter() - t0)
-    results.sort(key=lambda t: t[0])
-    return times, np.concatenate([r[1] for r in results])
+    return times, np.concatenate(results)
 
 
 def run_bench_once(name, n, m, order, n_paths, snr_db, seed,
@@ -319,19 +317,15 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
     constellation_for(order)
     det.check_antenna_floor(name, n, m, order, n_paths)
     rows = []
-    baseline = None
-    ref_hard = None
     # one worker runs first: the speed baseline and the bit-identity reference
     for w in [1] + [w for w in workers_list if w != 1]:
         times, hard = run_bench(name, n, m, order, n_paths, snr_db, seed,
                                 n_instances, chunk_size, w, repeats)
-        if ref_hard is None:
-            ref_hard = hard
-        identical = bool(np.array_equal(hard, ref_hard))
         med = statistics.median(times)
         rate = n_instances / med
         if w == 1:
-            baseline = rate
+            baseline, ref_hard = rate, hard
+        identical = bool(np.array_equal(hard, ref_hard))
         rows.append([name, n, m, order, n_paths, w, f"{med:.4f}",
                      f"{rate:.1f}", f"{rate / baseline:.3f}", identical])
     _write_csv(out, manifest,

@@ -73,22 +73,22 @@ def power_savings(q: PowerQuery) -> float:
 class ReportRow:
     use_case: str
     antenna_budget: int
-    mcs_index: int
     streams: dict            # detector -> supported streams (or None)
     vehicles: dict           # detector -> vehicle count (or None)
     gain_ratio: float | None
 
 
 def max_streams_for_budget(table: dict, detector: str, mcs_index: int,
-                           budget: int, cap: int = MAX_STREAMS):
+                           budget: int):
     """Largest stream count whose min-antenna entry fits the budget.
 
     table maps (streams, mcs, detector) -> SearchCell.  Returns 0 when no
     entry fits, None when the table has no cells for this detector/MCS.
+    Stream counts above MAX_STREAMS are ignored.
     """
     best = None
     for (n, mi, det), cell in table.items():
-        if det != detector or mi != mcs_index or n > cap:
+        if det != detector or mi != mcs_index or n > MAX_STREAMS:
             continue
         if best is None:
             best = 0
@@ -132,6 +132,6 @@ def connectivity_report(use_cases, se: float, table: dict, mcs_index: int,
             else:
                 ratio = vo / vb
             rows.append(ReportRow(use_case=uc.name, antenna_budget=budget,
-                                  mcs_index=mcs_index, streams=streams,
-                                  vehicles=vehicles, gain_ratio=ratio))
+                                  streams=streams, vehicles=vehicles,
+                                  gain_ratio=ratio))
     return rows

@@ -101,10 +101,6 @@ class LdpcCode:
     def k(self) -> int:
         return self.n - self.parity_check.shape[0]
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.k, self.n)
-
     @cached_property
     def _encoder(self) -> np.ndarray:
         return _gf2_parity_solver(self.parity_check)
@@ -272,20 +268,10 @@ class RateMatch:
     """Shortening/puncturing pattern fitting the mother code to a target
     rate and transmitted block length."""
 
-    target_rate: Fraction
     n_tx: int
     k_tb: int
     n_shortened: int
     n_punctured: int
-
-    @property
-    def method(self) -> str:
-        parts = []
-        if self.n_shortened:
-            parts.append("shorten")
-        if self.n_punctured:
-            parts.append("puncture")
-        return "+".join(parts) or "none"
 
     @property
     def effective_rate(self) -> float:
@@ -310,8 +296,7 @@ def design_rate_match(code: LdpcCode, target_rate, n_tx: int) -> RateMatch:
                          f"{code.n - code.k}")
     if p < 1:
         raise ValueError("allocation leaves no parity bits")
-    rm = RateMatch(target_rate=target, n_tx=n_tx, k_tb=k_tb,
-                   n_shortened=code.k - k_tb,
+    rm = RateMatch(n_tx=n_tx, k_tb=k_tb, n_shortened=code.k - k_tb,
                    n_punctured=(code.n - code.k) - p)
     if abs(rm.effective_rate - float(target)) > 0.02 * float(target):
         raise ValueError(

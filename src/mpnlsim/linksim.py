@@ -17,6 +17,7 @@ worker scheduling and batch partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .channel import ChannelGrid
 from .core import DEFAULT_NUMEROLOGY, McsEntry, Numerology, modulate
 
 DMRS_COMBS = 6   # disjoint subcarrier combs; 6 combs x 2 symbols = 12 ports
+MIN_FRAMES = 400   # blocks measured before an early stop may fire
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,9 @@ class LinkConfig:
     n_paths: int = 32
     rb_per_vehicle: int | None = None
     csi: str = "genie"
-    numerology: Numerology = DEFAULT_NUMEROLOGY
     seed: int = 0
+    # the one NR slot the chain is built for (DMRS on symbols 3 and 12)
+    numerology: ClassVar[Numerology] = DEFAULT_NUMEROLOGY
 
     def __post_init__(self):
         if not 1 <= self.n_streams <= 12:
@@ -51,7 +54,7 @@ class LinkConfig:
             raise ValueError("csi must be 'genie' or 'ls_dmrs'")
         if self.rb_per_vehicle is None:
             object.__setattr__(self, "rb_per_vehicle",
-                               default_rb_allocation(self.mcs, self.numerology))
+                               default_rb_allocation(self.mcs))
         if not 1 <= self.rb_per_vehicle <= self.numerology.n_rb:
             raise ValueError("rb_per_vehicle out of range")
 
@@ -65,8 +68,7 @@ class LinkConfig:
         return re * self.mcs.constellation.bits_per_symbol
 
 
-def default_rb_allocation(mcs: McsEntry,
-                          num: Numerology = DEFAULT_NUMEROLOGY) -> int:
+def default_rb_allocation(mcs: McsEntry) -> int:
     """Largest RB count whose coded-bit load fits one mother codeword.
 
     The allocation is capped so the rate match stays realizable: the
@@ -74,6 +76,7 @@ def default_rb_allocation(mcs: McsEntry,
     bits from the mother code.
     """
     code = fec.default_code()
+    num = DEFAULT_NUMEROLOGY
     bits_per_rb = num.sc_per_rb * num.data_symbols * \
         mcs.constellation.bits_per_symbol
     r = float(mcs.code_rate)
@@ -204,13 +207,13 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
 
 def measure_per(cfg: LinkConfig, channels, noise_vars,
                 frames_per_channel: int = 200,
-                stop_threshold: float | None = None,
-                min_frames: int = 400) -> PerResult:
+                stop_threshold: float | None = None) -> PerResult:
     """Average transport-block error rate over a channel fixture set.
 
     channels: sequence of ChannelGrid; noise_vars: matching per-channel
     noise variances.  When stop_threshold is given, measurement stops
-    early once the 95% CI excludes it (adaptive budget for sweeps).
+    early once the 95% CI excludes it, after at least MIN_FRAMES blocks
+    (adaptive budget for sweeps).
     """
     if frames_per_channel < 1:
         raise ValueError("need at least one frame per channel")
@@ -230,7 +233,7 @@ def measure_per(cfg: LinkConfig, channels, noise_vars,
             errors += int((~ok).sum())
             frames += ok.size
             done += take
-            if stop_threshold is not None and frames >= min_frames:
+            if stop_threshold is not None and frames >= MIN_FRAMES:
                 res = PerResult(frames=frames, errors=errors)
                 lo = res.per - res.ci95_halfwidth
                 hi = res.per + res.ci95_halfwidth

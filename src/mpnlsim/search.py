@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,10 +31,10 @@ class FixtureConfig:
     profile: ch.ClusterProfile = ch.TDL_B_LIKE
     mobility: ch.MobilityConfig = ch.MobilityConfig()
     region: ch.SnrRegion = ch.REGION_R1
-    numerology: Numerology = DEFAULT_NUMEROLOGY
     channels_per_group: int = 50
     base_seed: int = 20240
     n_subcarriers: int = 24
+    numerology: ClassVar[Numerology] = DEFAULT_NUMEROLOGY
 
     def seeds(self, n: int, m: int):
         root = np.random.SeedSequence(entropy=(self.base_seed, n, m))
@@ -48,7 +49,7 @@ class FixtureConfig:
         a child of each seed draws the SNR jitter."""
         grids, nvs = [], []
         for ss in seeds:
-            g = ch.tdl_generate(self.profile, self.mobility, self.numerology,
+            g = ch.tdl_generate(self.profile, self.mobility,
                                 m=m, n=n, seed=ss,
                                 n_subcarriers=self.n_subcarriers)
             grids.append(g)
@@ -81,14 +82,13 @@ def min_antennas(n: int, mcs_index: int, detector: str,
     m_needed = detect.soft_detector(detector).min_antennas(
         n, mcs.constellation.order, n_paths)
     lo, hi = m_range
-    rb = min(linksim.default_rb_allocation(mcs, fixtures.numerology),
+    rb = min(linksim.default_rb_allocation(mcs),
              fixtures.n_subcarriers // fixtures.numerology.sc_per_rb)
     # too few antennas for the detector counts as failing
     prev_per = 1.0 if lo < m_needed else float("nan")
     for m in range(max(lo, m_needed), hi + 1):
         cfg = linksim.LinkConfig(n_streams=n, m_antennas=m, mcs=mcs,
                                  detector=detector, n_paths=n_paths,
-                                 numerology=fixtures.numerology,
                                  seed=fixtures.base_seed, rb_per_vehicle=rb)
         grids, nvs = fixtures.channels(n, m)
         res = linksim.measure_per(cfg, grids, nvs,

@@ -85,7 +85,9 @@ def test_max_streams_for_budget():
     assert conn.max_streams_for_budget(table, "mmse", 12, 2) == 0
     assert conn.max_streams_for_budget(table, "zf", 12, 8) is None
     assert conn.max_streams_for_budget(table, "mpnl", 2, 8) == 0  # unsupported
-    assert conn.max_streams_for_budget(table, "mpnl", 12, 64, cap=4) == 4
+    # more streams than MAX_STREAMS never count, whatever the budget
+    table[(14, 12, "mpnl")] = SearchCell(14, 12, "mpnl", 14, 0.05, 0.2, 400)
+    assert conn.max_streams_for_budget(table, "mpnl", 12, 64) == 6
 
 
 def test_connectivity_report_shape_and_gains():

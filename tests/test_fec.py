@@ -14,7 +14,6 @@ def code():
 
 def test_code_dimensions(code):
     assert (code.n, code.k) == (1296, 648)
-    assert code.rate == Fraction(1, 2)
 
 
 def test_parity_matrix_full_rank(code):
@@ -230,7 +229,6 @@ def test_decode_matches_golden(code):
 def test_rate_match_identity(code):
     rm = fec.design_rate_match(code, Fraction(1, 2), code.n)
     assert rm.n_shortened == 0 and rm.n_punctured == 0
-    assert rm.method == "none"
 
 
 def test_rate_match_low_rate_shortens(code):
@@ -238,14 +236,12 @@ def test_rate_match_low_rate_shortens(code):
     assert rm.k_tb == round(720 * 120 / 1024)
     assert rm.n_shortened == code.k - rm.k_tb
     assert abs(rm.effective_rate - 120 / 1024) <= 0.02 * 120 / 1024
-    assert "shorten" in rm.method
 
 
 def test_rate_match_high_rate_punctures(code):
     rm = fec.design_rate_match(code, Fraction(3, 4), 800)
     assert rm.k_tb == 600
     assert rm.n_punctured == (code.n - code.k) - 200
-    assert rm.method.endswith("puncture")
 
 
 def test_rate_match_rejects_infeasible(code):

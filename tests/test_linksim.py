@@ -174,7 +174,7 @@ def test_measure_per_early_stop():
     cfg = make_cfg()
     grids = [make_grid(cfg, seed=s) for s in range(20)]
     res = linksim.measure_per(cfg, grids, [1e3] * 20, frames_per_channel=50,
-                              stop_threshold=0.10, min_frames=400)
+                              stop_threshold=0.10)
     assert res.per > 0.9
     assert 400 <= res.frames < 20 * 50 * cfg.n_streams
 
