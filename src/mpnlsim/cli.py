@@ -68,22 +68,28 @@ def _load_config(path) -> tuple[dict, str]:
 
 
 def _setting(cfg: dict, key: str, default, floor=1, number=False,
-             strict=False):
-    """cfg[key] (or default): an int, or a real number where `number` is
-    set, never a bool; >= floor (> floor where `strict`); a list of them
-    where the default is a list."""
+             strict=False, choices=None):
+    """cfg[key] (or default): a str in `choices` where given, else an int,
+    or a real number where `number` is set, never a bool, >= floor
+    (> floor where `strict`); a list of them where the default is a list."""
     value = cfg.get(key, default)
     many = isinstance(default, list)
     items = value if many else [value]
-    types = (int, float) if number else (int,)
-    if not (isinstance(items, list) and all(
+    if choices is not None:
+        ok = isinstance(items, list) and all(
+            type(v) is str and v in choices for v in items)
+        kind = f"{'names' if many else 'a name'} from {sorted(choices)}"
+    else:
+        types = (int, float) if number else (int,)
+        ok = isinstance(items, list) and all(
             type(v) in types and (v > floor if strict else v >= floor)
-            for v in items)):
+            for v in items)
         noun = "number" if number else "integer"
-        kind = (f"a list of {noun}s" if many
-                else "a number" if number else "an integer")
-        raise ConfigError(f"{key} must be {kind} {'>' if strict else '>='} "
-                          f"{floor} (got {value!r})")
+        kind = (f"{noun}s" if many else "a number" if number
+                else "an integer") + f" {'>' if strict else '>='} {floor}"
+    if not ok:
+        raise ConfigError(f"{key} must be {'a list of ' if many else ''}"
+                          f"{kind} (got {value!r})")
     return value
 
 
@@ -103,22 +109,17 @@ def _write_csv(path, manifest, header, rows):
 
 
 def _fixture_config(cfg: dict, seed: int) -> search.FixtureConfig:
-    profile = cfg.get("profile", "tdl-b-like")
-    if isinstance(profile, dict):
-        prof = ch.profile_from_dict(profile)
-    elif profile in ch.PROFILES:
-        prof = ch.PROFILES[profile]
-    else:
-        raise ConfigError(f"unknown channel profile {profile!r}")
-    region_name = cfg.get("region", "R1")
-    if region_name not in ch.REGIONS:
-        raise ConfigError(f"unknown region {region_name!r}")
+    profile = cfg.get("profile")
+    prof = (ch.profile_from_dict(profile) if isinstance(profile, dict) else
+            ch.PROFILES[_setting(cfg, "profile", "tdl-b-like",
+                                 choices=ch.PROFILES)])
     mob = ch.MobilityConfig(
         speed_kmh=_setting(cfg, "speed_kmh", 30.0, 0, number=True),
         carrier_hz=_setting(cfg, "carrier_hz", 3.5e9, 0, number=True,
                             strict=True))
     return search.FixtureConfig(
-        profile=prof, mobility=mob, region=ch.REGIONS[region_name],
+        profile=prof, mobility=mob,
+        region=ch.REGIONS[_setting(cfg, "region", "R1", choices=ch.REGIONS)],
         channels_per_group=_setting(cfg, "channels_per_group", 50, 0),
         base_seed=seed, n_subcarriers=_setting(cfg, "n_subcarriers", 24))
 
@@ -132,9 +133,6 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
     jitter = _setting(cfg, "snr_jitter_db", 0.0, 0, number=True)
     if not snrs:
         raise ConfigError("empty sweep: snr_db list is required")
-    for key in ("region", "channels_per_group"):
-        if key in cfg:
-            raise ConfigError(f"per-sweep does not read {key!r}")
     n = _setting(cfg, "n_streams", 4)
     m = _setting(cfg, "m_antennas", 8)
     mcs = mcs_entry(_setting(cfg, "mcs", 7, 0))
@@ -144,11 +142,12 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
     # every config is checked before the first SNR point runs
     configs = [linksim.LinkConfig(
         n_streams=n, m_antennas=m, mcs=mcs, detector=name,
-        n_paths=_setting(cfg, "n_paths", 32), csi=cfg.get("csi", "genie"),
-        seed=seed,
+        n_paths=_setting(cfg, "n_paths", 32), seed=seed,
+        csi=_setting(cfg, "csi", "genie", choices=linksim.CSI_MODES),
         rb_per_vehicle=min(linksim.default_rb_allocation(mcs),
                            fx.n_subcarriers // DEFAULT_NUMEROLOGY.sc_per_rb))
-        for name in cfg.get("detectors", ["mmse", "mpnl"])]
+        for name in _setting(cfg, "detectors", ["mmse", "mpnl"],
+                             choices=det.DETECTORS)]
     rows = []
     for snr in snrs:
         region = ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
@@ -174,7 +173,8 @@ def cmd_search(cfg: dict, manifest: RunManifest, out, seed: int):
     cells = search.heatmap(
         streams=_setting(cfg, "streams", [2, 4, 6]),
         mcs_list=_setting(cfg, "mcs", [2, 7, 12], 0),
-        detectors=cfg.get("detectors", ["mmse", "mpnl"]),
+        detectors=_setting(cfg, "detectors", ["mmse", "mpnl"],
+                           choices=det.DETECTORS),
         fixtures=fx,
         frames_per_channel=_setting(cfg, "frames_per_channel", 8),
         n_paths=_setting(cfg, "n_paths", 32),
@@ -300,7 +300,7 @@ def run_bench_once(name, n, m, order, n_paths, snr_db, seed,
 
 
 def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
-    name = cfg.get("detector", "mpnl")
+    name = _setting(cfg, "detector", "mpnl", choices=det.DETECTORS)
     n = _setting(cfg, "n_streams", 8)
     m = _setting(cfg, "m_antennas", 8)
     order = _setting(cfg, "modulation_order", 16)
@@ -339,11 +339,22 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
 # entry point
 # ---------------------------------------------------------------------------
 
+# the keys of _fixture_config that per-sweep reads as well as search
+_FIXTURE_KEYS = ("profile", "speed_kmh", "carrier_hz", "n_subcarriers")
+
+# command -> (function, the config keys it reads besides `seed`)
 COMMANDS = {
-    "per-sweep": cmd_per_sweep,
-    "search": cmd_search,
-    "connectivity": cmd_connectivity,
-    "bench": cmd_bench,
+    "per-sweep": (cmd_per_sweep, _FIXTURE_KEYS + (
+        "snr_db", "snr_jitter_db", "n_streams", "m_antennas", "mcs",
+        "channels", "frames_per_channel", "n_paths", "csi", "detectors")),
+    "search": (cmd_search, _FIXTURE_KEYS + (
+        "streams", "mcs", "detectors", "frames_per_channel", "n_paths",
+        "region", "channels_per_group")),
+    "connectivity": (cmd_connectivity, (
+        "table_csv", "mcs", "se", "antenna_budgets", "use_cases")),
+    "bench": (cmd_bench, (
+        "detector", "n_streams", "m_antennas", "modulation_order", "n_paths",
+        "snr_db", "n_instances", "chunk_size", "workers", "repeats")),
 }
 
 
@@ -360,6 +371,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, digest = _load_config(args.config)
+        command, keys = COMMANDS[args.command]
+        for key in cfg:
+            if key != "seed" and key not in keys:
+                raise ConfigError(f"{args.command} does not read {key!r}")
         seed = (_setting(cfg, "seed", 0, 0) if args.seed is None
                 else args.seed)
         if args.workers is not None:
@@ -367,7 +382,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--workers applies only to bench")
             cfg["workers"] = [args.workers]
         manifest = _manifest(args.command, digest, seed)
-        COMMANDS[args.command](cfg, manifest, args.out, seed)
+        command(cfg, manifest, args.out, seed)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

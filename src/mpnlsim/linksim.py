@@ -28,6 +28,7 @@ from .core import DEFAULT_NUMEROLOGY, McsEntry, Numerology, modulate
 
 DMRS_COMBS = 6   # disjoint subcarrier combs; 6 combs x 2 symbols = 12 ports
 MIN_FRAMES = 400   # blocks measured before an early stop may fire
+CSI_MODES = ("genie", "ls_dmrs")
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class LinkConfig:
             raise ValueError("m_antennas must be in [1, 32]")
         det.check_antenna_floor(self.detector, self.n_streams, self.m_antennas,
                                 self.mcs.constellation.order, self.n_paths)
-        if self.csi not in ("genie", "ls_dmrs"):
-            raise ValueError("csi must be 'genie' or 'ls_dmrs'")
+        if self.csi not in CSI_MODES:
+            raise ValueError(f"csi must be one of {CSI_MODES}")
         if self.rb_per_vehicle is None:
             object.__setattr__(self, "rb_per_vehicle",
                                default_rb_allocation(self.mcs))

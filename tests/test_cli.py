@@ -154,6 +154,18 @@ def search_config(tmp_path, **kw):
     ("search", search_config, dict(speed_kmh=True), "speed_kmh"),
     ("search", search_config, dict(carrier_hz=0), "carrier_hz"),
     ("search", search_config, dict(carrier_hz="3.5e9"), "carrier_hz"),
+    ("search", search_config, dict(region=["R1"]), "region"),
+    ("search", search_config, dict(region="R3"), "region"),
+    ("search", search_config, dict(detectors="mmse"), "detectors"),
+    ("search", search_config, dict(profile=["tdl-b-like"]), "profile"),
+    ("search", search_config, dict(profile="tdl-x"), "profile"),
+    ("per-sweep", sweep_config, dict(detectors="mmse"), "detectors"),
+    ("per-sweep", sweep_config, dict(detectors=["mmse", 3]), "detectors"),
+    ("per-sweep", sweep_config, dict(csi="perfect"), "csi"),
+    ("per-sweep", sweep_config, dict(csi=["genie"]), "csi"),
+    ("search", search_config, dict(csi="ls_dmrs"),
+     "search does not read 'csi'"),
+    ("per-sweep", sweep_config, dict(n_stream=4), "does not read 'n_stream'"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):
@@ -307,6 +319,9 @@ def test_bench_workers_flag_overrides_config(tmp_path):
      "needs at least 4"),
     (dict(modulation_order=8), "constellation order 8"),
     (dict(snr_db="20"), "snr_db"),
+    (dict(detector=["mpnl"]), "detector"),
+    (dict(detector="sphere"), "detector"),
+    (dict(detectors=["mpnl"]), "bench does not read 'detectors'"),
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
                                   message):
