@@ -31,8 +31,7 @@ from . import channel as ch
 from . import connectivity as conn
 from . import detect as det
 from . import linksim, search
-from .core import (DEFAULT_NUMEROLOGY, DEFAULT_USE_CASES, UseCase,
-                   constellation_for, mcs_entry)
+from .core import DEFAULT_USE_CASES, UseCase, constellation_for, mcs_entry
 
 
 class ConfigError(ValueError):
@@ -145,7 +144,7 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
         n_paths=_setting(cfg, "n_paths", 32), seed=seed,
         csi=_setting(cfg, "csi", "genie", choices=linksim.CSI_MODES),
         rb_per_vehicle=min(linksim.default_rb_allocation(mcs),
-                           fx.n_subcarriers // DEFAULT_NUMEROLOGY.sc_per_rb))
+                           fx.n_subcarriers // fx.numerology.sc_per_rb))
         for name in _setting(cfg, "detectors", ["mmse", "mpnl"],
                              choices=det.DETECTORS)]
     rows = []
