@@ -21,7 +21,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -38,22 +38,14 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_digest: str
-    seed: int
-    version: str
-    timestamp: str
-
-    def header_lines(self):
-        d = asdict(self)
-        return [f"{k}: {v}" for k, v in d.items()]
+class Above(float):
+    """A float floor that a setting must exceed."""
 
 
 def _load_config(path) -> tuple[dict, str]:
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
     digest = hashlib.sha256(raw).hexdigest()
@@ -66,97 +58,104 @@ def _load_config(path) -> tuple[dict, str]:
     return cfg, digest
 
 
-def _setting(cfg: dict, key: str, default, floor=1, number=False,
-             strict=False, choices=None):
-    """cfg[key] (or default): a str in `choices` where given, else an int,
-    or a real number where `number` is set, never a bool, >= floor
-    (> floor where `strict`); a list of them where the default is a list."""
-    value = cfg.get(key, default)
+def _setting(key: str, value, default, rule):
+    """Check `value` against `rule`, never a bool: a str from a table of
+    names, an int >= an int floor, or a finite number >= a float floor (>
+    an `Above` one); a list of them where `default` is a list.  A callable
+    rule checks a structured setting itself."""
+    if callable(rule):
+        return rule(key, value)
     many = isinstance(default, list)
     items = value if many else [value]
-    if choices is not None:
+    if isinstance(rule, (int, float)):
+        number, strict = isinstance(rule, float), isinstance(rule, Above)
         ok = isinstance(items, list) and all(
-            type(v) is str and v in choices for v in items)
-        kind = f"{'names' if many else 'a name'} from {sorted(choices)}"
-    else:
-        types = (int, float) if number else (int,)
-        ok = isinstance(items, list) and all(
-            type(v) in types and (v > floor if strict else v >= floor)
+            (type(v) is int or number and type(v) is float
+             and math.isfinite(v)) and (v > rule if strict else v >= rule)
             for v in items)
-        noun = "number" if number else "integer"
-        kind = (f"{noun}s" if many else "a number" if number
-                else "an integer") + f" {'>' if strict else '>='} {floor}"
+        noun = "finite number" if number else "integer"
+        kind = (f"{noun}s" if many else f"a {noun}" if number
+                else "an integer") + f" {'>' if strict else '>='} {rule}"
+    else:
+        ok = isinstance(items, list) and all(
+            type(v) is str and v in rule for v in items)
+        kind = f"{'names' if many else 'a name'} from {sorted(rule)}"
     if not ok:
         raise ConfigError(f"{key} must be {'a list of ' if many else ''}"
                           f"{kind} (got {value!r})")
-    return value
 
 
-def _manifest(command, digest, seed) -> RunManifest:
-    return RunManifest(command=command, config_digest=digest, seed=seed,
-                       version=__version__,
-                       timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
+def _profile(key, value):
+    """A shipped profile name, or a mapping of `delays_ns` and `powers_db`
+    lists with an optional `name` and Rician `rician_k_db`."""
+    if not isinstance(value, dict):
+        return _setting(key, value, "", ch.PROFILES)
+    for field in sorted(set(value) - {"name", "delays_ns", "powers_db",
+                                      "rician_k_db"}):
+        raise ConfigError(f"{key} does not read {field!r}")
+    _setting(f"{key}.delays_ns", value.get("delays_ns"), [], 0.0)
+    _setting(f"{key}.powers_db", value.get("powers_db"), [], -math.inf)
+    if value.get("rician_k_db") is not None:
+        _setting(f"{key}.rician_k_db", value["rician_k_db"], 0.0, -math.inf)
+
+
+def _path(key, value):
+    if type(value) is not str or not value:
+        raise ConfigError(f"{key} must be a path (got {value!r})")
+
+
+def _use_cases(key, value):
+    if not (isinstance(value, list) and value and all(
+            isinstance(u, dict) and set(u) == {"name", "rate_mbps"}
+            and type(u["name"]) is str for u in value)):
+        raise ConfigError(f"{key} must be a non-empty list of {{name, "
+                          f"rate_mbps}} mappings (got {value!r})")
+    _setting(f"{key} rate_mbps", [u["rate_mbps"] for u in value], [],
+             Above(0.0))
 
 
 def _write_csv(path, manifest, header, rows):
     with open(path, "w", newline="") as f:
-        for line in manifest.header_lines():
-            f.write(f"# {line}\n")
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+        f.writelines(f"# {k}: {v}\n" for k, v in manifest.items())
+        csv.writer(f).writerows([header, *rows])
 
 
-def _fixture_config(cfg: dict, seed: int) -> search.FixtureConfig:
-    profile = cfg.get("profile")
-    prof = (ch.profile_from_dict(profile) if isinstance(profile, dict) else
-            ch.PROFILES[_setting(cfg, "profile", "tdl-b-like",
-                                 choices=ch.PROFILES)])
-    mob = ch.MobilityConfig(
-        speed_kmh=_setting(cfg, "speed_kmh", 30.0, 0, number=True),
-        carrier_hz=_setting(cfg, "carrier_hz", 3.5e9, 0, number=True,
-                            strict=True))
+def _fixture_config(cfg: dict, seed: int, **kw) -> search.FixtureConfig:
+    profile = cfg["profile"]
     return search.FixtureConfig(
-        profile=prof, mobility=mob,
-        region=ch.REGIONS[_setting(cfg, "region", "R1", choices=ch.REGIONS)],
-        channels_per_group=_setting(cfg, "channels_per_group", 50, 0),
-        base_seed=seed, n_subcarriers=_setting(cfg, "n_subcarriers", 24))
+        profile=(ch.profile_from_dict(profile) if isinstance(profile, dict)
+                 else ch.PROFILES[profile]),
+        mobility=ch.MobilityConfig(speed_kmh=cfg["speed_kmh"],
+                                   carrier_hz=cfg["carrier_hz"]),
+        base_seed=seed, n_subcarriers=cfg["n_subcarriers"], **kw)
 
 
 # ---------------------------------------------------------------------------
 # per-sweep
 # ---------------------------------------------------------------------------
 
-def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
-    snrs = _setting(cfg, "snr_db", [], -math.inf, number=True)
-    jitter = _setting(cfg, "snr_jitter_db", 0.0, 0, number=True)
-    if not snrs:
+def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
+    if not cfg["snr_db"]:
         raise ConfigError("empty sweep: snr_db list is required")
-    n = _setting(cfg, "n_streams", 4)
-    m = _setting(cfg, "m_antennas", 8)
-    mcs = mcs_entry(_setting(cfg, "mcs", 7, 0))
-    n_channels = _setting(cfg, "channels", 10, 0)
-    frames = _setting(cfg, "frames_per_channel", 20)
+    n, m = cfg["n_streams"], cfg["m_antennas"]
+    mcs = mcs_entry(cfg["mcs"])
     fx = _fixture_config(cfg, seed)
     # every config is checked before the first SNR point runs
     configs = [linksim.LinkConfig(
         n_streams=n, m_antennas=m, mcs=mcs, detector=name,
-        n_paths=_setting(cfg, "n_paths", 32), seed=seed,
-        csi=_setting(cfg, "csi", "genie", choices=linksim.CSI_MODES),
-        rb_per_vehicle=min(linksim.default_rb_allocation(mcs),
-                           fx.n_subcarriers // fx.numerology.sc_per_rb))
-        for name in _setting(cfg, "detectors", ["mmse", "mpnl"],
-                             choices=det.DETECTORS)]
+        n_paths=cfg["n_paths"], seed=seed, csi=cfg["csi"],
+        rb_per_vehicle=fx.rb_per_vehicle(mcs))
+        for name in cfg["detectors"]]
     rows = []
-    for snr in snrs:
+    for snr in cfg["snr_db"]:
         region = ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
-                              jitter_db=jitter)
+                              jitter_db=cfg["snr_jitter_db"])
         seeds = np.random.SeedSequence(
-            entropy=(seed, int(round(snr * 1000)))).spawn(n_channels)
+            entropy=(seed, int(round(snr * 1000)))).spawn(cfg["channels"])
         grids, nvs = replace(fx, region=region).generate(n, m, seeds)
         for lc in configs:
-            res = linksim.measure_per(lc, grids, nvs,
-                                      frames_per_channel=frames)
+            res = linksim.measure_per(
+                lc, grids, nvs, frames_per_channel=cfg["frames_per_channel"])
             rows.append([snr, lc.detector, f"{res.per:.6g}",
                          f"{res.ci95_halfwidth:.6g}", res.frames])
     _write_csv(out, manifest, ["snr_db", "detector", "per", "ci95", "frames"],
@@ -167,61 +166,41 @@ def cmd_per_sweep(cfg: dict, manifest: RunManifest, out, seed: int):
 # search / heatmap
 # ---------------------------------------------------------------------------
 
-def cmd_search(cfg: dict, manifest: RunManifest, out, seed: int):
-    fx = _fixture_config(cfg, seed)
+def cmd_search(cfg: dict, manifest: dict, out, seed: int):
+    fx = _fixture_config(cfg, seed, region=ch.REGIONS[cfg["region"]],
+                         channels_per_group=cfg["channels_per_group"])
     cells = search.heatmap(
-        streams=_setting(cfg, "streams", [2, 4, 6]),
-        mcs_list=_setting(cfg, "mcs", [2, 7, 12], 0),
-        detectors=_setting(cfg, "detectors", ["mmse", "mpnl"],
-                           choices=det.DETECTORS),
-        fixtures=fx,
-        frames_per_channel=_setting(cfg, "frames_per_channel", 8),
-        n_paths=_setting(cfg, "n_paths", 32),
+        streams=cfg["streams"], mcs_list=cfg["mcs"],
+        detectors=cfg["detectors"], fixtures=fx,
+        frames_per_channel=cfg["frames_per_channel"], n_paths=cfg["n_paths"],
         progress=lambda c: print(
             f"  {c.detector} N={c.n_streams} mcs={c.mcs_index} -> "
             f"{c.min_antennas or 'unsupported'}", file=sys.stderr))
-    search.write_heatmap_csv(cells, out,
-                             manifest_lines=manifest.header_lines())
+    search.write_heatmap_csv(
+        cells, out, manifest_lines=[f"{k}: {v}" for k, v in manifest.items()])
 
 
 # ---------------------------------------------------------------------------
 # connectivity
 # ---------------------------------------------------------------------------
 
-def _use_cases_from_config(cfg: dict):
-    if "use_cases" not in cfg:
-        return DEFAULT_USE_CASES
-    ucs = []
-    for item in cfg["use_cases"]:
-        try:
-            ucs.append(UseCase(item["name"], float(item["rate_mbps"]) * 1e6))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad use case entry {item!r}: {e}") from None
-    if not ucs:
-        raise ConfigError("use_cases override is empty")
-    return tuple(ucs)
-
-
-def cmd_connectivity(cfg: dict, manifest: RunManifest, out, seed: int):
-    table_path = cfg.get("table_csv")
-    if table_path is None:
-        table_path = shipped_heatmap_path()
+def cmd_connectivity(cfg: dict, manifest: dict, out, seed: int):
     try:
-        cells = search.read_heatmap_csv(table_path)
+        cells = search.read_heatmap_csv(
+            cfg["table_csv"] or shipped_heatmap_path())
     except OSError as e:
         raise ConfigError(f"cannot read antenna table: {e}") from None
     table = search.cells_to_table(cells)
-    mcs_index = _setting(cfg, "mcs", 12, 0)
-    se = _setting(cfg, "se", mcs_entry(mcs_index).spectral_efficiency, 0,
-                  number=True, strict=True)
+    mcs_index = cfg["mcs"]
+    mcs = mcs_entry(mcs_index)  # rejects an index outside the MCS table
+    se = cfg["se"] or mcs.spectral_efficiency
+    use_cases = DEFAULT_USE_CASES if cfg["use_cases"] is None else tuple(
+        UseCase(u["name"], u["rate_mbps"] * 1e6) for u in cfg["use_cases"])
     rows = conn.connectivity_report(
-        use_cases=_use_cases_from_config(cfg), se=se, table=table,
-        mcs_index=mcs_index,
-        antenna_budgets=_setting(cfg, "antenna_budgets", [2, 4, 6, 8]))
+        use_cases=use_cases, se=se, table=table, mcs_index=mcs_index,
+        antenna_budgets=cfg["antenna_budgets"])
     payload = {
-        "manifest": asdict(manifest),
-        "spectral_efficiency": se,
-        "mcs": mcs_index,
+        "manifest": manifest, "spectral_efficiency": se, "mcs": mcs_index,
         "rows": [
             {"use_case": r.use_case, "antenna_budget": r.antenna_budget,
              "streams": r.streams, "vehicles": r.vehicles,
@@ -298,17 +277,10 @@ def run_bench_once(name, n, m, order, n_paths, snr_db, seed,
     return times[0], hard
 
 
-def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
-    name = _setting(cfg, "detector", "mpnl", choices=det.DETECTORS)
-    n = _setting(cfg, "n_streams", 8)
-    m = _setting(cfg, "m_antennas", 8)
-    order = _setting(cfg, "modulation_order", 16)
-    n_paths = _setting(cfg, "n_paths", 32)
-    snr_db = _setting(cfg, "snr_db", 20.0, -math.inf, number=True)
-    n_instances = _setting(cfg, "n_instances", 8192, 0)
-    chunk_size = _setting(cfg, "chunk_size", 512)
-    workers_list = _setting(cfg, "workers", [1, 4, 8])
-    repeats = _setting(cfg, "repeats", 5)
+def cmd_bench(cfg: dict, manifest: dict, out, seed: int):
+    name, n, m = cfg["detector"], cfg["n_streams"], cfg["m_antennas"]
+    order, n_paths = cfg["modulation_order"], cfg["n_paths"]
+    n_instances, chunk_size = cfg["n_instances"], cfg["chunk_size"]
     if n_instances < 1 or n_instances % chunk_size:
         raise ConfigError("n_instances must be a positive multiple of "
                           "chunk_size")
@@ -317,9 +289,10 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
     det.check_antenna_floor(name, n, m, order, n_paths)
     rows = []
     # one worker runs first: the speed baseline and the bit-identity reference
-    for w in [1] + [w for w in workers_list if w != 1]:
-        times, hard = run_bench(name, n, m, order, n_paths, snr_db, seed,
-                                n_instances, chunk_size, w, repeats)
+    for w in [1] + [w for w in cfg["workers"] if w != 1]:
+        times, hard = run_bench(name, n, m, order, n_paths, cfg["snr_db"],
+                                seed, n_instances, chunk_size, w,
+                                cfg["repeats"])
         med = statistics.median(times)
         rate = n_instances / med
         if w == 1:
@@ -331,29 +304,42 @@ def cmd_bench(cfg: dict, manifest: RunManifest, out, seed: int):
                ["detector", "n", "m", "order", "n_paths", "workers",
                 "median_s", "detections_per_s", "speedup", "bit_identical"],
                rows)
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-# the keys of _fixture_config that per-sweep reads as well as search
-_FIXTURE_KEYS = ("profile", "speed_kmh", "carrier_hz", "n_subcarriers")
+# the fixture settings that per-sweep shares with search
+_FIXTURE_SETTINGS = {
+    "profile": ("tdl-b-like", _profile), "speed_kmh": (30.0, 0.0),
+    "carrier_hz": (3.5e9, Above(0.0)), "n_subcarriers": (24, 1)}
 
-# command -> (function, the config keys it reads besides `seed`)
+# command -> (function, {config key: (default, rule)}), the one declaration
+# of what a command reads besides `seed`; a rule is a table of names, an
+# int floor, a float floor (strict where `Above`) or a structured check
 COMMANDS = {
-    "per-sweep": (cmd_per_sweep, _FIXTURE_KEYS + (
-        "snr_db", "snr_jitter_db", "n_streams", "m_antennas", "mcs",
-        "channels", "frames_per_channel", "n_paths", "csi", "detectors")),
-    "search": (cmd_search, _FIXTURE_KEYS + (
-        "streams", "mcs", "detectors", "frames_per_channel", "n_paths",
-        "region", "channels_per_group")),
-    "connectivity": (cmd_connectivity, (
-        "table_csv", "mcs", "se", "antenna_budgets", "use_cases")),
-    "bench": (cmd_bench, (
-        "detector", "n_streams", "m_antennas", "modulation_order", "n_paths",
-        "snr_db", "n_instances", "chunk_size", "workers", "repeats")),
+    "per-sweep": (cmd_per_sweep, {
+        **_FIXTURE_SETTINGS, "snr_db": ([], -math.inf),
+        "snr_jitter_db": (0.0, 0.0), "n_streams": (4, 1), "m_antennas": (8, 1),
+        "mcs": (7, 0), "channels": (10, 0), "frames_per_channel": (20, 1),
+        "n_paths": (32, 1), "csi": ("genie", linksim.CSI_MODES),
+        "detectors": (["mmse", "mpnl"], det.DETECTORS)}),
+    "search": (cmd_search, {
+        **_FIXTURE_SETTINGS, "streams": ([2, 4, 6], 1),
+        "mcs": ([2, 7, 12], 0), "detectors": (["mmse", "mpnl"], det.DETECTORS),
+        "frames_per_channel": (8, 1), "n_paths": (32, 1),
+        "region": ("R1", ch.REGIONS), "channels_per_group": (50, 0)}),
+    "connectivity": (cmd_connectivity, {
+        "table_csv": (None, _path), "mcs": (12, 0),
+        "se": (None, Above(0.0)),  # None: the MCS's spectral efficiency
+        "antenna_budgets": ([2, 4, 6, 8], 1),
+        "use_cases": (None, _use_cases)}),
+    "bench": (cmd_bench, {
+        "detector": ("mpnl", det.DETECTORS), "n_streams": (8, 1),
+        "m_antennas": (8, 1), "modulation_order": (16, 1), "n_paths": (32, 1),
+        "snr_db": (20.0, -math.inf), "n_instances": (8192, 0),
+        "chunk_size": (512, 1), "workers": ([1, 4, 8], 1), "repeats": (5, 1)}),
 }
 
 
@@ -370,18 +356,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, digest = _load_config(args.config)
-        command, keys = COMMANDS[args.command]
-        for key in cfg:
-            if key != "seed" and key not in keys:
-                raise ConfigError(f"{args.command} does not read {key!r}")
-        seed = (_setting(cfg, "seed", 0, 0) if args.seed is None
-                else args.seed)
+        command, table = COMMANDS[args.command]
+        seed = cfg.pop("seed", 0)
+        if args.seed is None:
+            _setting("seed", seed, 0, 0)
+        else:
+            seed = args.seed
         if args.workers is not None:
             if args.command != "bench":
                 raise ConfigError("--workers applies only to bench")
             cfg["workers"] = [args.workers]
-        manifest = _manifest(args.command, digest, seed)
-        command(cfg, manifest, args.out, seed)
+        # every setting is checked before the command does any work
+        for key, value in cfg.items():
+            if key not in table:
+                raise ConfigError(f"{args.command} does not read {key!r}")
+            _setting(key, value, *table[key])
+        settings = {key: cfg.get(key, default)
+                    for key, (default, _) in table.items()}
+        manifest = {"command": args.command, "config_digest": digest,
+                    "seed": seed, "version": __version__,
+                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+        command(settings, manifest, args.out, seed)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

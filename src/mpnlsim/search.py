@@ -56,6 +56,11 @@ class FixtureConfig:
             nvs.append(ch.calibrate_noise(self.region, g, ss.spawn(1)[0]))
         return grids, nvs
 
+    def rb_per_vehicle(self, mcs) -> int:
+        """The RB allocation for `mcs`, clamped to this fixture's width."""
+        return min(linksim.default_rb_allocation(mcs),
+                   self.n_subcarriers // self.numerology.sc_per_rb)
+
 
 @dataclass(frozen=True)
 class SearchCell:
@@ -82,8 +87,7 @@ def min_antennas(n: int, mcs_index: int, detector: str,
     m_needed = detect.soft_detector(detector).min_antennas(
         n, mcs.constellation.order, n_paths)
     lo, hi = m_range
-    rb = min(linksim.default_rb_allocation(mcs),
-             fixtures.n_subcarriers // fixtures.numerology.sc_per_rb)
+    rb = fixtures.rb_per_vehicle(mcs)
     # too few antennas for the detector counts as failing
     prev_per = 1.0 if lo < m_needed else float("nan")
     for m in range(max(lo, m_needed), hi + 1):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,6 +167,20 @@ def search_config(tmp_path, **kw):
     ("search", search_config, dict(csi="ls_dmrs"),
      "search does not read 'csi'"),
     ("per-sweep", sweep_config, dict(n_stream=4), "does not read 'n_stream'"),
+    ("search", search_config, dict(profile={"delays_ns": [0, 100]}),
+     "powers_db"),
+    ("search", search_config, dict(profile={
+        "delays_ns": [0, 100], "powers_db": [0, -3], "rician_k_db": "x"}),
+     "rician_k_db"),
+    ("per-sweep", sweep_config, dict(profile={
+        "delays_ns": [0, 100], "powers_db": [0, -3], "rician_k": 10}),
+     "profile does not read 'rician_k'"),
+    ("per-sweep", sweep_config, dict(snr_db=[math.inf]), "snr_db"),
+    ("per-sweep", sweep_config, dict(snr_db=[20, -math.inf]), "snr_db"),
+    ("per-sweep", sweep_config, dict(snr_jitter_db=math.inf),
+     "snr_jitter_db"),
+    ("per-sweep", sweep_config, dict(speed_kmh=math.inf), "speed_kmh"),
+    ("search", search_config, dict(carrier_hz=math.nan), "carrier_hz"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):
@@ -254,6 +269,11 @@ def test_connectivity_custom_use_cases_and_table(tmp_path):
     (dict(se="x"), "se"),
     (dict(se=0), "se"),
     (dict(se=False), "se"),
+    (dict(use_cases=5), "use_cases"),
+    (dict(use_cases=[]), "use_cases"),
+    (dict(use_cases=[{"name": "x", "rate_mbps": "1"}]), "use_cases"),
+    (dict(table_csv=5), "table_csv"),
+    (dict(se=math.inf), "se"),
 ])
 def test_connectivity_rejects_bad_setting(tmp_path, capsys, bad, key):
     out = tmp_path / "r.json"
@@ -322,6 +342,7 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     (dict(detector=["mpnl"]), "detector"),
     (dict(detector="sphere"), "detector"),
     (dict(detectors=["mpnl"]), "bench does not read 'detectors'"),
+    (dict(snr_db=math.inf), "snr_db"),
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
                                   message):
@@ -334,6 +355,22 @@ def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
     assert cli.main(["bench", "--config", cfgp, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_settings_defaults_pass_their_rules(tmp_path, monkeypatch, command):
+    _, table = cli.COMMANDS[command]
+    received = []
+    monkeypatch.setitem(cli.COMMANDS, command, (
+        lambda settings, manifest, out, seed: received.append(settings),
+        table))
+    spelled = {key: default for key, (default, _) in table.items()
+               if default is not None}
+    for name, data in [("empty.yaml", {}), ("spelled.yaml", spelled)]:
+        assert cli.main([command, "--config",
+                         write_config(tmp_path, data, name),
+                         "--out", str(tmp_path / "out")]) == 0
+    assert received[0] == received[1]
 
 
 def test_bench_chunk_is_deterministic():
