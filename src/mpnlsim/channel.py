@@ -35,8 +35,12 @@ class ClusterProfile:
         p = np.asarray(self.powers, dtype=float)
         if d.shape != p.shape or d.ndim != 1 or d.size == 0:
             raise ValueError("delays and powers must be equal-length 1-D")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(p))):
+            raise ValueError("delays and powers must be finite")
         if np.any(d < 0) or np.any(np.diff(d) < 0):
             raise ValueError("delays must be non-negative and sorted")
+        if np.any(p < 0):
+            raise ValueError("cluster powers must be non-negative")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("cluster powers must sum to 1")
 
@@ -69,12 +73,15 @@ PROFILES = {p.name: p for p in (TDL_B_LIKE, TDL_D_LIKE)}
 
 
 def profile_from_dict(d: dict) -> ClusterProfile:
-    """Load a profile from config fields (delays in ns, powers in dB)."""
-    p = 10 ** (np.asarray(d["powers_db"], dtype=float) / 10)
+    """Load a profile from config fields (delays in ns, powers in dB).
+    Powers that overflow normalize to NaN, which ClusterProfile rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 10 ** (np.asarray(d["powers_db"], dtype=float) / 10)
+        p = p / p.sum()
     return ClusterProfile(
         name=d.get("name", "custom"),
         delays=tuple(np.asarray(d["delays_ns"], dtype=float) * 1e-9),
-        powers=tuple(p / p.sum()),
+        powers=tuple(p),
         rician_k_db=d.get("rician_k_db"),
     )
 

@@ -60,19 +60,20 @@ def _load_config(path) -> tuple[dict, str]:
 
 def _setting(key: str, value, default, rule):
     """Check `value` against `rule`, never a bool: a str from a table of
-    names, an int >= an int floor, or a finite number >= a float floor (>
-    an `Above` one); a list of them where `default` is a list.  A callable
-    rule checks a structured setting itself."""
+    names, an int >= an int floor, or a number within the float range >= a
+    float floor (> an `Above` one); a list of them where `default` is a
+    list.  A callable rule checks a structured setting itself."""
     if callable(rule):
         return rule(key, value)
     many = isinstance(default, list)
     items = value if many else [value]
     if isinstance(rule, (int, float)):
         number, strict = isinstance(rule, float), isinstance(rule, Above)
+        # an int compares exactly with a float; NaN fails the comparison
         ok = isinstance(items, list) and all(
-            (type(v) is int or number and type(v) is float
-             and math.isfinite(v)) and (v > rule if strict else v >= rule)
-            for v in items)
+            (type(v) in (int, float) and abs(v) <= sys.float_info.max
+             if number else type(v) is int)
+            and (v > rule if strict else v >= rule) for v in items)
         noun = "finite number" if number else "integer"
         kind = (f"{noun}s" if many else f"a {noun}" if number
                 else "an integer") + f" {'>' if strict else '>='} {rule}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +114,8 @@ class LdpcCode:
     @cached_property
     def _graph(self):
         """Padded edge structures for vectorized min-sum, slot-major: the
-        s-th variable of check r is check_vars[s, r], edge s * m + r."""
+        s-th variable of check r is check_vars[s, r], edge s * m + r, and
+        the s-th edge of variable v is var_edges[s, v]."""
         h = self.parity_check
         m, n = h.shape
         rows, cols = np.nonzero(h)
@@ -131,9 +133,43 @@ class LdpcCode:
         by_var = np.argsort(cols, kind="stable")
         var_cols = cols[by_var]
         var_slot = np.arange(cols.size) - (np.cumsum(dv) - dv)[var_cols]
-        var_edges = np.full((n, max_dv), m * max_dc, dtype=np.int64)
-        var_edges[var_cols, var_slot] = (slot * m + rows)[by_var]
+        var_edges = np.full((max_dv, n), m * max_dc, dtype=np.int64)
+        var_edges[var_slot, var_cols] = (slot * m + rows)[by_var]
         return check_vars, check_mask, var_edges
+
+    @cached_property
+    def _workspace(self) -> _MinSumArrays:
+        """_min_sum's working set for DECODE_BLOCK words, reused by every
+        block so that its loop allocates nothing (freed temporaries of
+        this size cost a page fault per page on every iteration)."""
+        max_dc, m = self._graph[0].shape
+        w, n, e = DECODE_BLOCK, self.n, max_dc * m
+        return _MinSumArrays(
+            llrs=np.empty((w, n)), total=np.empty((w, n)),
+            gather=np.empty((w, n)), hard=np.empty((w, n), dtype=bool),
+            m_vc=np.empty((w, e)), suffix=np.empty((w, e)),
+            flip=np.empty((w, e), dtype=bool),
+            parity=np.empty((w, m), dtype=bool),
+            m_cv_flat=np.zeros((w, e + 1)))
+
+
+class _MinSumArrays(NamedTuple):
+    """One row per word, edges by flat index s * m + r; a block of b words
+    works on rows [:b]."""
+
+    llrs: np.ndarray        # (W, n) channel LLRs of the words still decoding
+    total: np.ndarray       # (W, n) posterior LLRs
+    gather: np.ndarray      # (W, n) one edge slot's messages per variable
+    hard: np.ndarray        # (W, n) bool hard decision, total < 0
+    m_vc: np.ndarray        # (W, e) variable-to-check messages
+    suffix: np.ndarray      # (W, e) scratch: suffix minima, then signs
+    flip: np.ndarray        # (W, e) bool: outgoing message is negative
+    parity: np.ndarray      # (W, m) bool: XOR of a check's incoming signs
+    # check-to-variable messages, plus a zero for var_edges' pad
+    m_cv_flat: np.ndarray   # (W, e + 1)
+
+    def rows(self, b: int) -> _MinSumArrays:
+        return _MinSumArrays(*(a[:b] for a in self))
 
 
 def ldpc_encode(code: LdpcCode, info: np.ndarray) -> np.ndarray:
@@ -167,6 +203,10 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
     zero syndrome on the running hard decision; non-convergence yields the
     final-iteration hard decision.  Words are decoded DECODE_BLOCK at a
     time; each word's result does not depend on the others.
+
+    The working arrays belong to `code` and are reused by every call, so
+    do not decode on one LdpcCode from two threads at once (the library
+    parallelizes with processes only).
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     single = llrs.ndim == 1
@@ -181,72 +221,88 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
     done = np.empty(b, dtype=bool)
     for i in range(0, b, DECODE_BLOCK):
         blk = slice(i, i + DECODE_BLOCK)
-        info[blk], done[blk] = _min_sum(code, llrs[blk], max_iter)
+        _min_sum(code, llrs[blk], max_iter, info[blk], done[blk])
     if single:
         return info[0], bool(done[0])
     return info, done
 
 
-def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int):
-    """ldpc_decode on one (B, n) block.  A converged word leaves the
-    working arrays; the others are updated until max_iter."""
+def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int,
+             info: np.ndarray, done: np.ndarray) -> None:
+    """ldpc_decode on one (b, n) block, into its (b, k) info and (b,) done.
+    A converged word leaves the working rows; the others are updated until
+    max_iter.  Every array of the loop is a row prefix of code._workspace,
+    written with out=; edge arrays stay 2-D, where in-place ufuncs on the
+    strided m_cv run at contiguous speed."""
     check_vars, check_mask, var_edges = code._graph
     max_dc, m = check_vars.shape
-    pad = ~check_mask
+    edge_vars, pad = check_vars.ravel(), ~check_mask.ravel()
 
-    out_bits = (llrs < 0).astype(np.uint8)
-    done = ~np.any(ldpc_syndrome(code, out_bits), axis=1)
+    w = code._workspace.rows(len(llrs))
+    bits = np.less(llrs, 0, out=w.hard).view(np.uint8)
+    done[:] = ~np.any(ldpc_syndrome(code, bits), axis=1)
+    info[:] = bits[:, :code.k]
 
     act = np.flatnonzero(~done)                       # words still decoding
-    llrs = llrs[act]
-    m_vc = np.take(llrs, check_vars, axis=1)          # (B', dc, m)
-    m_vc[:, pad] = np.inf
-    # check-to-variable messages by flat edge, plus a zero for var_edges' pad
-    m_cv_flat = np.zeros((act.size, max_dc * m + 1))
-    m_cv = m_cv_flat[:, :-1].reshape(act.size, max_dc, m)
-
-    for _ in range(max_iter):
+    w = code._workspace.rows(act.size)
+    np.take(llrs, act, axis=0, out=w.llrs, mode="clip")
+    for it in range(max_iter):
         if act.size == 0:
             break
+        m_cv = w.m_cv_flat[:, :-1]
+        # variable-to-check messages: the channel LLRs at first, then the
+        # last totals minus each edge's own message
+        np.take(w.total if it else w.llrs, edge_vars, axis=1, out=w.m_vc,
+                mode="clip")
+        if it:
+            np.subtract(w.m_vc, m_cv, out=w.m_vc)
+        np.copyto(w.m_vc, np.inf, where=pad)
         # check-node update: normalized sign * min over the other edges
-        neg = m_vc < 0
-        flip = neg ^ np.logical_xor.reduce(neg, axis=1)[:, None]
-        np.multiply(np.where(flip, -MIN_SUM_NORMALIZATION,
-                             MIN_SUM_NORMALIZATION),
-                    _min_of_others(np.abs(m_vc, out=m_vc)), out=m_cv)
+        flip = np.less(w.m_vc, 0, out=w.flip).reshape(act.size, max_dc, m)
+        np.logical_xor(flip, np.logical_xor.reduce(flip, axis=1,
+                                                   out=w.parity)[:, None],
+                       out=flip)
+        _min_of_others(np.abs(w.m_vc, out=w.m_vc), max_dc, m_cv, w.suffix)
+        sign = np.multiply(w.flip, -2 * MIN_SUM_NORMALIZATION, out=w.suffix)
+        np.add(sign, MIN_SUM_NORMALIZATION, out=sign)  # exactly -K or K
+        np.multiply(sign, m_cv, out=m_cv)
         # variable-node update; edges summed left to right (fixes rounding)
-        total = np.take(m_cv_flat, var_edges[:, 0], axis=1)
-        for j in range(1, var_edges.shape[1]):
-            total += np.take(m_cv_flat, var_edges[:, j], axis=1)
-        total += llrs
-        bits = (total < 0).astype(np.uint8)
+        np.take(w.m_cv_flat, var_edges[0], axis=1, out=w.total, mode="clip")
+        for edges in var_edges[1:]:
+            np.take(w.m_cv_flat, edges, axis=1, out=w.gather, mode="clip")
+            np.add(w.total, w.gather, out=w.total)
+        np.add(w.total, w.llrs, out=w.total)
+        bits = np.less(w.total, 0, out=w.hard).view(np.uint8)
         conv = ~np.any(ldpc_syndrome(code, bits), axis=1)
         # unconverged words keep their latest hard decision
-        out_bits[act] = bits
+        info[act] = bits[:, :code.k]
         if conv.any():
-            keep = ~conv
+            # the last unconverged rows fill the converged rows' places
             done[act[conv]] = True
-            act, llrs, total = act[keep], llrs[keep], total[keep]
-            m_cv_flat = m_cv_flat[keep]
-            m_cv = m_cv_flat[:, :-1].reshape(act.size, max_dc, m)
-        m_vc = np.take(total, check_vars, axis=1)
-        m_vc -= m_cv
-        m_vc[:, pad] = np.inf
+            n_left = act.size - int(conv.sum())
+            holes = np.flatnonzero(conv[:n_left])
+            movers = n_left + np.flatnonzero(~conv[n_left:])
+            for h, r in zip(holes, movers):
+                for a in (w.llrs, w.total, w.m_cv_flat):
+                    a[h] = a[r]
+            act[holes] = act[movers]
+            act = act[:n_left]
+            w = w.rows(n_left)
 
-    return out_bits[:, :code.k], done
 
-
-def _min_of_others(mag: np.ndarray) -> np.ndarray:
-    """For each slot of axis 1, the minimum over the other slots (inf if
-    there is none), from running minima taken from both ends."""
-    d = mag.shape[1]
-    before = np.empty_like(mag)
-    after = np.empty_like(mag)
-    before[:, 0] = after[:, -1] = np.inf
+def _min_of_others(mag: np.ndarray, d: int, out: np.ndarray,
+                   suffix: np.ndarray) -> None:
+    """For each of the d equal column slots of (B, d * m) mag, the minimum
+    over the other slots (inf if there is none) into out, from running
+    minima taken from both ends; suffix is scratch of mag's shape."""
+    m = mag.shape[1] // d
+    slot = [np.s_[:, j * m:(j + 1) * m] for j in range(d)]
+    out[slot[0]] = suffix[slot[-1]] = np.inf
     for j in range(1, d):
-        np.minimum(before[:, j - 1], mag[:, j - 1], out=before[:, j])
-        np.minimum(after[:, d - j], mag[:, d - j], out=after[:, d - j - 1])
-    return np.minimum(before, after, out=before)
+        np.minimum(out[slot[j - 1]], mag[slot[j - 1]], out=out[slot[j]])
+        np.minimum(suffix[slot[d - j]], mag[slot[d - j]],
+                   out=suffix[slot[d - j - 1]])
+    np.minimum(out, suffix, out=out)
 
 
 _DEFAULT_CODE = None

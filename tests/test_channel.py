@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -54,6 +56,24 @@ def test_profile_from_config_dict():
 def test_profile_rejects_unsorted_delays():
     with pytest.raises(ValueError):
         ch.ClusterProfile("bad", (1e-7, 0.0), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("delays, powers", [
+    ((0.0, 1e-7), (1.0, math.nan)),
+    ((0.0, 1e-7), (math.inf, 0.0)),
+    ((0.0, math.inf), (0.5, 0.5)),
+    ((0.0, math.nan), (0.5, 0.5)),
+    ((0.0, 1e-7), (1.5, -0.5)),
+])
+def test_profile_rejects_non_finite_or_negative(delays, powers):
+    with pytest.raises(ValueError):
+        ch.ClusterProfile("bad", delays, powers)
+
+
+def test_profile_from_dict_rejects_overflowing_powers():
+    # 10 ** 400 overflows to inf and normalizes to NaN
+    with pytest.raises(ValueError, match="finite"):
+        ch.profile_from_dict({"delays_ns": [0, 100], "powers_db": [0, 4000]})
 
 
 def test_tdl_zero_speed_static_in_time():

@@ -181,6 +181,9 @@ def search_config(tmp_path, **kw):
      "snr_jitter_db"),
     ("per-sweep", sweep_config, dict(speed_kmh=math.inf), "speed_kmh"),
     ("search", search_config, dict(carrier_hz=math.nan), "carrier_hz"),
+    ("per-sweep", sweep_config, dict(snr_db=[10**400]), "snr_db"),
+    ("search", search_config, dict(profile={
+        "delays_ns": [0, 100], "powers_db": [0, 4000]}), "powers"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,42 @@ def _digest(*arrays):
 def test_decode_matches_golden(code):
     got = {name: _digest(*run()) for name, run in _golden_cases(code)}
     assert got == GOLDEN_DECODE
+
+
+def test_reused_working_set_does_not_leak_between_calls(code):
+    """The decoder reuses one working set per code object; batches of
+    other sizes and codes, interleaved, must decode as on a fresh one."""
+    irregular = _irregular_code()
+    rng = np.random.default_rng(13)
+    cases = [(c, _awgn_llrs(c, rng, words, snr)) for c, words, snr in (
+        (code, 100, 2.0), (irregular, 1, 1.0), (code, 0, 2.0),
+        (irregular, 100, 1.0), (code, 1, 1.5), (code, 100, 1.5))]
+    # words that converge mid-loop while others go on make the decoder
+    # compact its rows
+    for c, llr in (cases[0], cases[3]):
+        _, start = fec.ldpc_decode(c, llr, max_iter=0)
+        _, end = fec.ldpc_decode(c, llr)
+        assert (end & ~start).any() and not end.all()
+    fresh = [fec.ldpc_decode(fec.LdpcCode(c.parity_check), llr)
+             for c, llr in cases]
+    for (c, llr), (want_info, want_conv) in zip(cases, fresh):
+        info, conv = fec.ldpc_decode(c, llr)
+        assert np.array_equal(info, want_info)
+        assert np.array_equal(conv, want_conv)
+
+
+def test_decode_loop_allocates_no_working_arrays(code):
+    """After a warm-up, a 100-word decode allocates its outputs and the
+    syndrome's temporaries, not a fresh set of arrays per iteration."""
+    llr = _awgn_llrs(code, np.random.default_rng(14), 100, 1.5)
+    fec.ldpc_decode(code, llr)
+    tracemalloc.start()
+    try:
+        fec.ldpc_decode(code, llr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
