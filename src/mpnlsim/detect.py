@@ -9,18 +9,16 @@ completed independently of each other, so they can be evaluated on any
 number of workers with bit-identical results.
 
 All detectors break metric ties lexicographically over candidate bit
-labels.  Batched variants (trailing `_batch`) operate on stacks of
-instances and hold the math; the single-instance ZF, MMSE, ML and MPNL
-functions are B=1 views of them, and the sphere decoder is the one
-non-batched oracle, kept out of the table.  `DETECTORS` is the one table
-every caller dispatches through: per name, the batched channel-time plan
-and transmission-time apply, and the smallest antenna count the detector
-can serve.
+labels.  The kernels (trailing `_batch`) operate on stacks of instances
+and hold the math; a single instance is a stack of one.  The sphere
+decoder is the one non-batched oracle, kept out of the table.
+`DETECTORS` is the one table every caller dispatches through: per name,
+the batched channel-time plan and transmission-time apply, and the
+smallest antenna count the detector can serve.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,49 +31,6 @@ ML_ENUM_GUARD = 1 << 16
 
 class SingularChannelError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DetectorInput:
-    h: np.ndarray
-    y: np.ndarray
-    noise_var: float
-    constellation: Constellation
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        y = np.asarray(self.y, dtype=complex).ravel()
-        if h.ndim != 2 or y.size != h.shape[0]:
-            raise ValueError("inconsistent channel/observation dimensions")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True)
-class CandidateList:
-    candidates: np.ndarray = field(repr=False)   # (P, N) complex
-    labels: np.ndarray = field(repr=False)       # (P, N) int point labels
-    metrics: np.ndarray = field(repr=False)      # (P,) true ||y - Hx||^2
-
-    @property
-    def n_paths(self) -> int:
-        return self.candidates.shape[0]
-
-
-@dataclass(frozen=True)
-class DetectionOutput:
-    hard: np.ndarray = field(repr=False)          # (N,) constellation points
-    hard_labels: np.ndarray = field(repr=False)   # (N,) int
-    llrs: np.ndarray = field(repr=False)          # (N, bits_per_symbol)
-    min_metric: float
-    soft: np.ndarray | None = field(default=None, repr=False)
-
-
-def _residual_metric(h, y, x):
-    r = y - h @ x
-    return float(np.real(np.vdot(r, r)))
 
 
 def _enumerate_labels(n: int, q: int) -> np.ndarray:
@@ -97,8 +52,12 @@ def _linear_batch(h: np.ndarray, y: np.ndarray, noise_var,
                   c: Constellation, mode: str):
     """Batched ZF/MMSE: (hard labels (B, N), llrs (B, N, bps), raw soft
     estimates (B, N)).  ZF raises SingularChannelError when M < N or any
-    channel of the stack is rank-deficient, for single and batched callers
-    alike."""
+    channel of the stack is rank-deficient.
+
+    MMSE's raw soft estimate is the biased (H^H H + nv I)^-1 H^H y;
+    slicing and LLRs use the unbiased soft_i / beta_i with effective noise
+    variance (1 - beta_i) / beta_i, beta_i = 1 - nv [(H^H H + nv I)^-1]_ii.
+    """
     b, m, n = h.shape
     if mode not in ("zf", "mmse"):
         raise ValueError(f"unknown linear mode {mode!r}")
@@ -136,33 +95,6 @@ def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
     return _linear_batch(h, y, noise_var, c, mode)[:2]
 
 
-def _linear_detect(inp: DetectorInput, mode: str) -> DetectionOutput:
-    """B=1 view of the linear kernel."""
-    c = inp.constellation
-    labels, llrs, soft = _linear_batch(inp.h[None], inp.y[None],
-                                       inp.noise_var, c, mode)
-    hard = c.points[labels[0]]
-    return DetectionOutput(hard=hard, hard_labels=labels[0], llrs=llrs[0],
-                           min_metric=_residual_metric(inp.h, inp.y, hard),
-                           soft=soft[0])
-
-
-def zf_detect(inp: DetectorInput) -> DetectionOutput:
-    """Zero-forcing: pseudo-inverse equalization + per-stream slicing."""
-    return _linear_detect(inp, "zf")
-
-
-def mmse_detect(inp: DetectorInput) -> DetectionOutput:
-    """MMSE equalization with unbiased per-stream noise scaling.
-
-    The reported soft estimate is the raw (biased) MMSE output
-    (H^H H + nv I)^-1 H^H y; slicing and LLRs use the unbiased estimate
-    soft_i / beta_i with effective noise variance (1 - beta_i) / beta_i,
-    beta_i = 1 - nv * [(H^H H + nv I)^-1]_ii.
-    """
-    return _linear_detect(inp, "mmse")
-
-
 # ---------------------------------------------------------------------------
 # exact non-linear oracles
 # ---------------------------------------------------------------------------
@@ -184,15 +116,10 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
     return (np.broadcast_to(labels, (b,) + labels.shape), metrics, best)
 
 
-def ml_detect(inp: DetectorInput) -> DetectionOutput:
-    """Exhaustive maximum-likelihood search over all Q^N candidates."""
-    return _list_detection(inp, *ml_detect_batch(
-        inp.h[None], inp.y[None], inp.noise_var, inp.constellation))[1]
-
-
-def sphere_detect(inp: DetectorInput) -> DetectionOutput:
-    """Depth-first Schnorr-Euchner sphere decoder; exact ML hard output."""
-    h, y, c = inp.h, inp.y, inp.constellation
+def sphere_detect(h: np.ndarray, y: np.ndarray,
+                  c: Constellation) -> np.ndarray:
+    """Depth-first Schnorr-Euchner sphere decoder on one (M, N) channel and
+    (M,) observation; returns the (N,) exact-ML point labels."""
     m, n = h.shape
     if m < n:
         raise SingularChannelError("sphere decoder requires M >= N")
@@ -230,11 +157,7 @@ def sphere_detect(inp: DetectorInput) -> DetectionOutput:
                 res = resid - r[:, layer] * pts[k]
                 children.append((layer - 1, pm, lab, res))
         stack.extend(reversed(children))  # visit best child first
-
-    hard = pts[best_labels]
-    llrs = np.stack([demap_llr(hard[i], inp.noise_var, c) for i in range(n)])
-    return DetectionOutput(hard=hard, hard_labels=best_labels, llrs=llrs,
-                           min_metric=_residual_metric(h, y, hard))
+    return best_labels
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +218,6 @@ class BatchPathPlan:
     @property
     def batch(self) -> int:
         return self.perm.shape[0]
-
-
-@dataclass(frozen=True)
-class PathPlan:
-    """Single-channel view of a BatchPathPlan, per the planner contract."""
-
-    ordering: np.ndarray
-    q_factor: np.ndarray = field(repr=False)
-    r_factor: np.ndarray = field(repr=False)
-    expansions: np.ndarray
-    n_paths: int
-    fingerprint: bytes = b""
-    _batch: BatchPathPlan = field(default=None, repr=False)
 
 
 def _sorted_qr_batch(a: np.ndarray):
@@ -372,17 +282,6 @@ def mpnl_plan_batch(h: np.ndarray, noise_var: float, n_paths: int,
     qh = q[:, :m, :].conj().transpose(0, 2, 1)   # (B, N, M)
     return BatchPathPlan(perm=perm, qh=np.ascontiguousarray(qh), r=r,
                          expansions=expansions, n_paths=realized)
-
-
-def mpnl_preprocess(h: np.ndarray, noise_var: float, n_paths: int,
-                    c: Constellation) -> PathPlan:
-    """Channel-time planning for a single matrix."""
-    h = np.asarray(h, dtype=complex)
-    bp = mpnl_plan_batch(h[None], noise_var, n_paths, c)
-    return PathPlan(ordering=bp.perm[0], q_factor=bp.qh[0].conj().T,
-                    r_factor=bp.r[0], expansions=bp.expansions,
-                    n_paths=bp.n_paths,
-                    fingerprint=hashlib.sha1(h.tobytes()).digest(), _batch=bp)
 
 
 def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
@@ -459,15 +358,6 @@ def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
     return np.clip(llr, -clip, clip)
 
 
-def llr_from_candidates(clist: CandidateList, noise_var: float,
-                        c: Constellation, clip: float = LLR_CLIP) -> np.ndarray:
-    """List-based max-log LLRs; bits with no counter-hypothesis saturate."""
-    if clist.n_paths < 1:
-        raise ValueError("empty candidate list")
-    return _candidate_llrs_batch(clist.labels[None], clist.metrics[None],
-                                 noise_var, c, clip)[0]
-
-
 def _select_best(labels: np.ndarray, metrics: np.ndarray):
     """Total-order (metric, label) argmin per batch row.  The first
     minimum decides unless it is tied or NaN; those rows are lexsorted."""
@@ -499,27 +389,6 @@ def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
     metrics = np.sum(np.abs(resid) ** 2, axis=2)
     best = _select_best(labels, metrics)
     return labels, metrics, best
-
-
-def _list_detection(inp: DetectorInput, labels, metrics, best):
-    """B=1 view of a list search: (CandidateList, DetectionOutput)."""
-    c = inp.constellation
-    labels, metrics, b = labels[0], metrics[0], int(best[0])
-    cands = c.points[labels]
-    clist = CandidateList(candidates=cands, labels=labels, metrics=metrics)
-    llrs = llr_from_candidates(clist, inp.noise_var, c)
-    hard = cands[b]
-    out = DetectionOutput(hard=hard, hard_labels=labels[b], llrs=llrs,
-                          min_metric=_residual_metric(inp.h, inp.y, hard))
-    return clist, out
-
-
-def mpnl_detect(plan: PathPlan, inp: DetectorInput):
-    """Evaluate the planned candidate paths for one observation."""
-    if hashlib.sha1(inp.h.tobytes()).digest() != plan.fingerprint:
-        raise ValueError("plan/channel fingerprint mismatch")
-    return _list_detection(inp, *mpnl_detect_batch(
-        plan._batch, inp.h[None], inp.y[None], inp.constellation))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,11 @@ def rand_instances(rng, b, m, n, c, snr_db):
     return h, y, labels, nv
 
 
+def table_index(labels, c):
+    """Row of a label vector in ML's lexicographic table."""
+    return np.ravel_multi_index(tuple(labels), (c.order,) * len(labels))
+
+
 def test_criterion_01_sphere_equals_ml():
     rng = np.random.default_rng(1001)
     checked = 0
@@ -43,12 +48,11 @@ def test_criterion_01_sphere_equals_ml():
             for i in range(500):
                 snr = (0, 10, 20)[i % 3]
                 h, y, _, nv = rand_instances(rng, 1, size, size, c, snr)
-                inp = det.DetectorInput(h=h[0], y=y[0], noise_var=nv,
-                                        constellation=c)
-                a = det.ml_detect(inp)
-                b = det.sphere_detect(inp)
-                same = (np.array_equal(a.hard_labels, b.hard_labels)
-                        and a.min_metric == b.min_metric)
+                labels, metrics, best = det.ml_detect_batch(h, y, nv, c)
+                got = det.sphere_detect(h[0], y[0], c)
+                same = (np.array_equal(got, labels[0, best[0]])
+                        and metrics[0, table_index(got, c)]
+                        == metrics[0, best[0]])
                 if not same:
                     report(1, False, f"mismatch at {size}x{size} "
                                      f"{c.order}-point, snr {snr} dB")
@@ -62,13 +66,14 @@ def test_criterion_02_mpnl_full_enumeration_equals_ml():
     for size in (2, 4):
         for _ in range(300):
             h, y, _, nv = rand_instances(rng, 1, size, size, QPSK, 10.0)
-            inp = det.DetectorInput(h=h[0], y=y[0], noise_var=nv,
-                                    constellation=QPSK)
-            plan = det.mpnl_preprocess(h[0], nv, 4 ** size, QPSK)
-            _, out = det.mpnl_detect(plan, inp)
-            ref = det.ml_detect(inp)
-            same = (np.array_equal(out.hard_labels, ref.hard_labels)
-                    and out.min_metric == ref.min_metric)
+            plan = det.mpnl_plan_batch(h, nv, 4 ** size, QPSK)
+            labels, _, best = det.mpnl_detect_batch(plan, h, y, QPSK)
+            ml_labels, ml_metrics, ml_best = det.ml_detect_batch(h, y, nv,
+                                                                 QPSK)
+            got = labels[0, best[0]]
+            same = (np.array_equal(got, ml_labels[0, ml_best[0]])
+                    and ml_metrics[0, table_index(got, QPSK)]
+                    == ml_metrics[0, ml_best[0]])
             if not same:
                 report(2, False, f"mismatch at {size}x{size}")
             checked += 1
@@ -84,8 +89,7 @@ def test_criterion_03_mmse_matches_direct_solve():
              + 1j * rng.standard_normal((8, 8))) / np.sqrt(2)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         nv = float(rng.uniform(0.01, 2.0))
-        inp = det.DetectorInput(h=h, y=y, noise_var=nv, constellation=QPSK)
-        got = det.mmse_detect(inp).soft
+        got = det._linear_batch(h[None], y[None], nv, QPSK, "mmse")[2][0]
         ref = np.linalg.solve(h.conj().T @ h + nv * np.eye(8), h.conj().T @ y)
         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
     report(3, worst <= 1e-10,

@@ -13,14 +13,20 @@ def rand_channel(rng, m, n):
 
 
 def rand_instance(rng, m, n, c, snr_db):
+    """A stack of one: channel (1, M, N), observation (1, M), the noise
+    variance and the transmitted labels (N,)."""
     h = rand_channel(rng, m, n)
     labels = rng.integers(0, c.order, n)
     x = c.points[labels]
     nv = n / 10 ** (snr_db / 10)
     noise = np.sqrt(nv / 2) * (rng.standard_normal(m)
                                + 1j * rng.standard_normal(m))
-    return det.DetectorInput(h=h, y=h @ x + noise, noise_var=nv,
-                             constellation=c), labels
+    return h[None], (h @ x + noise)[None], nv, labels
+
+
+def table_index(labels, c):
+    """Row of a label vector in ML's lexicographic table."""
+    return np.ravel_multi_index(tuple(labels), (c.order,) * len(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -29,16 +35,16 @@ def rand_instance(rng, m, n, c, snr_db):
 
 def test_zf_identity_channel():
     y = QPSK.points[[0, 3]]
-    inp = det.DetectorInput(h=np.eye(2), y=y, noise_var=0.01,
-                            constellation=QPSK)
-    assert np.array_equal(det.zf_detect(inp).hard_labels, [0, 3])
+    labels, _ = det.linear_detect_batch(np.eye(2, dtype=complex)[None],
+                                        y[None], 0.01, QPSK, "zf")
+    assert np.array_equal(labels[0], [0, 3])
 
 
 def test_zf_scaling_invariance():
     s = QPSK.points[[2, 1]]
-    inp = det.DetectorInput(h=2 * np.eye(2), y=2 * s, noise_var=0.01,
-                            constellation=QPSK)
-    assert np.allclose(det.zf_detect(inp).hard, s)
+    labels, _ = det.linear_detect_batch(2 * np.eye(2, dtype=complex)[None],
+                                        2 * s[None], 0.01, QPSK, "zf")
+    assert np.allclose(QPSK.points[labels[0]], s)
 
 
 def test_zf_noiseless_consistency():
@@ -46,18 +52,16 @@ def test_zf_noiseless_consistency():
     for _ in range(100):
         h = rand_channel(rng, 4, 4)
         labels = rng.integers(0, 4, 4)
-        inp = det.DetectorInput(h=h, y=h @ QPSK.points[labels],
-                                noise_var=1e-6, constellation=QPSK)
-        assert np.array_equal(det.zf_detect(inp).hard_labels, labels)
+        y = h @ QPSK.points[labels]
+        got, _ = det.linear_detect_batch(h[None], y[None], 1e-6, QPSK, "zf")
+        assert np.array_equal(got[0], labels)
 
 
 def test_zf_rejects_singular_channel():
-    h = np.ones((2, 2), dtype=complex)
-    inp = det.DetectorInput(h=h, y=np.ones(2), noise_var=0.1,
-                            constellation=QPSK)
+    h = np.ones((1, 2, 2), dtype=complex)
     with pytest.raises(det.SingularChannelError):
-        det.zf_detect(inp)
-    # the batched kernel rejects the same channel, and too few antennas
+        det.linear_detect_batch(h, np.ones((1, 2)), 0.1, QPSK, "zf")
+    # a stack of them, and too few antennas
     stack, y = np.ones((3, 2, 2), dtype=complex), np.ones((3, 2))
     with pytest.raises(det.SingularChannelError):
         det.linear_detect_batch(stack, y, 0.1, QPSK, "zf")
@@ -68,18 +72,18 @@ def test_zf_rejects_singular_channel():
 def test_mmse_identity_closed_form():
     y = np.array([0.3 + 0.1j, -0.2 + 0.5j])
     for nv in (0.1, 1.0, 3.0):
-        inp = det.DetectorInput(h=np.eye(2), y=y, noise_var=nv,
-                                constellation=QPSK)
-        assert np.allclose(det.mmse_detect(inp).soft, y / (1 + nv))
+        soft = det._linear_batch(np.eye(2, dtype=complex)[None], y[None], nv,
+                                 QPSK, "mmse")[2]
+        assert np.allclose(soft[0], y / (1 + nv))
 
 
 def test_mmse_zf_limit():
     rng = np.random.default_rng(3)
     h = rand_channel(rng, 2, 2)
     y = h @ QPSK.points[[1, 2]] + 0.01
-    inp = det.DetectorInput(h=h, y=y, noise_var=1e-12, constellation=QPSK)
-    assert np.array_equal(det.mmse_detect(inp).hard_labels,
-                          det.zf_detect(inp).hard_labels)
+    mmse, _ = det.linear_detect_batch(h[None], y[None], 1e-12, QPSK, "mmse")
+    zf, _ = det.linear_detect_batch(h[None], y[None], 1e-12, QPSK, "zf")
+    assert np.array_equal(mmse, zf)
 
 
 def test_mmse_matches_direct_solve():
@@ -88,9 +92,8 @@ def test_mmse_matches_direct_solve():
         h = rand_channel(rng, 4, 4)
         y = (rng.standard_normal(4) + 1j * rng.standard_normal(4))
         nv = float(rng.uniform(0.01, 2.0))
-        inp = det.DetectorInput(h=h, y=y, noise_var=nv, constellation=QPSK)
         ref = np.linalg.solve(h.conj().T @ h + nv * np.eye(4), h.conj().T @ y)
-        got = det.mmse_detect(inp).soft
+        got = det._linear_batch(h[None], y[None], nv, QPSK, "mmse")[2][0]
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -126,46 +129,44 @@ def test_linear_batch_matches_scalar():
 
 def test_ml_noiseless_recovers_truth():
     rng = np.random.default_rng(1)
-    inp, labels = rand_instance(rng, 3, 3, QPSK, 100.0)
-    assert np.array_equal(det.ml_detect(inp).hard_labels, labels)
+    h, y, nv, truth = rand_instance(rng, 3, 3, QPSK, 100.0)
+    labels, _, best = det.ml_detect_batch(h, y, nv, QPSK)
+    assert np.array_equal(labels[0, best[0]], truth)
 
 
 def test_ml_single_stream_is_slicing():
     rng = np.random.default_rng(2)
     h = rand_channel(rng, 1, 1)
     y = np.array([0.4 - 0.2j])
-    inp = det.DetectorInput(h=h, y=y, noise_var=0.1, constellation=QAM16)
-    out = det.ml_detect(inp)
-    assert out.hard_labels[0] == QAM16.nearest(y[0] / h[0, 0])
+    labels, _, best = det.ml_detect_batch(h[None], y[None], 0.1, QAM16)
+    assert labels[0, best[0], 0] == QAM16.nearest(y[0] / h[0, 0])
 
 
 def test_ml_matches_explicit_enumeration():
     rng = np.random.default_rng(7)
-    inp, _ = rand_instance(rng, 2, 2, QPSK, 10.0)
-    metrics = [np.sum(np.abs(inp.y - inp.h @ QPSK.points[[i, j]]) ** 2)
-               for i in range(4) for j in range(4)]
-    assert det.ml_detect(inp).min_metric == pytest.approx(min(metrics),
-                                                          rel=1e-12)
+    h, y, nv, _ = rand_instance(rng, 2, 2, QPSK, 10.0)
+    explicit = [np.sum(np.abs(y[0] - h[0] @ QPSK.points[[i, j]]) ** 2)
+                for i in range(4) for j in range(4)]
+    _, metrics, best = det.ml_detect_batch(h, y, nv, QPSK)
+    assert metrics[0, best[0]] == pytest.approx(min(explicit), rel=1e-12)
 
 
 def test_ml_enumeration_guard():
     rng = np.random.default_rng(0)
     h = rand_channel(rng, 3, 3)
-    inp = det.DetectorInput(h=h, y=np.zeros(3), noise_var=1.0,
-                            constellation=constellation_for(64))
     with pytest.raises(ValueError, match="guard"):
-        det.ml_detect(inp)
+        det.ml_detect_batch(h[None], np.zeros((1, 3)), 1.0,
+                            constellation_for(64))
 
 
 def test_ml_permutation_equivariance():
     rng = np.random.default_rng(13)
-    inp, _ = rand_instance(rng, 4, 4, QPSK, 8.0)
+    h, y, nv, _ = rand_instance(rng, 4, 4, QPSK, 8.0)
     perm = rng.permutation(4)
-    inp2 = det.DetectorInput(h=inp.h[:, perm], y=inp.y,
-                             noise_var=inp.noise_var, constellation=QPSK)
-    o1, o2 = det.ml_detect(inp), det.ml_detect(inp2)
-    assert o1.min_metric == pytest.approx(o2.min_metric, rel=1e-12)
-    assert np.array_equal(o1.hard_labels[perm], o2.hard_labels)
+    l1, m1, b1 = det.ml_detect_batch(h, y, nv, QPSK)
+    l2, m2, b2 = det.ml_detect_batch(h[:, :, perm], y, nv, QPSK)
+    assert m1[0, b1[0]] == pytest.approx(m2[0, b2[0]], rel=1e-12)
+    assert np.array_equal(l1[0, b1[0]][perm], l2[0, b2[0]])
 
 
 @pytest.mark.parametrize("m,n,order", [(2, 2, 4), (4, 4, 4), (3, 3, 16)])
@@ -174,27 +175,27 @@ def test_sphere_equals_ml(m, n, order):
     c = constellation_for(order)
     for snr in (0, 10, 20):
         for _ in range(50):
-            inp, _ = rand_instance(rng, m, n, c, snr)
-            a, b = det.ml_detect(inp), det.sphere_detect(inp)
-            assert np.array_equal(a.hard_labels, b.hard_labels)
-            assert a.min_metric == b.min_metric
+            h, y, nv, _ = rand_instance(rng, m, n, c, snr)
+            labels, metrics, best = det.ml_detect_batch(h, y, nv, c)
+            got = det.sphere_detect(h[0], y[0], c)
+            assert np.array_equal(got, labels[0, best[0]])
+            assert metrics[0, table_index(got, c)] == metrics[0, best[0]]
 
 
 def test_sphere_noiseless_zero_metric():
     rng = np.random.default_rng(4)
-    inp, labels = rand_instance(rng, 4, 4, QPSK, 300.0)
-    inp = det.DetectorInput(h=inp.h, y=inp.h @ QPSK.points[labels],
-                            noise_var=0.1, constellation=QPSK)
-    out = det.sphere_detect(inp)
-    assert np.array_equal(out.hard_labels, labels)
-    assert out.min_metric == pytest.approx(0.0, abs=1e-20)
+    h, _, _, labels = rand_instance(rng, 4, 4, QPSK, 300.0)
+    y = h[0] @ QPSK.points[labels]
+    got = det.sphere_detect(h[0], y, QPSK)
+    assert np.array_equal(got, labels)
+    resid = y - h[0] @ QPSK.points[got]
+    assert np.sum(np.abs(resid) ** 2) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_sphere_single_layer_slices():
     h = np.array([[0.8 - 0.3j]])
     y = np.array([0.5 + 0.1j])
-    inp = det.DetectorInput(h=h, y=y, noise_var=0.2, constellation=QAM16)
-    assert det.sphere_detect(inp).hard_labels[0] == QAM16.nearest(y[0] / h[0, 0])
+    assert det.sphere_detect(h, y, QAM16)[0] == QAM16.nearest(y[0] / h[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +261,13 @@ def test_allocation_matches_golden():
 def test_plan_invariants():
     rng = np.random.default_rng(21)
     h = rand_channel(rng, 4, 4)
-    plan = det.mpnl_preprocess(h, 0.1, 32, QPSK)
-    r = plan.r_factor
+    plan = det.mpnl_plan_batch(h[None], 0.1, 32, QPSK)
+    r = plan.r[0]
     assert np.allclose(np.tril(r, -1), 0)
     assert np.all(np.diag(r).real > 0)
     assert np.all(np.abs(np.diag(r).imag) < 1e-12)
     assert np.prod(plan.expansions) == plan.n_paths == 32
-    assert sorted(plan.ordering) == list(range(4))
+    assert sorted(plan.perm[0]) == list(range(4))
     # weaker layers sit at the top (first detected, most expanded)
     diag = np.diag(r).real
     assert diag[0] == max(diag)
@@ -275,16 +276,16 @@ def test_plan_invariants():
 def test_plan_reconstructs_channel():
     rng = np.random.default_rng(22)
     h = rand_channel(rng, 6, 4)
-    plan = det.mpnl_preprocess(h, 0.1, 16, QPSK)
-    hp = h[:, plan.ordering]
-    assert np.allclose(plan.q_factor @ plan.r_factor, hp, atol=1e-10)
+    plan = det.mpnl_plan_batch(h[None], 0.1, 16, QPSK)
+    hp = h[:, plan.perm[0]]
+    assert np.allclose(plan.qh[0].conj().T @ plan.r[0], hp, atol=1e-10)
 
 
 def test_plan_rejects_budget_below_forced():
     rng = np.random.default_rng(23)
     h = rand_channel(rng, 1, 3)
     with pytest.raises(ValueError, match="rank-deficient"):
-        det.mpnl_preprocess(h, 0.1, 8, QPSK)
+        det.mpnl_plan_batch(h[None], 0.1, 8, QPSK)
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +296,29 @@ def test_plan_rejects_budget_below_forced():
 def test_mpnl_full_enumeration_equals_ml(n):
     rng = np.random.default_rng(31 + n)
     for _ in range(100):
-        inp, _ = rand_instance(rng, n, n, QPSK, 10.0)
-        plan = det.mpnl_preprocess(inp.h, inp.noise_var, 4 ** n, QPSK)
-        _, out = det.mpnl_detect(plan, inp)
-        ref = det.ml_detect(inp)
-        assert np.array_equal(out.hard_labels, ref.hard_labels)
-        assert out.min_metric == ref.min_metric
+        h, y, nv, _ = rand_instance(rng, n, n, QPSK, 10.0)
+        plan = det.mpnl_plan_batch(h, nv, 4 ** n, QPSK)
+        labels, _, best = det.mpnl_detect_batch(plan, h, y, QPSK)
+        ml_labels, ml_metrics, ml_best = det.ml_detect_batch(h, y, nv, QPSK)
+        got = labels[0, best[0]]
+        assert np.array_equal(got, ml_labels[0, ml_best[0]])
+        assert (ml_metrics[0, table_index(got, QPSK)]
+                == ml_metrics[0, ml_best[0]])
 
 
 def test_mpnl_single_path_equals_sic():
     rng = np.random.default_rng(41)
     for _ in range(200):
-        inp, _ = rand_instance(rng, 4, 4, QPSK, 12.0)
-        plan = det.mpnl_preprocess(inp.h, inp.noise_var, 1, QPSK)
-        _, out = det.mpnl_detect(plan, inp)
+        h, y, nv, _ = rand_instance(rng, 4, 4, QPSK, 12.0)
+        plan = det.mpnl_plan_batch(h, nv, 1, QPSK)
+        labels, _, best = det.mpnl_detect_batch(plan, h, y, QPSK)
         # independent SIC along the plan's ordering via back-substitution
-        hp = inp.h[:, plan.ordering]
+        ordering = plan.perm[0]
+        hp = h[0][:, ordering]
         q, r = np.linalg.qr(hp)
         phase = np.diag(r) / np.abs(np.diag(r))
         r = (r.T * phase.conj()).T
-        z = (q * phase).conj().T @ inp.y
+        z = (q * phase).conj().T @ y[0]
         sic = np.zeros(4, dtype=np.int64)
         x = np.zeros(4, dtype=complex)
         for i in range(3, -1, -1):
@@ -322,8 +326,8 @@ def test_mpnl_single_path_equals_sic():
             sic[i] = np.argmin(np.abs(center - QPSK.points) ** 2)
             x[i] = QPSK.points[sic[i]]
         expect = np.empty(4, dtype=np.int64)
-        expect[plan.ordering] = sic
-        assert np.array_equal(out.hard_labels, expect)
+        expect[ordering] = sic
+        assert np.array_equal(labels[0, best[0]], expect)
 
 
 def test_mpnl_noiseless_any_budget():
@@ -331,30 +335,30 @@ def test_mpnl_noiseless_any_budget():
     for npaths in (1, 2, 4, 8, 32):
         h = rand_channel(rng, 4, 4)
         labels = rng.integers(0, 4, 4)
-        inp = det.DetectorInput(h=h, y=h @ QPSK.points[labels],
-                                noise_var=0.01, constellation=QPSK)
-        plan = det.mpnl_preprocess(h, 0.01, npaths, QPSK)
-        _, out = det.mpnl_detect(plan, inp)
-        assert np.array_equal(out.hard_labels, labels)
+        y = h @ QPSK.points[labels]
+        plan = det.mpnl_plan_batch(h[None], 0.01, npaths, QPSK)
+        got, _, best = det.mpnl_detect_batch(plan, h[None], y[None], QPSK)
+        assert np.array_equal(got[0, best[0]], labels)
 
 
 def test_mpnl_metric_dominates_ml():
     rng = np.random.default_rng(61)
     for _ in range(100):
-        inp, _ = rand_instance(rng, 4, 4, QPSK, 5.0)
-        plan = det.mpnl_preprocess(inp.h, inp.noise_var, 8, QPSK)
-        _, out = det.mpnl_detect(plan, inp)
-        assert out.min_metric >= det.ml_detect(inp).min_metric - 1e-12
+        h, y, nv, _ = rand_instance(rng, 4, 4, QPSK, 5.0)
+        plan = det.mpnl_plan_batch(h, nv, 8, QPSK)
+        _, metrics, best = det.mpnl_detect_batch(plan, h, y, QPSK)
+        _, ml_metrics, ml_best = det.ml_detect_batch(h, y, nv, QPSK)
+        assert metrics[0, best[0]] >= ml_metrics[0, ml_best[0]] - 1e-12
 
 
 def test_mpnl_candidates_nested_under_doubling():
     rng = np.random.default_rng(71)
-    inp, _ = rand_instance(rng, 4, 4, QPSK, 8.0)
+    h, y, nv, _ = rand_instance(rng, 4, 4, QPSK, 8.0)
     prev = None
     for k in (1, 2, 4, 8, 16, 32):
-        plan = det.mpnl_preprocess(inp.h, inp.noise_var, k, QPSK)
-        clist, _ = det.mpnl_detect(plan, inp)
-        cur = {tuple(row) for row in clist.labels}
+        plan = det.mpnl_plan_batch(h, nv, k, QPSK)
+        labels, _, _ = det.mpnl_detect_batch(plan, h, y, QPSK)
+        cur = {tuple(row) for row in labels[0]}
         assert len(cur) == k            # pairwise distinct
         if prev is not None:
             assert prev <= cur
@@ -363,22 +367,13 @@ def test_mpnl_candidates_nested_under_doubling():
 
 def test_mpnl_candidate_metrics_consistent():
     rng = np.random.default_rng(81)
-    inp, _ = rand_instance(rng, 4, 4, QAM16, 15.0)
-    plan = det.mpnl_preprocess(inp.h, inp.noise_var, 16, QAM16)
-    clist, out = det.mpnl_detect(plan, inp)
-    for cand, metric in zip(clist.candidates, clist.metrics):
-        direct = np.sum(np.abs(inp.y - inp.h @ cand) ** 2)
+    h, y, nv, _ = rand_instance(rng, 4, 4, QAM16, 15.0)
+    plan = det.mpnl_plan_batch(h, nv, 16, QAM16)
+    labels, metrics, best = det.mpnl_detect_batch(plan, h, y, QAM16)
+    for lab, metric in zip(labels[0], metrics[0]):
+        direct = np.sum(np.abs(y[0] - h[0] @ QAM16.points[lab]) ** 2)
         assert metric == pytest.approx(direct, rel=1e-9)
-    assert out.min_metric == pytest.approx(clist.metrics.min(), rel=1e-12)
-
-
-def test_mpnl_fingerprint_mismatch_rejected():
-    rng = np.random.default_rng(91)
-    inp, _ = rand_instance(rng, 2, 2, QPSK, 10.0)
-    other = rand_channel(rng, 2, 2)
-    plan = det.mpnl_preprocess(other, inp.noise_var, 4, QPSK)
-    with pytest.raises(ValueError, match="fingerprint"):
-        det.mpnl_detect(plan, inp)
+    assert metrics[0, best[0]] == pytest.approx(metrics[0].min(), rel=1e-12)
 
 
 def test_mpnl_overloaded_runs():
@@ -386,11 +381,10 @@ def test_mpnl_overloaded_runs():
     h = rand_channel(rng, 2, 3)
     labels = rng.integers(0, 4, 3)
     y = h @ QPSK.points[labels]
-    inp = det.DetectorInput(h=h, y=y, noise_var=1e-4, constellation=QPSK)
-    plan = det.mpnl_preprocess(h, 1e-4, 32, QPSK)
+    plan = det.mpnl_plan_batch(h[None], 1e-4, 32, QPSK)
     assert plan.expansions[2] == 4       # rank-deficient top layer forced
-    _, out = det.mpnl_detect(plan, inp)
-    assert np.array_equal(out.hard_labels, labels)
+    got, _, best = det.mpnl_detect_batch(plan, h[None], y[None], QPSK)
+    assert np.array_equal(got[0, best[0]], labels)
 
 
 def _stack(rng, b, m, n):
@@ -640,39 +634,40 @@ def test_tree_labels_match_per_path_reference():
 
 def test_llr_full_list_equals_exact_maxlog():
     rng = np.random.default_rng(111)
-    inp, _ = rand_instance(rng, 2, 2, QPSK, 6.0)
-    ml = det.ml_detect(inp)
-    plan = det.mpnl_preprocess(inp.h, inp.noise_var, 16, QPSK)
-    clist, _ = det.mpnl_detect(plan, inp)
-    llrs = det.llr_from_candidates(clist, inp.noise_var, QPSK)
-    assert np.allclose(llrs, ml.llrs, atol=1e-9)
+    h, y, nv, _ = rand_instance(rng, 2, 2, QPSK, 6.0)
+    ml_labels, ml_metrics, _ = det.ml_detect_batch(h, y, nv, QPSK)
+    want = det._candidate_llrs_batch(ml_labels, ml_metrics, nv, QPSK)
+    plan = det.mpnl_plan_batch(h, nv, 16, QPSK)
+    labels, metrics, _ = det.mpnl_detect_batch(plan, h, y, QPSK)
+    llrs = det._candidate_llrs_batch(labels, metrics, nv, QPSK)
+    assert np.allclose(llrs, want, atol=1e-9)
 
 
 def test_llr_single_candidate_saturates():
     rng = np.random.default_rng(121)
-    inp, _ = rand_instance(rng, 2, 2, QPSK, 10.0)
-    plan = det.mpnl_preprocess(inp.h, inp.noise_var, 1, QPSK)
-    clist, out = det.mpnl_detect(plan, inp)
-    llrs = det.llr_from_candidates(clist, inp.noise_var, QPSK)
+    h, y, nv, _ = rand_instance(rng, 2, 2, QPSK, 10.0)
+    plan = det.mpnl_plan_batch(h, nv, 1, QPSK)
+    labels, metrics, best = det.mpnl_detect_batch(plan, h, y, QPSK)
+    llrs = det._candidate_llrs_batch(labels, metrics, nv, QPSK)[0]
     assert np.all(np.abs(llrs) == det.LLR_CLIP)
     bits = (llrs < 0).astype(int)
-    assert np.array_equal(bits, QPSK.labels[out.hard_labels])
+    assert np.array_equal(bits, QPSK.labels[labels[0, best[0]]])
 
 
 def test_llr_signs_match_ml_when_ml_in_list():
     rng = np.random.default_rng(131)
     hits = 0
     for _ in range(100):
-        inp, _ = rand_instance(rng, 2, 2, QPSK, 12.0)
-        ml = det.ml_detect(inp)
-        plan = det.mpnl_preprocess(inp.h, inp.noise_var, 4, QPSK)
-        clist, _ = det.mpnl_detect(plan, inp)
-        in_list = any(np.array_equal(l, ml.hard_labels) for l in clist.labels)
+        h, y, nv, _ = rand_instance(rng, 2, 2, QPSK, 12.0)
+        ml_labels, _, ml_best = det.ml_detect_batch(h, y, nv, QPSK)
+        ml_hard = ml_labels[0, ml_best[0]]
+        plan = det.mpnl_plan_batch(h, nv, 4, QPSK)
+        labels, metrics, _ = det.mpnl_detect_batch(plan, h, y, QPSK)
+        in_list = any(np.array_equal(l, ml_hard) for l in labels[0])
         if not in_list:
             continue
         hits += 1
-        llrs = det.llr_from_candidates(clist, inp.noise_var, QPSK)
+        llrs = det._candidate_llrs_batch(labels, metrics, nv, QPSK)[0]
         bits = (llrs < 0).astype(int)
-        assert np.array_equal(bits, QPSK.labels[ml.hard_labels])
+        assert np.array_equal(bits, QPSK.labels[ml_hard])
     assert hits > 50
-
