@@ -99,8 +99,7 @@ def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
 # exact non-linear oracles
 # ---------------------------------------------------------------------------
 
-def ml_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
-                    c: Constellation):
+def ml_detect_batch(h: np.ndarray, y: np.ndarray, c: Constellation):
     """Exhaustive search over a (B, M, N) / (B, M) stack.  Returns (labels
     (B, Q^N, N), metrics (B, Q^N), best (B,)); best is the first minimum,
     so ties break lexicographically."""
@@ -434,7 +433,7 @@ DETECTORS = {
     "ml": Detector(
         min_antennas=lambda n, q, n_paths: 1,
         apply=lambda _, h, y, nv, c: _list_output(
-            *ml_detect_batch(h, y, nv, c), nv, c)),
+            *ml_detect_batch(h, y, c), nv, c)),
     "mpnl": Detector(
         min_antennas=_mpnl_min_antennas,
         plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),

@@ -47,8 +47,8 @@ def test_criterion_01_sphere_equals_ml():
         for c in (QPSK, QAM16):
             for i in range(500):
                 snr = (0, 10, 20)[i % 3]
-                h, y, _, nv = rand_instances(rng, 1, size, size, c, snr)
-                labels, metrics, best = det.ml_detect_batch(h, y, nv, c)
+                h, y, _, _ = rand_instances(rng, 1, size, size, c, snr)
+                labels, metrics, best = det.ml_detect_batch(h, y, c)
                 got = det.sphere_detect(h[0], y[0], c)
                 same = (np.array_equal(got, labels[0, best[0]])
                         and metrics[0, table_index(got, c)]
@@ -68,8 +68,7 @@ def test_criterion_02_mpnl_full_enumeration_equals_ml():
             h, y, _, nv = rand_instances(rng, 1, size, size, QPSK, 10.0)
             plan = det.mpnl_plan_batch(h, nv, 4 ** size, QPSK)
             labels, _, best = det.mpnl_detect_batch(plan, h, y, QPSK)
-            ml_labels, ml_metrics, ml_best = det.ml_detect_batch(h, y, nv,
-                                                                 QPSK)
+            ml_labels, ml_metrics, ml_best = det.ml_detect_batch(h, y, QPSK)
             got = labels[0, best[0]]
             same = (np.array_equal(got, ml_labels[0, ml_best[0]])
                     and ml_metrics[0, table_index(got, QPSK)]
@@ -120,7 +119,7 @@ def _ser_batched(detector, snr_db, trials, rng, n, m, c, n_paths=32,
             cand, _, best = det.mpnl_detect_batch(plan, h, y, c)
             hard = np.take_along_axis(cand, best[:, None, None], axis=1)[:, 0]
         elif detector == "ml":
-            cand, _, best = det.ml_detect_batch(h, y, nv, c)
+            cand, _, best = det.ml_detect_batch(h, y, c)
             hard = cand[np.arange(take), best]
         else:
             hard, _ = det.linear_detect_batch(h, y, nv, c, detector)

@@ -129,8 +129,8 @@ def test_linear_batch_matches_scalar():
 
 def test_ml_noiseless_recovers_truth():
     rng = np.random.default_rng(1)
-    h, y, nv, truth = rand_instance(rng, 3, 3, QPSK, 100.0)
-    labels, _, best = det.ml_detect_batch(h, y, nv, QPSK)
+    h, y, _, truth = rand_instance(rng, 3, 3, QPSK, 100.0)
+    labels, _, best = det.ml_detect_batch(h, y, QPSK)
     assert np.array_equal(labels[0, best[0]], truth)
 
 
@@ -138,16 +138,16 @@ def test_ml_single_stream_is_slicing():
     rng = np.random.default_rng(2)
     h = rand_channel(rng, 1, 1)
     y = np.array([0.4 - 0.2j])
-    labels, _, best = det.ml_detect_batch(h[None], y[None], 0.1, QAM16)
+    labels, _, best = det.ml_detect_batch(h[None], y[None], QAM16)
     assert labels[0, best[0], 0] == QAM16.nearest(y[0] / h[0, 0])
 
 
 def test_ml_matches_explicit_enumeration():
     rng = np.random.default_rng(7)
-    h, y, nv, _ = rand_instance(rng, 2, 2, QPSK, 10.0)
+    h, y, _, _ = rand_instance(rng, 2, 2, QPSK, 10.0)
     explicit = [np.sum(np.abs(y[0] - h[0] @ QPSK.points[[i, j]]) ** 2)
                 for i in range(4) for j in range(4)]
-    _, metrics, best = det.ml_detect_batch(h, y, nv, QPSK)
+    _, metrics, best = det.ml_detect_batch(h, y, QPSK)
     assert metrics[0, best[0]] == pytest.approx(min(explicit), rel=1e-12)
 
 
@@ -155,16 +155,15 @@ def test_ml_enumeration_guard():
     rng = np.random.default_rng(0)
     h = rand_channel(rng, 3, 3)
     with pytest.raises(ValueError, match="guard"):
-        det.ml_detect_batch(h[None], np.zeros((1, 3)), 1.0,
-                            constellation_for(64))
+        det.ml_detect_batch(h[None], np.zeros((1, 3)), constellation_for(64))
 
 
 def test_ml_permutation_equivariance():
     rng = np.random.default_rng(13)
-    h, y, nv, _ = rand_instance(rng, 4, 4, QPSK, 8.0)
+    h, y, _, _ = rand_instance(rng, 4, 4, QPSK, 8.0)
     perm = rng.permutation(4)
-    l1, m1, b1 = det.ml_detect_batch(h, y, nv, QPSK)
-    l2, m2, b2 = det.ml_detect_batch(h[:, :, perm], y, nv, QPSK)
+    l1, m1, b1 = det.ml_detect_batch(h, y, QPSK)
+    l2, m2, b2 = det.ml_detect_batch(h[:, :, perm], y, QPSK)
     assert m1[0, b1[0]] == pytest.approx(m2[0, b2[0]], rel=1e-12)
     assert np.array_equal(l1[0, b1[0]][perm], l2[0, b2[0]])
 
@@ -175,8 +174,8 @@ def test_sphere_equals_ml(m, n, order):
     c = constellation_for(order)
     for snr in (0, 10, 20):
         for _ in range(50):
-            h, y, nv, _ = rand_instance(rng, m, n, c, snr)
-            labels, metrics, best = det.ml_detect_batch(h, y, nv, c)
+            h, y, _, _ = rand_instance(rng, m, n, c, snr)
+            labels, metrics, best = det.ml_detect_batch(h, y, c)
             got = det.sphere_detect(h[0], y[0], c)
             assert np.array_equal(got, labels[0, best[0]])
             assert metrics[0, table_index(got, c)] == metrics[0, best[0]]
@@ -299,7 +298,7 @@ def test_mpnl_full_enumeration_equals_ml(n):
         h, y, nv, _ = rand_instance(rng, n, n, QPSK, 10.0)
         plan = det.mpnl_plan_batch(h, nv, 4 ** n, QPSK)
         labels, _, best = det.mpnl_detect_batch(plan, h, y, QPSK)
-        ml_labels, ml_metrics, ml_best = det.ml_detect_batch(h, y, nv, QPSK)
+        ml_labels, ml_metrics, ml_best = det.ml_detect_batch(h, y, QPSK)
         got = labels[0, best[0]]
         assert np.array_equal(got, ml_labels[0, ml_best[0]])
         assert (ml_metrics[0, table_index(got, QPSK)]
@@ -347,7 +346,7 @@ def test_mpnl_metric_dominates_ml():
         h, y, nv, _ = rand_instance(rng, 4, 4, QPSK, 5.0)
         plan = det.mpnl_plan_batch(h, nv, 8, QPSK)
         _, metrics, best = det.mpnl_detect_batch(plan, h, y, QPSK)
-        _, ml_metrics, ml_best = det.ml_detect_batch(h, y, nv, QPSK)
+        _, ml_metrics, ml_best = det.ml_detect_batch(h, y, QPSK)
         assert metrics[0, best[0]] >= ml_metrics[0, ml_best[0]] - 1e-12
 
 
@@ -635,7 +634,7 @@ def test_tree_labels_match_per_path_reference():
 def test_llr_full_list_equals_exact_maxlog():
     rng = np.random.default_rng(111)
     h, y, nv, _ = rand_instance(rng, 2, 2, QPSK, 6.0)
-    ml_labels, ml_metrics, _ = det.ml_detect_batch(h, y, nv, QPSK)
+    ml_labels, ml_metrics, _ = det.ml_detect_batch(h, y, QPSK)
     want = det._candidate_llrs_batch(ml_labels, ml_metrics, nv, QPSK)
     plan = det.mpnl_plan_batch(h, nv, 16, QPSK)
     labels, metrics, _ = det.mpnl_detect_batch(plan, h, y, QPSK)
@@ -659,7 +658,7 @@ def test_llr_signs_match_ml_when_ml_in_list():
     hits = 0
     for _ in range(100):
         h, y, nv, _ = rand_instance(rng, 2, 2, QPSK, 12.0)
-        ml_labels, _, ml_best = det.ml_detect_batch(h, y, nv, QPSK)
+        ml_labels, _, ml_best = det.ml_detect_batch(h, y, QPSK)
         ml_hard = ml_labels[0, ml_best[0]]
         plan = det.mpnl_plan_batch(h, nv, 4, QPSK)
         labels, metrics, _ = det.mpnl_detect_batch(plan, h, y, QPSK)
