@@ -205,12 +205,15 @@ def cmd_connectivity(cfg: dict, manifest: dict, out, seed: int):
         "rows": [
             {"use_case": r.use_case, "antenna_budget": r.antenna_budget,
              "streams": r.streams, "vehicles": r.vehicles,
+             # strict JSON has no Infinity: an infinite ratio (mmse
+             # serves no vehicle) takes the CSV's token
              "gain_ratio": (None if r.gain_ratio is None
+                            else "inf" if math.isinf(r.gain_ratio)
                             else float(r.gain_ratio))}
             for r in rows],
     }
     with open(out, "w") as f:
-        json.dump(payload, f, indent=2, default=str)
+        json.dump(payload, f, indent=2, default=str, allow_nan=False)
     csv_rows = [[r.use_case, r.antenna_budget,
                  r.vehicles.get("mmse"), r.vehicles.get("mpnl"),
                  r.gain_ratio] for r in rows]

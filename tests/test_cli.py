@@ -258,10 +258,14 @@ def test_connectivity_custom_use_cases_and_table(tmp_path):
     out = tmp_path / "r.json"
     assert cli.main(["connectivity", "--config", cfgp,
                      "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
     row = payload["rows"][0]
     assert row["use_case"] == "custom"
     assert row["streams"]["mpnl"] == 2 and row["streams"]["mmse"] == 0
+    assert row["gain_ratio"] == "inf"
 
 
 @pytest.mark.parametrize("bad, key", [
