@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -670,3 +671,68 @@ def test_llr_signs_match_ml_when_ml_in_list():
         bits = (llrs < 0).astype(int)
         assert np.array_equal(bits, QPSK.labels[ml_hard])
     assert hits > 50
+
+
+# ---------------------------------------------------------------------------
+# absolute error rates against closed forms
+# ---------------------------------------------------------------------------
+
+# two-sided 99.9% normal quantile of the interval over instances
+Z_INTERVAL = 3.29
+
+
+def mrc_ber(gamma, branches):
+    """Bit error rate of Gray QPSK (BPSK per axis) after maximal-ratio
+    combining of `branches` i.i.d. Rayleigh branches at mean per-branch
+    per-bit SNR `gamma` (Proakis, Digital Communications, MRC over
+    Rayleigh fading)."""
+    mu = math.sqrt(gamma / (1 + gamma))
+    return ((1 - mu) / 2) ** branches * sum(
+        math.comb(branches - 1 + k, k) * ((1 + mu) / 2) ** k
+        for k in range(branches))
+
+
+def rayleigh_qpsk(rng, b, m, n, snr_db):
+    """b instances of Gray QPSK over i.i.d. unit-power Rayleigh: channels,
+    observations, noise variance and transmitted labels."""
+    h = _stack(rng, b, m, n)
+    labels = rng.integers(0, 4, (b, n))
+    nv = n / 10 ** (snr_db / 10)
+    y = (np.einsum("bmn,bn->bm", h, QPSK.points[labels])
+         + np.sqrt(nv / 2) * (rng.standard_normal((b, m))
+                              + 1j * rng.standard_normal((b, m))))
+    return h, y, nv, labels
+
+
+def assert_ber(hard, labels, want):
+    """The BER of hard labels matches `want` within the simulation's own
+    interval: per-instance bit error fractions, Z_INTERVAL standard
+    errors of their mean."""
+    per = np.mean(QPSK.labels[hard] != QPSK.labels[labels], axis=(1, 2))
+    half = Z_INTERVAL * per.std(ddof=1) / np.sqrt(per.size)
+    assert abs(per.mean() - want) <= half, (
+        f"BER {per.mean():.4e} +/- {half:.1e}, closed form {want:.4e}")
+
+
+@pytest.mark.parametrize("n,m,snr_db,seed", [(2, 2, 20.0, 171),
+                                             (4, 6, 10.0, 172)])
+def test_zf_ber_matches_diversity_closed_form(n, m, snr_db, seed):
+    """Each ZF stream sees M - N + 1 branch diversity at per-branch
+    per-bit SNR 1 / (2 nv) (Winters, Salz & Gitlin, IEEE TCOM 1994)."""
+    rng = np.random.default_rng(seed)
+    h, y, nv, labels = rayleigh_qpsk(rng, 100_000, m, n, snr_db)
+    hard, _ = det.linear_detect_batch(h, y, nv, QPSK, "zf")
+    assert_ber(hard, labels, mrc_ber(1 / (2 * nv), m - n + 1))
+
+
+def test_single_stream_detectors_agree_with_mrc():
+    """At N = 1 every detector is maximal-ratio combining and slicing."""
+    rng = np.random.default_rng(173)
+    h, y, nv, labels = rayleigh_qpsk(rng, 100_000, 4, 1, 0.0)
+    hard = {}
+    for name, d in det.DETECTORS.items():
+        plan = d.plan(h, nv, QPSK, 32)
+        hard[name] = d.apply(plan, h, y, nv, QPSK)[0]
+    for name in hard:
+        assert np.array_equal(hard[name], hard["mmse"]), name
+    assert_ber(hard["mmse"], labels, mrc_ber(1 / (2 * nv), 4))
