@@ -222,41 +222,46 @@ class BatchPathPlan:
 def _sorted_qr_batch(a: np.ndarray):
     """Column-pivoted QR over a batch: strongest residual column first.
 
-    a: (B, Ma, N).  Returns perm (B, N), q (B, Ma, N), r (B, N, N) with
-    real non-negative diagonal.  Position 0 holds the strongest column,
-    so |r_ii| decreases toward the top (first-detected) layer.
+    a: (B, Ma, N).  Returns perm (B, N), q^T with the batch last
+    (N, Ma, B) and r (B, N, N) with real non-negative diagonal.  Position
+    0 holds the strongest column, so |r_ii| decreases toward the top
+    (first-detected) layer.
+
+    Column j is kept as row j of g = [q^T | r^T] (N, Ma + N, B), batch
+    last, so every step works on whole (B,) rows and a pivot swap moves
+    each stack's two rows with one gather and one scatter.
     """
-    a = a.astype(complex).copy()
+    a = np.ascontiguousarray(a, dtype=complex)
     b, ma, n = a.shape
-    bi = np.arange(b)
-    perm = np.tile(np.arange(n), (b, 1))
-    r = np.zeros((b, n, n), dtype=complex)
-    norms = np.sum(np.abs(a) ** 2, axis=1)       # (B, N)
+    norms = np.ascontiguousarray(np.sum(np.abs(a) ** 2, axis=1).T)
+    g = np.zeros((n, ma + n, b), dtype=complex)
+    g[:, :ma] = a.transpose(2, 1, 0)
+    qt, rt = g[:, :ma], g[:, ma:]
+    perm = np.repeat(np.arange(n)[:, None], b, axis=1)
+    cols = np.arange(b)
+    span = np.arange(ma + n)[:, None] * b + cols
     for k in range(n):
-        piv = k + np.argmax(norms[:, k:], axis=1)
-        # swap column k <-> pivot in a, norms, perm, and computed r rows
-        ak = a[bi, :, k].copy()
-        a[bi, :, k] = a[bi, :, piv]
-        a[bi, :, piv] = ak
-        for arr in (norms, perm):
-            tmp = arr[bi, k].copy()
-            arr[bi, k] = arr[bi, piv]
-            arr[bi, piv] = tmp
-        if k:
-            tmp = r[bi, :k, k].copy()
-            r[bi, :k, k] = r[bi, :k, piv]
-            r[bi, :k, piv] = tmp
-        rkk = np.sqrt(np.sum(np.abs(a[:, :, k]) ** 2, axis=1))
+        piv = k + np.argmax(norms[k:], axis=0)
+        # swap column k <-> pivot in g, norms and perm
+        at = piv * b + cols
+        for x, src in ((g, piv[None] * (ma + n) * b + span), (norms, at),
+                       (perm, at)):
+            flat = x.reshape(-1)
+            row = flat[src]
+            flat[src] = x[k]
+            x[k] = row
+        rkk = np.sqrt(np.sum(np.abs(qt[k].T, out=np.empty((b, ma))) ** 2,
+                             axis=1))
         rkk = np.maximum(rkk, 1e-300)
-        r[:, k, k] = rkk
-        qk = a[:, :, k] / rkk[:, None]
-        a[:, :, k] = qk
+        rt[k, k] = rkk
+        qk = np.divide(qt[k], rkk, out=qt[k])
         if k + 1 < n:
-            proj = np.einsum("bm,bmj->bj", qk.conj(), a[:, :, k + 1:])
-            r[:, k, k + 1:] = proj
-            a[:, :, k + 1:] -= qk[:, :, None] * proj[:, None, :]
-            norms[:, k + 1:] = np.maximum(norms[:, k + 1:] - np.abs(proj) ** 2, 0.0)
-    return perm, a, r
+            proj = np.einsum("mb,jmb->jb", qk.conj(), qt[k + 1:])
+            rt[k + 1:, k] = proj
+            qt[k + 1:] -= qk * proj[:, None]
+            norms[k + 1:] = np.maximum(norms[k + 1:] - np.abs(proj) ** 2, 0.0)
+    return (np.ascontiguousarray(perm.T), qt,
+            np.ascontiguousarray(rt.transpose(2, 1, 0)))
 
 
 def mpnl_plan_batch(h: np.ndarray, noise_var: float, n_paths: int,
@@ -277,57 +282,100 @@ def mpnl_plan_batch(h: np.ndarray, noise_var: float, n_paths: int,
             axis=1)
     else:
         a = h
-    perm, q, r = _sorted_qr_batch(a)
-    qh = q[:, :m, :].conj().transpose(0, 2, 1)   # (B, N, M)
-    return BatchPathPlan(perm=perm, qh=np.ascontiguousarray(qh), r=r,
-                         expansions=expansions, n_paths=realized)
+    perm, qt, r = _sorted_qr_batch(a)
+    qh = np.conj(qt[:, :m].transpose(2, 0, 1),
+                 out=np.empty((b, n, m), dtype=complex))
+    return BatchPathPlan(perm=perm, qh=qh, r=r, expansions=expansions,
+                         n_paths=realized)
+
+
+def _closest(d: np.ndarray, e: int) -> np.ndarray:
+    """The first e indices of a stable argsort of d (Q, ...) along its
+    first axis, returned as (..., e).
+
+    Below log2(Q) children, e first-minimum picks cost less than the sort.
+    A pick is the lowest index holding the minimum over the indices not
+    yet picked, which is the sort's next index while that minimum is below
+    inf; a row whose minimum is inf (a picked index could tie it) or NaN
+    (the sort puts NaN last) is sorted instead.
+    """
+    q = d.shape[0]
+    if e >= q.bit_length() - 1:
+        return np.moveaxis(np.argsort(d, axis=0, kind="stable")[:e], 0, -1)
+    flat = d.reshape(q, -1)
+    masked = flat.copy()
+    cols = np.arange(flat.shape[1])
+    # index i weighs q - i, so the heaviest match is the lowest index
+    weight = np.arange(q, 0, -1, dtype=np.uint8)[:, None]
+    idx = np.empty((flat.shape[1], e), dtype=np.intp)
+    ok = np.ones(flat.shape[1], dtype=bool)
+    for k in range(e):
+        low = masked.min(axis=0)
+        ok &= low < np.inf
+        heaviest = ((masked == low) * weight).max(axis=0)
+        idx[:, k] = pick = q - np.maximum(heaviest, 1)
+        masked[pick, cols] = np.inf
+    if not ok.all():
+        idx[~ok] = np.argsort(flat[:, ~ok], axis=0, kind="stable")[:e].T
+    return idx.reshape(d.shape[1:] + (e,))
 
 
 def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
-                 c: Constellation) -> np.ndarray:
-    """Expand the planned tree; returns point labels (B, n_paths, N) in
-    tree-position order (column 0 = bottom layer).
+                 c: Constellation,
+                 perm: np.ndarray | None = None) -> np.ndarray:
+    """Expand the planned tree; returns point labels (B, n_paths, N) with
+    tree position j in column perm[b, j] (by default column j: tree-position
+    order, column 0 = bottom layer).
 
     Each partial path expands to its expansions[pos] best children in
     Schnorr-Euchner (closest-first) order; paths never interact, so the
     result is independent of evaluation order and worker partitioning.
     A single-child layer slices its centres (c.nearest gives the first
-    minimum, which is where a stable sort puts it).  Partial path j of
-    width w is the ancestor of the P // w final paths from j * (P // w)
-    on, so each layer's choices are written once, at the end.
+    minimum, which is where a stable sort puts it); a multi-child layer
+    keeps the first e of a stable sort of its (Q, B, W) distances.
+
+    The search runs position-major: acc[j, b, w] is the interference of
+    partial path w on tree position j, rcol[pos, j, b] = r[b, j, pos], and
+    z and the real diagonal are stored (N, B), so a layer reads its centres
+    from one contiguous row.  A layer's new interference, acc[:pos] plus
+    rcol[pos, :pos] times the chosen symbols, is summed into its
+    (pos, B, W, e) product, where child k of path w reads row w of acc
+    without a copy.  Partial path j of width w is the ancestor of the
+    P // w final paths from j * (P // w) on, so each layer's choices are
+    written once, at the end, straight into their stream columns.
     """
     b, n = z.shape
     points = c.points
-    acc = np.zeros((b, 1, n), dtype=complex)  # interference on columns < pos
+    zt = np.ascontiguousarray(z.T)
+    rcol = np.ascontiguousarray(r.transpose(2, 1, 0))
+    diag = np.ascontiguousarray(np.einsum("bii->ib", r).real)
+    acc = np.zeros((n, b, 1), dtype=complex)
     chosen = []
     for pos in range(n - 1, -1, -1):
         e = int(expansions[pos])
-        w = acc.shape[1]
-        center = (z[:, None, pos] - acc[:, :, pos]) / r[:, None, pos, pos].real
+        w = acc.shape[2]
+        center = (zt[pos, :, None] - acc[pos]) / diag[pos, :, None]
         if e == 1:
             idx = c.nearest(center)                              # (B, W)
         else:
-            d = np.abs(center[:, :, None] - points) ** 2
-            idx = np.argsort(d, axis=-1, kind="stable")[..., :e].reshape(
-                b, w * e)
+            d = np.abs(center - points[:, None, None]) ** 2  # (Q, B, W)
+            idx = _closest(d, e).reshape(b, w * e)
         chosen.append((pos, idx))
         if pos:
-            sym = points[idx].reshape(b, w, e, 1)
-            acc = (acc[:, :, None, :pos]
-                   + r[:, None, None, :pos, pos] * sym).reshape(b, w * e, pos)
+            grown = (rcol[pos, :pos, :, None] * points[idx]).reshape(
+                pos, b, w, e)
+            acc = np.add(acc[:pos, :, :, None], grown, out=grown).reshape(
+                pos, b, w * e)
     p = chosen[-1][1].shape[1]
+    if perm is None:
+        perm = np.broadcast_to(np.arange(n), (b, n))
+    rows = np.arange(b)
     labels = np.empty((b, p, n), dtype=np.int64)
     for pos, idx in chosen:
         w = idx.shape[1]
-        labels.reshape(b, w, p // w, n)[:, :, :, pos] = idx[:, :, None]
+        labels.reshape(b, w, p // w, n)[rows, :, :, perm[:, pos]] = \
+            idx[:, :, None]
     return labels
-
-
-def _order_by_position(labels_pos: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Tree-position labels in original stream order: stream perm[b, j]
-    sits at position j."""
-    inverse = np.argsort(perm, axis=1)
-    return np.take_along_axis(labels_pos, inverse[:, None, :], axis=2)
 
 
 def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
@@ -337,7 +385,10 @@ def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
 
     On every bit, the side holding the first minimum-metric path has the
     list's minimum (NaN if any metric is NaN), so only the other side is
-    reduced over paths.
+    reduced over paths.  A path's cost on a bit is its metric plus a
+    penalty, -0.0 where its bit differs from the top path's and inf where
+    it agrees: -0.0 + m == m exactly, also for m = -0.0.  A NaN metric
+    makes both sides NaN, which its row's NaN `low` does anyway.
     """
     rows = np.arange(labels.shape[0])
     top = np.argmin(metrics, axis=1)
@@ -345,8 +396,12 @@ def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
     top_labels = labels[rows, top]                       # (B, N)
     table = c.labels.astype(bool)                        # (Q, bps)
     top_bits = np.take(table, top_labels, axis=0)        # (B, N, bps)
-    flip = np.take(table, labels ^ top_labels[:, None], axis=0)
-    other = np.where(flip, metrics[:, :, None, None], np.inf).min(axis=1)
+    penalty = np.where(table, -0.0, np.inf)
+    # path-major, so the minimum runs over whole (B, N, bps) slabs
+    differ = (labels ^ top_labels[:, None]).transpose(1, 0, 2)
+    cost = np.take(penalty, differ, axis=0)              # (P, B, N, bps)
+    cost += metrics.T[:, :, None, None]
+    other = cost.min(axis=0)
     min1 = np.where(top_bits, low, other)                # (B, N, bps)
     min0 = np.where(top_bits, other, low)
     nv = np.asarray(noise_var)
@@ -381,11 +436,12 @@ def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
     used during planning.
     """
     z = np.einsum("bnm,bm->bn", plan.qh, y)
-    labels_pos = _tree_labels(z, plan.r, plan.expansions, c)
-    labels = _order_by_position(labels_pos, plan.perm)
+    labels = _tree_labels(z, plan.r, plan.expansions, c, plan.perm)
     cands = c.points[labels]                             # (B, P, N)
-    resid = y[:, None, :] - np.einsum("bmn,bpn->bpm", h, cands)
-    metrics = np.sum(np.abs(resid) ** 2, axis=2)
+    resid = np.einsum("bmn,bpn->bpm", h, cands)
+    np.subtract(y[:, None, :], resid, out=resid)
+    dist = np.abs(resid)
+    metrics = np.square(dist, out=dist).sum(axis=2)
     best = _select_best(labels, metrics)
     return labels, metrics, best
 

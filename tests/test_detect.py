@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from mpnlsim import channel as ch
 from mpnlsim import detect as det
+from mpnlsim import search
 from mpnlsim.core import QAM16, QAM64, QPSK, constellation_for, demap_llr
 
 
@@ -402,6 +404,7 @@ def _kernel_case(h, y, nv, c, n_paths, llr_nv=None):
         llrs = det._candidate_llrs_batch(
             labels, metrics, nv if llr_nv is None else llr_nv, c)
         return labels, metrics, best, llrs
+    run.plan = lambda: det.mpnl_plan_batch(h, nv, n_paths, c)
     return run
 
 
@@ -410,6 +413,7 @@ def _quiet(run):
     def quiet():
         with np.errstate(all="ignore"):
             return run()
+    quiet.plan = run.plan
     return quiet
 
 
@@ -562,6 +566,92 @@ def test_mpnl_kernels_match_golden():
     assert got == GOLDEN_MPNL
 
 
+# SHA-256 of the plan (perm, qh, r) of mpnl_plan_batch per stack case in
+# _mpnl_golden_cases, taken from the sorted QR before its data movement was
+# cut.  GOLDEN_MPNL sees the plan only through labels and metrics, so a
+# last-bit change in r could pass it; this cannot.
+GOLDEN_PLAN = {
+    "n2m2_q4_p16_noisy": "fe78dd0c008c575fe1e75edbb6ecb548d69c9fc11664c957339a0da45bf1b18c",
+    "n2m2_q4_p16_noiseless": "fe78dd0c008c575fe1e75edbb6ecb548d69c9fc11664c957339a0da45bf1b18c",
+    "n2m2_q4_p16_rownv": "fe78dd0c008c575fe1e75edbb6ecb548d69c9fc11664c957339a0da45bf1b18c",
+    "n2m2_q64_p1_noisy": "086ccd2c17f63a5e0044aeb37a4e4506025d735de119d133f6e543616aea12d4",
+    "n2m2_q64_p1_noiseless": "086ccd2c17f63a5e0044aeb37a4e4506025d735de119d133f6e543616aea12d4",
+    "n2m2_q64_p1_rownv": "086ccd2c17f63a5e0044aeb37a4e4506025d735de119d133f6e543616aea12d4",
+    "n4m4_q16_p32_noisy": "b58126245fefa3918dbd8472878136332118f6d6dce1061f637eec4f74dd6986",
+    "n4m4_q16_p32_noiseless": "b58126245fefa3918dbd8472878136332118f6d6dce1061f637eec4f74dd6986",
+    "n4m4_q16_p32_rownv": "b58126245fefa3918dbd8472878136332118f6d6dce1061f637eec4f74dd6986",
+    "n4m2_q4_p32_noisy": "3d1904ed6254f64e4f6fd46d5006696ee2324ef3ce97f444fa3a8aebd596be71",
+    "n4m2_q4_p32_noiseless": "163e6a680d7feafca92c5bda2043630e97fc4a7f5ea822898e422baaa8520bcf",
+    "n4m2_q4_p32_rownv": "3d1904ed6254f64e4f6fd46d5006696ee2324ef3ce97f444fa3a8aebd596be71",
+    "n4m4_q64_p128_noisy": "ffe2ac031d4758f473b60c1c18baee4f57045a0b42446b40b34f86af6e196b99",
+    "n4m4_q64_p128_noiseless": "ffe2ac031d4758f473b60c1c18baee4f57045a0b42446b40b34f86af6e196b99",
+    "n4m4_q64_p128_rownv": "ffe2ac031d4758f473b60c1c18baee4f57045a0b42446b40b34f86af6e196b99",
+    "n8m8_q16_p32_noisy": "034062bd2f2988da6e34a915230748b88fc2c4501b9701cdc000647204ffc019",
+    "n8m8_q16_p32_noiseless": "034062bd2f2988da6e34a915230748b88fc2c4501b9701cdc000647204ffc019",
+    "n8m8_q16_p32_rownv": "034062bd2f2988da6e34a915230748b88fc2c4501b9701cdc000647204ffc019",
+    "n8m8_q4_p1_noisy": "9a8748ce18f4659db1fa0bfdccc0cbedd00594285a21e6bca935ab56beb691eb",
+    "n8m8_q4_p1_noiseless": "9a8748ce18f4659db1fa0bfdccc0cbedd00594285a21e6bca935ab56beb691eb",
+    "n8m8_q4_p1_rownv": "9a8748ce18f4659db1fa0bfdccc0cbedd00594285a21e6bca935ab56beb691eb",
+    "n8m8_q64_p8_noisy": "cf04ccf30aa3b1c1f5bc68cde5d824770b36e992bd366f73ea84a828729ee124",
+    "n8m8_q64_p8_noiseless": "cf04ccf30aa3b1c1f5bc68cde5d824770b36e992bd366f73ea84a828729ee124",
+    "n8m8_q64_p8_rownv": "cf04ccf30aa3b1c1f5bc68cde5d824770b36e992bd366f73ea84a828729ee124",
+    "eye4_q4_p1_identity": "0f89ada489f1be4e9662b331a0c888d1a79ad380e6236a3e800a3c45a10b8c7c",
+    "eye4_q4_p1_diagonal": "d9755fea75e5a099a7a9197a1ae2b784a1dad3420c37dedb13feb48f497b13b9",
+    "eye4_q4_p8_identity": "0f89ada489f1be4e9662b331a0c888d1a79ad380e6236a3e800a3c45a10b8c7c",
+    "eye4_q4_p8_diagonal": "d9755fea75e5a099a7a9197a1ae2b784a1dad3420c37dedb13feb48f497b13b9",
+    "eye4_q16_p1_identity": "0f89ada489f1be4e9662b331a0c888d1a79ad380e6236a3e800a3c45a10b8c7c",
+    "eye4_q16_p1_diagonal": "d9755fea75e5a099a7a9197a1ae2b784a1dad3420c37dedb13feb48f497b13b9",
+    "eye4_q16_p32_identity": "0f89ada489f1be4e9662b331a0c888d1a79ad380e6236a3e800a3c45a10b8c7c",
+    "eye4_q16_p32_diagonal": "d9755fea75e5a099a7a9197a1ae2b784a1dad3420c37dedb13feb48f497b13b9",
+    "zero_col_q4_p4_noiseless": "9d56d8428bc74d485cb0c06c24d047675fb35c8fa6f4e5ee1290f08fa7727f20",
+    "zero_col_q4_p4_noisy": "9d56d8428bc74d485cb0c06c24d047675fb35c8fa6f4e5ee1290f08fa7727f20",
+    "zero_col_q16_p32_noiseless": "a44c429e2451ad7df7148cdc232f81af48421f2cc4370d6fd7cdf8cacf2c9b37",
+    "zero_col_q16_p32_noisy": "a44c429e2451ad7df7148cdc232f81af48421f2cc4370d6fd7cdf8cacf2c9b37",
+    "nonfinite_n4_q16_p32": "039e039d1ed40a60d6eeefdf923dd2fdfae5894f5d0dcc4401ce0c4923215eab",
+    "nonfinite_n3_q16_p6": "94cd5c575911a92b661e751fb12ce06156ca6231f70887d9495351a8c65b5a77",
+    "nonfinite_n4_q4_p8": "03b46e4be0fb5520f4b1a00e9b57842ceb4ff7e29e112909e6e42f1b5be02eb8",
+    "nonfinite_n8_q16_p32": "d63b92d6e38bcb6dc32adcc70151ae17cc7a99cf8757da91be3410514cbe0654",
+}
+
+
+def test_mpnl_plan_matches_golden():
+    got = {}
+    for name, run in _mpnl_golden_cases():
+        if hasattr(run, "plan"):
+            plan = run.plan()
+            got[name] = _digest(plan.perm, plan.qh, plan.r)
+    assert got == GOLDEN_PLAN
+
+
+def test_kernels_bit_identical_across_batch_splits():
+    """The kernels work RE by RE: on a 672-RE TDL stack, the MPNL plan,
+    search and LLRs and MMSE give the bytes of the concatenated runs over
+    the stack's splits at REs 1, 250 and 671."""
+    c = QAM16
+    grids, nvs = search.FixtureConfig(channels_per_group=1,
+                                      n_subcarriers=48).channels(8, 8)
+    h, nv = grids[0].h.reshape(-1, 8, 8), nvs[0]
+    rng = np.random.default_rng(181)
+    x = c.points[rng.integers(0, c.order, (672, 8))]
+    y = np.einsum("bmn,bn->bm", h, x) + np.sqrt(nv / 2) * (
+        rng.standard_normal((672, 8)) + 1j * rng.standard_normal((672, 8)))
+
+    def run(rows):
+        plan = det.mpnl_plan_batch(h[rows], nv, 32, c)
+        labels, metrics, best = det.mpnl_detect_batch(plan, h[rows],
+                                                      y[rows], c)
+        llrs = det._candidate_llrs_batch(labels, metrics, nv, c)
+        return (plan.perm, plan.qh, plan.r, labels, metrics, best, llrs,
+                *det.linear_detect_batch(h[rows], y[rows], nv, c, "mmse"))
+
+    cuts = (0, 1, 250, 671, 672)
+    parts = [run(slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    for got, *pieces in zip(run(slice(None)), *parts):
+        want = np.concatenate(pieces)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_select_best_matches_lexsort():
     """The best path is the (metric, labels) lexicographic minimum: metrics
     drawn from few values tie two or more paths on most rows."""
@@ -600,7 +690,8 @@ def test_tree_labels_match_per_path_reference():
     for n, m, c, n_paths in ((2, 2, QPSK, 1), (3, 3, QPSK, 2),
                              (3, 3, QAM16, 6), (4, 4, QPSK, 8),
                              (4, 4, QAM16, 32), (4, 3, QAM16, 32),
-                             (3, 3, QAM64, 12), (5, 5, QPSK, 4)):
+                             (3, 3, QAM64, 12), (5, 5, QPSK, 4),
+                             (8, 8, QAM16, 32)):
         h = _stack(rng, 16, m, n)
         x = c.points[rng.integers(0, c.order, (16, n))]
         y = np.einsum("bmn,bn->bm", h, x) + 0.3 * _stack(rng, 16, m, 1)[..., 0]
@@ -736,3 +827,32 @@ def test_single_stream_detectors_agree_with_mrc():
     for name in hard:
         assert np.array_equal(hard[name], hard["mmse"]), name
     assert_ber(hard["mmse"], labels, mrc_ber(1 / (2 * nv), 4))
+
+
+def test_zf_ber_on_tdl_fixtures_matches_jittered_closed_form():
+    """Channel normalization, noise calibration and ZF together: Gray QPSK
+    through ZF on TDL fixture REs at each grid's calibrated noise variance
+    matches 1-branch (M - N + 1) MRC BER averaged over the region's uniform
+    +/-1 dB SNR jitter.  REs of one grid share a nearly static channel, so
+    the interval is over per-grid bit error fractions."""
+    n, m, region = 2, 2, ch.REGION_R2
+    fixtures = search.FixtureConfig(region=region, channels_per_group=600,
+                                    base_seed=191, n_subcarriers=192)
+    grids, nvs = fixtures.channels(n, m)
+    # symbols 0 and 7, every sixth subcarrier: 64 REs per grid over 5.8 MHz
+    h = np.stack([g.h[::7, ::6] for g in grids]).reshape(-1, m, n)
+    nv = np.repeat(nvs, h.shape[0] // len(grids))
+    rng = np.random.default_rng(192)
+    b = h.shape[0]
+    labels = rng.integers(0, 4, (b, n))
+    y = (np.einsum("bmn,bn->bm", h, QPSK.points[labels])
+         + np.sqrt(nv / 2)[:, None] * (rng.standard_normal((b, m))
+                                       + 1j * rng.standard_normal((b, m))))
+    hard, _ = det.linear_detect_batch(h, y, nv, QPSK, "zf")
+    # midpoint rule over the jitter; per-bit SNR 1 / (2 nv), nv = N / snr
+    snr_db = region.target_snr_db + region.jitter_db * (
+        (np.arange(1000) + 0.5) / 500 - 1)
+    want = np.mean([mrc_ber(10 ** (s / 10) / (2 * n), m - n + 1)
+                    for s in snr_db])
+    assert_ber(hard.reshape(len(grids), -1), labels.reshape(len(grids), -1),
+               want)
