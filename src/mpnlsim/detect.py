@@ -293,11 +293,15 @@ def _closest(d: np.ndarray, e: int) -> np.ndarray:
     """The first e indices of a stable argsort of d (Q, ...) along its
     first axis, returned as (..., e).
 
-    Below log2(Q) children, e first-minimum picks cost less than the sort.
-    A pick is the lowest index holding the minimum over the indices not
-    yet picked, which is the sort's next index while that minimum is below
-    inf; a row whose minimum is inf (a picked index could tie it) or NaN
-    (the sort puts NaN last) is sorted instead.
+    Below log2(Q) children it takes e first-minimum picks instead, which
+    measured 1.4-8x faster than the sort on 16- and 64-QAM layers of 672
+    REs x 1-64 paths (2-core x86_64).  The bound is conservative: picks
+    stop paying near 5-10 children on 16-QAM and 20-24 on 64-QAM, and on
+    QPSK they lose on single-path layers.  A pick is the lowest index
+    holding the minimum over the indices not yet picked, which is the
+    sort's next index while that minimum is below inf; a row whose minimum
+    is inf (a picked index could tie it) or NaN (the sort puts NaN last)
+    is sorted instead.
     """
     q = d.shape[0]
     if e >= q.bit_length() - 1:

@@ -652,6 +652,26 @@ def test_kernels_bit_identical_across_batch_splits():
         assert got.tobytes() == want.tobytes()
 
 
+def test_closest_matches_stable_sort():
+    """_closest keeps the first e of a stable sort for every e, on both of
+    its paths: distances from few values tie on most rows, and rows with
+    only 0-6 finite entries reach an inf or NaN after finite picks."""
+    rng = np.random.default_rng(171)
+    for q in (4, 16, 64):
+        d = rng.integers(0, 5, (q, 90, 3)).astype(float)
+        # rows 0-59 keep row % 7 finite entries at random places; the rest
+        # are inf (rows 0-29) or NaN (rows 30-59); rows 60-89 mix all three
+        rest = np.arange(q)[:, None, None] >= np.arange(60)[:, None] % 7
+        rest = rng.permuted(np.broadcast_to(rest, (q, 60, 3)), axis=0)
+        d[:, :30][rest[:, :30]] = np.inf
+        d[:, 30:60][rest[:, 30:]] = np.nan
+        d[:, 60:][rng.random((q, 30, 3)) < 0.3] = np.inf
+        d[:, 75:][rng.random((q, 15, 3)) < 0.3] = np.nan
+        for e in range(2, q + 1):
+            want = np.moveaxis(np.argsort(d, axis=0, kind="stable")[:e], 0, -1)
+            assert np.array_equal(det._closest(d, e), want)
+
+
 def test_select_best_matches_lexsort():
     """The best path is the (metric, labels) lexicographic minimum: metrics
     drawn from few values tie two or more paths on most rows."""
@@ -691,7 +711,9 @@ def test_tree_labels_match_per_path_reference():
                              (3, 3, QAM16, 6), (4, 4, QPSK, 8),
                              (4, 4, QAM16, 32), (4, 3, QAM16, 32),
                              (3, 3, QAM64, 12), (5, 5, QPSK, 4),
-                             (8, 8, QAM16, 32)):
+                             (8, 8, QAM16, 32), (4, 4, QAM16, 48),
+                             (3, 3, QAM64, 3), (3, 3, QAM64, 4),
+                             (3, 3, QAM64, 5), (3, 3, QAM64, 256)):
         h = _stack(rng, 16, m, n)
         x = c.points[rng.integers(0, c.order, (16, n))]
         y = np.einsum("bmn,bn->bm", h, x) + 0.3 * _stack(rng, 16, m, 1)[..., 0]
