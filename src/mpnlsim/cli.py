@@ -151,8 +151,12 @@ def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
     for snr in cfg["snr_db"]:
         region = ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
                               jitter_db=cfg["snr_jitter_db"])
+        # SeedSequence takes no negative entropy: a negative k keys
+        # (seed, -k, 1), apart from +k's (seed, k), which equals (seed, k, 0)
+        k = int(round(snr * 1000))
         seeds = np.random.SeedSequence(
-            entropy=(seed, int(round(snr * 1000)))).spawn(cfg["channels"])
+            entropy=(seed, k) if k >= 0 else (seed, -k, 1)).spawn(
+                cfg["channels"])
         grids, nvs = replace(fx, region=region).generate(n, m, seeds)
         for lc in configs:
             res = linksim.measure_per(
@@ -361,11 +365,8 @@ def main(argv=None) -> int:
     try:
         cfg, digest = _load_config(args.config)
         command, table = COMMANDS[args.command]
-        seed = cfg.pop("seed", 0)
-        if args.seed is None:
-            _setting("seed", seed, 0, 0)
-        else:
-            seed = args.seed
+        seed = cfg.pop("seed", 0) if args.seed is None else args.seed
+        _setting("seed", seed, 0, 0)
         if args.workers is not None:
             if args.command != "bench":
                 raise ConfigError("--workers applies only to bench")

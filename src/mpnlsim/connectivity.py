@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import linksim
 from .core import DEFAULT_NUMEROLOGY, Numerology, UseCase
 
-MAX_STREAMS = 12
 DEFAULT_CHAIN_POWER_W = 15.6
 
 
@@ -84,11 +84,11 @@ def max_streams_for_budget(table: dict, detector: str, mcs_index: int,
 
     table maps (streams, mcs, detector) -> SearchCell.  Returns 0 when no
     entry fits, None when the table has no cells for this detector/MCS.
-    Stream counts above MAX_STREAMS are ignored.
+    Stream counts above linksim.MAX_STREAMS are ignored.
     """
     best = None
     for (n, mi, det), cell in table.items():
-        if det != detector or mi != mcs_index or n > MAX_STREAMS:
+        if det != detector or mi != mcs_index or n > linksim.MAX_STREAMS:
             continue
         if best is None:
             best = 0

@@ -205,13 +205,9 @@ class Numerology:
     n_rb: int = 78
     sc_per_rb: int = 12
     symbols_per_slot: int = 14
-    data_symbols: int = 12
-    dmrs_symbols: int = 2
     slot_duration_s: float = 0.0005
 
     def __post_init__(self):
-        if self.data_symbols + self.dmrs_symbols != self.symbols_per_slot:
-            raise ValueError("data + DMRS symbols must fill the slot")
         if self.n_rb * self.sc_per_rb * self.scs_hz > self.bandwidth_hz:
             raise ValueError("resource grid exceeds the bandwidth")
 

@@ -282,9 +282,8 @@ def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int,
             n_left = act.size - int(conv.sum())
             holes = np.flatnonzero(conv[:n_left])
             movers = n_left + np.flatnonzero(~conv[n_left:])
-            for h, r in zip(holes, movers):
-                for a in (w.llrs, w.total, w.m_cv_flat):
-                    a[h] = a[r]
+            for a in (w.llrs, w.total, w.m_cv_flat):
+                a[holes] = a[movers]
             act[holes] = act[movers]
             act = act[:n_left]
             w = w.rows(n_left)
@@ -326,8 +325,6 @@ class RateMatch:
 
     n_tx: int
     k_tb: int
-    n_shortened: int
-    n_punctured: int
 
     @property
     def effective_rate(self) -> float:
@@ -352,8 +349,7 @@ def design_rate_match(code: LdpcCode, target_rate, n_tx: int) -> RateMatch:
                          f"{code.n - code.k}")
     if p < 1:
         raise ValueError("allocation leaves no parity bits")
-    rm = RateMatch(n_tx=n_tx, k_tb=k_tb, n_shortened=code.k - k_tb,
-                   n_punctured=(code.n - code.k) - p)
+    rm = RateMatch(n_tx=n_tx, k_tb=k_tb)
     if abs(rm.effective_rate - float(target)) > 0.02 * float(target):
         raise ValueError(
             f"effective rate {rm.effective_rate:.4f} misses target "

@@ -26,7 +26,15 @@ from . import fec
 from .channel import ChannelGrid
 from .core import DEFAULT_NUMEROLOGY, McsEntry, Numerology, modulate
 
-DMRS_COMBS = 6   # disjoint subcarrier combs; 6 combs x 2 symbols = 12 ports
+# the slot layout, after the PUSCH DMRS of TS 38.211: each stream sends
+# unit pilots on one of DMRS_COMBS disjoint subcarrier combs of one DMRS
+# symbol, and data on every other symbol of the slot
+DMRS_SYMBOLS = (3, 12)
+DMRS_COMBS = 6
+DATA_SYMBOLS = tuple(s for s in range(DEFAULT_NUMEROLOGY.symbols_per_slot)
+                     if s not in DMRS_SYMBOLS)
+MAX_STREAMS = DMRS_COMBS * len(DMRS_SYMBOLS)   # one pilot port per stream
+MAX_ANTENNAS = 32
 MIN_FRAMES = 400   # blocks measured before an early stop may fire
 CSI_MODES = ("genie", "ls_dmrs")
 
@@ -41,14 +49,14 @@ class LinkConfig:
     rb_per_vehicle: int | None = None
     csi: str = "genie"
     seed: int = 0
-    # the one NR slot the chain is built for (DMRS on symbols 3 and 12)
+    # the one NR slot the chain is built for
     numerology: ClassVar[Numerology] = DEFAULT_NUMEROLOGY
 
     def __post_init__(self):
-        if not 1 <= self.n_streams <= 12:
-            raise ValueError("n_streams must be in [1, 12]")
-        if not 1 <= self.m_antennas <= 32:
-            raise ValueError("m_antennas must be in [1, 32]")
+        if not 1 <= self.n_streams <= MAX_STREAMS:
+            raise ValueError(f"n_streams must be in [1, {MAX_STREAMS}]")
+        if not 1 <= self.m_antennas <= MAX_ANTENNAS:
+            raise ValueError(f"m_antennas must be in [1, {MAX_ANTENNAS}]")
         det.check_antenna_floor(self.detector, self.n_streams, self.m_antennas,
                                 self.mcs.constellation.order, self.n_paths)
         if self.csi not in CSI_MODES:
@@ -65,7 +73,7 @@ class LinkConfig:
 
     @property
     def bits_per_block(self) -> int:
-        re = self.n_subcarriers * self.numerology.data_symbols
+        re = self.n_subcarriers * len(DATA_SYMBOLS)
         return re * self.mcs.constellation.bits_per_symbol
 
 
@@ -77,8 +85,7 @@ def default_rb_allocation(mcs: McsEntry) -> int:
     bits from the mother code.
     """
     code = fec.default_code()
-    num = DEFAULT_NUMEROLOGY
-    bits_per_rb = num.sc_per_rb * num.data_symbols * \
+    bits_per_rb = DEFAULT_NUMEROLOGY.sc_per_rb * len(DATA_SYMBOLS) * \
         mcs.constellation.bits_per_symbol
     r = float(mcs.code_rate)
     cap = min(code.n, int(code.k / r), int((code.n - code.k) / (1 - r)))
@@ -105,38 +112,30 @@ def _frame_rng(seed: int, chan_idx: int, frame_idx: int):
         np.random.SeedSequence(entropy=(seed, chan_idx, frame_idx)))
 
 
-def _dmrs_pattern(num: Numerology, n_streams: int, n_sc: int):
-    """(symbol, comb) assignment per stream; DMRS symbols are 3 and 12."""
-    if n_streams > DMRS_COMBS * num.dmrs_symbols:
-        raise ValueError("too many streams for the pilot book")
-    dmrs_syms = (3, 12)[:num.dmrs_symbols]
-    ports = []
-    for v in range(n_streams):
-        sym = dmrs_syms[v // DMRS_COMBS]
-        comb = v % DMRS_COMBS
-        ports.append((sym, np.arange(comb, n_sc, DMRS_COMBS)))
-    return dmrs_syms, ports
+def _pilots(n: int, n_sc: int):
+    """The (N,) DMRS symbols and (N, n_sc / DMRS_COMBS) pilot subcarriers of
+    N streams: stream v fills comb v % DMRS_COMBS of DMRS symbol
+    v // DMRS_COMBS."""
+    v = np.arange(n)
+    sc = v[:, None] % DMRS_COMBS + np.arange(0, n_sc, DMRS_COMBS)
+    return np.take(DMRS_SYMBOLS, v // DMRS_COMBS), sc
 
 
-def estimate_channel_ls(grid_obs: np.ndarray, cfg: LinkConfig) -> np.ndarray:
-    """LS channel estimate from DMRS observations.
+def estimate_channel_ls(y: np.ndarray, cfg: LinkConfig) -> np.ndarray:
+    """LS channel estimates of a batch from its DMRS observations.
 
-    grid_obs: (symbols, subcarriers, M) received samples of the whole slot.
-    Every pilot is 1, so a stream's observations at its pilot positions are
-    its LS estimate.  Returns an (symbols, subcarriers, M, N) estimate via
-    nearest-neighbour interpolation from each stream's pilot positions.
+    y: (F, symbols, subcarriers, M) received samples of F slots.  Every
+    pilot is 1, so a stream's observations at its pilots are its LS
+    estimate.  Returns the (F, subcarriers, M, N) estimate, the same on
+    every symbol: each subcarrier takes its stream's nearest pilot, the
+    lower one on a tie.
     """
-    num = cfg.numerology
-    n_sc = cfg.n_subcarriers
-    m, n = cfg.m_antennas, cfg.n_streams
-    _, ports = _dmrs_pattern(num, n, n_sc)
-    h_est = np.empty((num.symbols_per_slot, n_sc, m, n), dtype=complex)
-    for v, (sym, sc_idx) in enumerate(ports):
-        h_pilot = grid_obs[sym, sc_idx, :]               # (n_pilot, M)
-        # nearest pilot subcarrier, constant across symbols
-        nearest = np.abs(np.arange(n_sc)[:, None] - sc_idx[None, :]).argmin(axis=1)
-        h_est[:, :, :, v] = h_pilot[nearest][None, :, :]
-    return h_est
+    n_sc, n = cfg.n_subcarriers, cfg.n_streams
+    sym, sc = _pilots(n, n_sc)
+    near = np.abs(np.arange(n_sc)[:, None, None] - sc).argmin(axis=2)
+    pilot = sc[np.arange(n), near]                       # (n_sc, N)
+    ant = np.arange(y.shape[-1])[:, None]
+    return y[:, sym, pilot[:, None, :], ant]
 
 
 def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
@@ -156,9 +155,8 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     bps = c.bits_per_symbol
     code = fec.default_code()
     rm = fec.design_rate_match(code, cfg.mcs.code_rate, cfg.bits_per_block)
-    dmrs_syms, ports = _dmrs_pattern(num, n, n_sc)
-    data_syms = [s for s in range(num.symbols_per_slot) if s not in dmrs_syms]
-    n_re = len(data_syms) * n_sc
+    n_data = len(DATA_SYMBOLS)
+    n_re = n_data * n_sc
     frame_indices = list(frame_indices)
     f = len(frame_indices)
 
@@ -173,29 +171,30 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
             + 1j * rng.standard_normal((num.symbols_per_slot, n_sc, m)))
 
     tx_bits = fec.encode_rate_matched(code, rm, info.reshape(f * n, rm.k_tb))
-    symbols = modulate(tx_bits.reshape(-1), c).reshape(f, n, len(data_syms), n_sc)
+    symbols = modulate(tx_bits.reshape(-1), c).reshape(f, n, n_data, n_sc)
 
-    # transmit grid: (F, symbols, subcarriers, N)
+    # transmit grid: (F, symbols, subcarriers, N), unit pilots
     x = np.zeros((f, num.symbols_per_slot, n_sc, n), dtype=complex)
-    for si, s in enumerate(data_syms):
-        x[:, s, :, :] = symbols[:, :, si, :].transpose(0, 2, 1)
-    for v, (sym, sc_idx) in enumerate(ports):
-        x[:, sym, sc_idx, v] = 1                      # unit pilots
+    x[:, DATA_SYMBOLS] = symbols.transpose(0, 2, 3, 1)
+    sym, sc = _pilots(n, n_sc)
+    x[:, sym[:, None], sc, np.arange(n)[:, None]] = 1
 
     y = np.einsum("tfmn,btfn->btfm", h, x) + noise    # (F, sym, sc, M)
 
     # per-RE detection: genie CSI is the same for every frame, so it is
     # planned once per slot; LS estimates are planned once per frame
     detector = det.DETECTORS[cfg.detector]
-    y_re = y[:, data_syms].reshape(f, n_re, m)
+    y_re = y[:, DATA_SYMBOLS].reshape(f, n_re, m)
     if cfg.csi == "genie":
-        h_re = h[data_syms].reshape(n_re, m, n)
+        h_re = np.take(h, DATA_SYMBOLS, axis=0).reshape(n_re, m, n)
         plan = detector.plan(h_re, noise_var, c, cfg.n_paths)
+    else:
+        h_ls = estimate_channel_ls(y, cfg)
     llrs = np.empty((f, n_re, n, bps))
     for i in range(f):
         if cfg.csi == "ls_dmrs":
-            h_est = estimate_channel_ls(y[i], cfg)
-            h_re = h_est[data_syms].reshape(n_re, m, n)
+            h_re = np.broadcast_to(h_ls[i], (n_data, n_sc, m, n)).reshape(
+                n_re, m, n)
             plan = detector.plan(h_re, noise_var, c, cfg.n_paths)
         llrs[i] = detector.apply(plan, h_re, y_re[i], noise_var, c)[1]
 

@@ -20,7 +20,7 @@ from . import detect, linksim
 from .core import DEFAULT_NUMEROLOGY, Numerology, mcs_entry
 
 PER_THRESHOLD = 0.10
-M_MIN, M_MAX = 2, 32
+M_MIN, M_MAX = 2, linksim.MAX_ANTENNAS
 UNSUPPORTED = 0   # sentinel for "no antenna count up to 32 qualifies"
 
 

@@ -115,6 +115,17 @@ def test_per_sweep_matches_golden(tmp_path, csi, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_per_sweep_negative_snr(tmp_path):
+    # a negative point keys its channels apart from its positive mirror
+    cfgp = sweep_config(tmp_path, snr_db=[-5, 5])
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["per-sweep", "--config", cfgp, "--out", str(out),
+                     "--seed", "3"]) == 0
+    _, rows = read_rows(out)
+    assert [r[0] for r in rows[1:]] == ["-5", "5"]
+    assert float(rows[1][2]) >= float(rows[2][2])
+
+
 def test_per_sweep_rejects_zero_channels(tmp_path, capsys):
     cfgp = sweep_config(tmp_path, channels=0)
     out = tmp_path / "sweep.csv"
@@ -362,6 +373,23 @@ def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
     assert cli.main(["bench", "--config", cfgp, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_seed_flag_checked_like_config_seed(tmp_path, capsys, monkeypatch,
+                                            command):
+    def run(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli.COMMANDS, command, (run, cli.COMMANDS[command][1]))
+    out = tmp_path / "out"
+    for argv in (["--seed", "-1"], []):
+        cfgp = write_config(tmp_path, {} if argv else {"seed": -1})
+        assert cli.main([command, "--config", cfgp, "--out", str(out),
+                         *argv]) == 2
+        assert "seed must be an integer >= 0 (got -1)" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

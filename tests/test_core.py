@@ -208,14 +208,13 @@ def test_mcs_entry_bounds():
 
 def test_numerology_defaults():
     n = core.DEFAULT_NUMEROLOGY
-    assert n.data_symbols + n.dmrs_symbols == n.symbols_per_slot
     assert n.n_rb * n.sc_per_rb * n.scs_hz <= n.bandwidth_hz
     assert n.n_rb == 78
 
 
 def test_numerology_validation():
     with pytest.raises(ValueError):
-        core.Numerology(data_symbols=13)
+        core.Numerology(n_rb=300)
 
 
 def test_use_case_defaults():

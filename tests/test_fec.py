@@ -265,20 +265,20 @@ def test_decode_loop_allocates_no_working_arrays(code):
 
 def test_rate_match_identity(code):
     rm = fec.design_rate_match(code, Fraction(1, 2), code.n)
-    assert rm.n_shortened == 0 and rm.n_punctured == 0
+    assert rm.k_tb == code.k and rm.n_tx == code.n
 
 
 def test_rate_match_low_rate_shortens(code):
     rm = fec.design_rate_match(code, Fraction(120, 1024), 720)
     assert rm.k_tb == round(720 * 120 / 1024)
-    assert rm.n_shortened == code.k - rm.k_tb
+    assert rm.n_tx == 720 and rm.k_tb < code.k        # shortened
     assert abs(rm.effective_rate - 120 / 1024) <= 0.02 * 120 / 1024
 
 
 def test_rate_match_high_rate_punctures(code):
     rm = fec.design_rate_match(code, Fraction(3, 4), 800)
     assert rm.k_tb == 600
-    assert rm.n_punctured == (code.n - code.k) - 200
+    assert rm.n_tx - rm.k_tb == 200 < code.n - code.k   # punctured
 
 
 def test_rate_match_rejects_infeasible(code):

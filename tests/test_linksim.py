@@ -3,7 +3,7 @@ import pytest
 
 from mpnlsim import channel as ch
 from mpnlsim import detect, fec, linksim
-from mpnlsim.core import DEFAULT_NUMEROLOGY, mcs_entry
+from mpnlsim.core import mcs_entry
 
 MCS_QPSK = mcs_entry(7)      # QPSK, mid rate
 
@@ -59,7 +59,7 @@ def test_default_rb_allocation_always_rate_matchable(idx):
     mcs = mcs_entry(idx)
     rb = linksim.default_rb_allocation(mcs)
     assert rb >= 1
-    bits = rb * 12 * DEFAULT_NUMEROLOGY.data_symbols * \
+    bits = rb * 12 * len(linksim.DATA_SYMBOLS) * \
         mcs.constellation.bits_per_symbol
     fec.design_rate_match(fec.default_code(), mcs.code_rate, bits)
 
@@ -68,7 +68,7 @@ def test_default_rb_allocation_is_maximal():
     # one more RB would break the rate match (or exceed the codeword)
     mcs = mcs_entry(9)
     rb = linksim.default_rb_allocation(mcs)
-    bits_per_rb = 12 * DEFAULT_NUMEROLOGY.data_symbols * \
+    bits_per_rb = 12 * len(linksim.DATA_SYMBOLS) * \
         mcs.constellation.bits_per_symbol
     with pytest.raises(ValueError):
         fec.design_rate_match(fec.default_code(), mcs.code_rate,
@@ -76,31 +76,56 @@ def test_default_rb_allocation_is_maximal():
 
 
 def test_dmrs_combs_disjoint():
-    _, ports = linksim._dmrs_pattern(DEFAULT_NUMEROLOGY, 12, 24)
-    seen = set()
-    for sym, sc in ports:
-        key = {(sym, s) for s in sc}
-        assert not key & seen
-        seen |= key
-
-
-def test_dmrs_too_many_streams():
-    num = DEFAULT_NUMEROLOGY
-    with pytest.raises(ValueError):
-        linksim._dmrs_pattern(num, 13, 24)
+    assert sorted(linksim.DATA_SYMBOLS + linksim.DMRS_SYMBOLS) == list(
+        range(linksim.LinkConfig.numerology.symbols_per_slot))
+    sym, sc = linksim._pilots(linksim.MAX_STREAMS, 24)
+    assert sc.shape == (12, 4)
+    pilots = {(s, k) for s, row in zip(sym, sc) for k in row}
+    assert len(pilots) == sc.size
+    assert set(sym) == set(linksim.DMRS_SYMBOLS)
 
 
 def test_ls_estimate_exact_on_constant_channel():
     cfg = make_cfg(n_streams=2, m_antennas=3, csi="ls_dmrs")
     rng = np.random.default_rng(5)
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    num, n_sc = cfg.numerology, cfg.n_subcarriers
-    _, ports = linksim._dmrs_pattern(num, 2, n_sc)
-    obs = np.zeros((num.symbols_per_slot, n_sc, 3), dtype=complex)
-    for v, (sym, sc) in enumerate(ports):
-        obs[sym, sc, :] += h[:, v]
+    n_sc = cfg.n_subcarriers
+    sym, sc = linksim._pilots(2, n_sc)
+    obs = np.zeros((1, cfg.numerology.symbols_per_slot, n_sc, 3),
+                   dtype=complex)
+    for v in range(2):
+        obs[0, sym[v], sc[v], :] += h[:, v]
     est = linksim.estimate_channel_ls(obs, cfg)
+    assert est.shape == (1, n_sc, 3, 2)
     assert np.allclose(est, h[None, None], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 12])
+@pytest.mark.parametrize("rb", [1, 3])
+def test_ls_estimate_takes_nearest_pilot(n, rb):
+    # random observations on every RE: each subcarrier must copy its
+    # stream's nearest pilot, the lower one on a tie, on every frame
+    cfg = make_cfg(n_streams=n, m_antennas=6, rb_per_vehicle=rb,
+                   csi="ls_dmrs")
+    n_sc, comb = cfg.n_subcarriers, linksim.DMRS_COMBS
+    rng = np.random.default_rng(n * 10 + rb)
+    shape = (3, cfg.numerology.symbols_per_slot, n_sc, cfg.m_antennas)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    est = linksim.estimate_channel_ls(y, cfg)
+    ref = np.empty_like(est)
+    for v in range(n):
+        sym = linksim.DMRS_SYMBOLS[v // comb]
+        pilots = range(v % comb, n_sc, comb)
+        for k in range(n_sc):
+            near = min(pilots, key=lambda p: (abs(p - k), p))
+            ref[:, k, :, v] = y[:, sym, near, :]
+    assert np.array_equal(est, ref)
+    if n >= 7:
+        # stream 6 is the first on the second DMRS symbol
+        assert np.array_equal(est[:, 0, :, 6],
+                              y[:, linksim.DMRS_SYMBOLS[1], 0, :])
+    # comb 0 has pilots at 0 and 6: subcarrier 3 ties and takes 0
+    assert np.array_equal(est[:, 3, :, 0], y[:, linksim.DMRS_SYMBOLS[0], 0])
 
 
 @pytest.mark.parametrize("detector", list(detect.DETECTORS))
