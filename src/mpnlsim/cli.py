@@ -135,6 +135,13 @@ def _fixture_config(cfg: dict, seed: int, **kw) -> search.FixtureConfig:
 # per-sweep
 # ---------------------------------------------------------------------------
 
+def _sweep_entropy(seed: int, snr) -> tuple:
+    """SeedSequence entropy of a per-sweep point; a negative k = snr * 1000
+    keys (seed, -k, 1), apart from +k's (seed, k), which equals (seed, k, 0)."""
+    k = int(round(snr * 1000))
+    return (seed, k) if k >= 0 else (seed, -k, 1)
+
+
 def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
     if not cfg["snr_db"]:
         raise ConfigError("empty sweep: snr_db list is required")
@@ -151,12 +158,8 @@ def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
     for snr in cfg["snr_db"]:
         region = ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
                               jitter_db=cfg["snr_jitter_db"])
-        # SeedSequence takes no negative entropy: a negative k keys
-        # (seed, -k, 1), apart from +k's (seed, k), which equals (seed, k, 0)
-        k = int(round(snr * 1000))
         seeds = np.random.SeedSequence(
-            entropy=(seed, k) if k >= 0 else (seed, -k, 1)).spawn(
-                cfg["channels"])
+            entropy=_sweep_entropy(seed, snr)).spawn(cfg["channels"])
         grids, nvs = replace(fx, region=region).generate(n, m, seeds)
         for lc in configs:
             res = linksim.measure_per(
@@ -365,8 +368,11 @@ def main(argv=None) -> int:
     try:
         cfg, digest = _load_config(args.config)
         command, table = COMMANDS[args.command]
-        seed = cfg.pop("seed", 0) if args.seed is None else args.seed
-        _setting("seed", seed, 0, 0)
+        seed = cfg.pop("seed", 0)
+        _setting("seed", seed, 0, 0)  # checked even where --seed overrides it
+        if args.seed is not None:
+            seed = args.seed
+            _setting("seed", seed, 0, 0)
         if args.workers is not None:
             if args.command != "bench":
                 raise ConfigError("--workers applies only to bench")

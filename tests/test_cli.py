@@ -124,6 +124,14 @@ def test_per_sweep_negative_snr(tmp_path):
     _, rows = read_rows(out)
     assert [r[0] for r in rows[1:]] == ["-5", "5"]
     assert float(rows[1][2]) >= float(rows[2][2])
+    # non-negative points keep their entropy; -x draws apart from +x
+    assert cli._sweep_entropy(3, 5) == (3, 5000)
+    assert cli._sweep_entropy(3, 0) == (3, 0)
+    for snr in (-5, -0.5, -20):
+        states = [np.random.SeedSequence(
+            entropy=cli._sweep_entropy(3, x)).generate_state(4)
+            for x in (snr, -snr)]
+        assert not np.array_equal(*states)
 
 
 def test_per_sweep_rejects_zero_channels(tmp_path, capsys):
@@ -378,18 +386,28 @@ def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_seed_flag_checked_like_config_seed(tmp_path, capsys, monkeypatch,
                                             command):
-    def run(*args):
-        raise AssertionError("the command ran")
-
-    monkeypatch.setitem(cli.COMMANDS, command, (run, cli.COMMANDS[command][1]))
+    ran = []
+    monkeypatch.setitem(cli.COMMANDS, command, (
+        lambda settings, manifest, out, seed: ran.append(
+            (manifest["seed"], seed)),
+        cli.COMMANDS[command][1]))
     out = tmp_path / "out"
-    for argv in (["--seed", "-1"], []):
-        cfgp = write_config(tmp_path, {} if argv else {"seed": -1})
+    # each seed present is checked, whichever one the run uses
+    for data, argv in [({}, ["--seed", "-1"]), ({"seed": -1}, []),
+                       ({"seed": -1}, ["--seed", "1"]),
+                       ({"seed": 1}, ["--seed", "-1"])]:
+        cfgp = write_config(tmp_path, data)
         assert cli.main([command, "--config", cfgp, "--out", str(out),
                          *argv]) == 2
         assert "seed must be an integer >= 0 (got -1)" in \
             capsys.readouterr().err
         assert not out.exists()
+    assert ran == []
+    # --seed overrides a valid config seed
+    cfgp = write_config(tmp_path, {"seed": 5})
+    assert cli.main([command, "--config", cfgp, "--out", str(out),
+                     "--seed", "7"]) == 0
+    assert ran == [(7, 7)]
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
