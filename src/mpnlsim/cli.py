@@ -324,7 +324,8 @@ def cmd_bench(cfg: dict, manifest: dict, out, seed: int):
 # the fixture settings that per-sweep shares with search
 _FIXTURE_SETTINGS = {
     "profile": ("tdl-b-like", _profile), "speed_kmh": (30.0, 0.0),
-    "carrier_hz": (3.5e9, Above(0.0)), "n_subcarriers": (24, 1)}
+    "carrier_hz": (3.5e9, Above(0.0)),
+    "n_subcarriers": (24, search.FixtureConfig.numerology.sc_per_rb)}
 
 # command -> (function, {config key: (default, rule)}), the one declaration
 # of what a command reads besides `seed`; a rule is a table of names, an

@@ -325,11 +325,9 @@ def _closest(d: np.ndarray, e: int) -> np.ndarray:
 
 
 def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
-                 c: Constellation,
-                 perm: np.ndarray | None = None) -> np.ndarray:
+                 c: Constellation, perm: np.ndarray) -> np.ndarray:
     """Expand the planned tree; returns point labels (B, n_paths, N) with
-    tree position j in column perm[b, j] (by default column j: tree-position
-    order, column 0 = bottom layer).
+    tree position j in column perm[b, j].
 
     Each partial path expands to its expansions[pos] best children in
     Schnorr-Euchner (closest-first) order; paths never interact, so the
@@ -371,8 +369,6 @@ def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
             acc = np.add(acc[:pos, :, :, None], grown, out=grown).reshape(
                 pos, b, w * e)
     p = chosen[-1][1].shape[1]
-    if perm is None:
-        perm = np.broadcast_to(np.arange(n), (b, n))
     rows = np.arange(b)
     labels = np.empty((b, p, n), dtype=np.int64)
     for pos, idx in chosen:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -304,14 +304,9 @@ def _min_of_others(mag: np.ndarray, d: int, out: np.ndarray,
     np.minimum(out, suffix, out=out)
 
 
-_DEFAULT_CODE = None
-
-
+@cache
 def default_code() -> LdpcCode:
-    global _DEFAULT_CODE
-    if _DEFAULT_CODE is None:
-        _DEFAULT_CODE = LdpcCode(expand_base_matrix())
-    return _DEFAULT_CODE
+    return LdpcCode(expand_base_matrix())
 
 
 # ---------------------------------------------------------------------------

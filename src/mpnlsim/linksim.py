@@ -156,7 +156,6 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     code = fec.default_code()
     rm = fec.design_rate_match(code, cfg.mcs.code_rate, cfg.bits_per_block)
     n_data = len(DATA_SYMBOLS)
-    n_re = n_data * n_sc
     frame_indices = list(frame_indices)
     f = len(frame_indices)
 
@@ -181,25 +180,27 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
 
     y = np.einsum("tfmn,btfn->btfm", h, x) + noise    # (F, sym, sc, M)
 
-    # per-RE detection: genie CSI is the same for every frame, so it is
-    # planned once per slot; LS estimates are planned once per frame
+    # per-RE detection, planned once on the batch's distinct channels and
+    # applied to each observation set sharing them: genie CSI is one channel
+    # per data RE for every frame, LS one per frame and subcarrier for every
+    # data symbol
     detector = det.DETECTORS[cfg.detector]
-    y_re = y[:, DATA_SYMBOLS].reshape(f, n_re, m)
+    y_data = y[:, DATA_SYMBOLS]                        # (F, data, sc, M)
+    llrs = np.empty((f, n_data, n_sc, n, bps))
     if cfg.csi == "genie":
-        h_re = np.take(h, DATA_SYMBOLS, axis=0).reshape(n_re, m, n)
-        plan = detector.plan(h_re, noise_var, c, cfg.n_paths)
+        h_known = np.take(h, DATA_SYMBOLS, axis=0)     # (data, sc, M, N)
+        obs_sets, llr_sets = y_data, llrs
     else:
-        h_ls = estimate_channel_ls(y, cfg)
-    llrs = np.empty((f, n_re, n, bps))
-    for i in range(f):
-        if cfg.csi == "ls_dmrs":
-            h_re = np.broadcast_to(h_ls[i], (n_data, n_sc, m, n)).reshape(
-                n_re, m, n)
-            plan = detector.plan(h_re, noise_var, c, cfg.n_paths)
-        llrs[i] = detector.apply(plan, h_re, y_re[i], noise_var, c)[1]
+        h_known = estimate_channel_ls(y, cfg)          # (F, sc, M, N)
+        obs_sets, llr_sets = y_data.swapaxes(0, 1), llrs.swapaxes(0, 1)
+    h_known = h_known.reshape(-1, m, n)
+    plan = detector.plan(h_known, noise_var, c, cfg.n_paths)
+    for obs, out in zip(obs_sets, llr_sets):
+        out[...] = detector.apply(plan, h_known, obs.reshape(-1, m),
+                                  noise_var, c)[1].reshape(out.shape)
 
     # per-vehicle LLR concatenation in RE order -> decode
-    llrs_v = llrs.transpose(0, 2, 1, 3).reshape(f * n, n_re * bps)
+    llrs_v = llrs.transpose(0, 3, 1, 2, 4).reshape(f * n, -1)
     dec, conv = fec.decode_rate_matched(code, rm, llrs_v)
     ok = conv & ~np.any(dec != info.reshape(f * n, rm.k_tb), axis=1)
     return ok.reshape(f, n)

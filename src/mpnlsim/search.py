@@ -80,17 +80,15 @@ class SearchCell:
 def min_antennas(n: int, mcs_index: int, detector: str,
                  fixtures: FixtureConfig,
                  frames_per_channel: int = 8,
-                 n_paths: int = 32,
-                 m_range=(M_MIN, M_MAX)) -> SearchCell:
+                 n_paths: int = 32) -> SearchCell:
     """Smallest antenna count meeting the PER threshold (first hit)."""
     mcs = mcs_entry(mcs_index)
     m_needed = detect.soft_detector(detector).min_antennas(
         n, mcs.constellation.order, n_paths)
-    lo, hi = m_range
     rb = fixtures.rb_per_vehicle(mcs)
     # too few antennas for the detector counts as failing
-    prev_per = 1.0 if lo < m_needed else float("nan")
-    for m in range(max(lo, m_needed), hi + 1):
+    prev_per = 1.0 if M_MIN < m_needed else float("nan")
+    for m in range(max(M_MIN, m_needed), M_MAX + 1):
         cfg = linksim.LinkConfig(n_streams=n, m_antennas=m, mcs=mcs,
                                  detector=detector, n_paths=n_paths,
                                  seed=fixtures.base_seed, rb_per_vehicle=rb)

@@ -203,6 +203,8 @@ def search_config(tmp_path, **kw):
     ("per-sweep", sweep_config, dict(snr_db=[10**400]), "snr_db"),
     ("search", search_config, dict(profile={
         "delays_ns": [0, 100], "powers_db": [0, 4000]}), "powers"),
+    ("per-sweep", sweep_config, dict(n_subcarriers=6), "n_subcarriers"),
+    ("search", search_config, dict(n_subcarriers=6), "n_subcarriers"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):

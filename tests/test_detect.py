@@ -735,7 +735,8 @@ def test_tree_labels_match_per_path_reference():
         bad[7, -1] = complex(np.nan, 1.0)
         z = np.concatenate([z, bad])
         with np.errstate(all="ignore"):
-            got = det._tree_labels(z, r, plan.expansions, c)
+            got = det._tree_labels(z, r, plan.expansions, c,
+                                   np.broadcast_to(np.arange(n), (24, n)))
             for i in range(24):
                 want = _reference_tree(z[i], r[i], plan.expansions, c.points)
                 assert np.array_equal(got[i], want)

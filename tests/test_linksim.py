@@ -144,17 +144,39 @@ def test_heavy_noise_all_blocks_fail():
     assert not ok.any()
 
 
-def test_frames_deterministic_and_batch_invariant():
-    cfg = make_cfg(detector="mpnl")
+@pytest.mark.parametrize("csi", linksim.CSI_MODES)
+@pytest.mark.parametrize("detector", ["mmse", "mpnl"])
+def test_frames_deterministic_and_batch_invariant(csi, detector):
+    cfg = make_cfg(detector=detector, csi=csi)
     grid = make_grid(cfg)
-    nv = 0.05
+    nv = 0.4       # some blocks fail and some decode in every case
     full = linksim.simulate_frames(cfg, grid, nv, 0, range(6))
+    assert 0 < full.sum() < full.size
     again = linksim.simulate_frames(cfg, grid, nv, 0, range(6))
     assert np.array_equal(full, again)
     parts = np.concatenate([
         linksim.simulate_frames(cfg, grid, nv, 0, range(0, 2)),
         linksim.simulate_frames(cfg, grid, nv, 0, range(2, 6))])
     assert np.array_equal(full, parts)
+
+
+@pytest.mark.parametrize("csi", linksim.CSI_MODES)
+def test_one_plan_per_batch_on_its_distinct_channels(monkeypatch, csi):
+    # genie CSI knows one channel per data RE, LS one per frame and
+    # subcarrier; either way the batch is planned once
+    planned = []
+    orig = detect.mpnl_plan_batch
+
+    def plan(h, *args):
+        planned.append(h.shape[0])
+        return orig(h, *args)
+
+    monkeypatch.setattr(detect, "mpnl_plan_batch", plan)
+    cfg = make_cfg(detector="mpnl", csi=csi, rb_per_vehicle=2)
+    n_frames = 5
+    linksim.simulate_frames(cfg, make_grid(cfg), 0.1, 0, range(n_frames))
+    per_sc = {"genie": len(linksim.DATA_SYMBOLS), "ls_dmrs": n_frames}[csi]
+    assert planned == [per_sc * cfg.n_subcarriers]
 
 
 def test_frames_differ_across_channel_index():

@@ -40,8 +40,7 @@ def test_min_antennas_easy_case():
 
 def test_min_antennas_unsupported_sentinel():
     fx = small_fixtures(region=ch.SnrRegion("dead", -20.0, jitter_db=0.0))
-    cell = search.min_antennas(2, 12, "mmse", fx, frames_per_channel=2,
-                               m_range=(2, 3))
+    cell = search.min_antennas(2, 12, "mmse", fx, frames_per_channel=2)
     assert not cell.supported
     assert cell.min_antennas == search.UNSUPPORTED
     assert cell.frames == 0
@@ -52,15 +51,14 @@ def test_min_antennas_skips_infeasible_overload():
     # so the sweep must start finding answers at larger M only
     fx = small_fixtures()
     cell = search.min_antennas(4, 10, "mpnl", fx, frames_per_channel=2,
-                               n_paths=16, m_range=(2, 8))
+                               n_paths=16)
     assert cell.supported
     assert cell.min_antennas >= 3
 
 
 def test_min_antennas_zf_requires_full_rank():
     fx = small_fixtures()
-    cell = search.min_antennas(3, 0, "zf", fx, frames_per_channel=2,
-                               m_range=(2, 8))
+    cell = search.min_antennas(3, 0, "zf", fx, frames_per_channel=2)
     assert cell.min_antennas >= 3
 
 
