@@ -10,6 +10,7 @@ code: no config key selects another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -145,31 +146,41 @@ class LdpcCode:
         max_dc, m = self._graph[0].shape
         w, n, e = DECODE_BLOCK, self.n, max_dc * m
         return _MinSumArrays(
-            llrs=np.empty((w, n)), total=np.empty((w, n)),
-            gather=np.empty((w, n)), hard=np.empty((w, n), dtype=bool),
-            m_vc=np.empty((w, e)), suffix=np.empty((w, e)),
-            flip=np.empty((w, e), dtype=bool),
-            parity=np.empty((w, m), dtype=bool),
-            m_cv_flat=np.zeros((w, e + 1)))
+            llrs=np.empty((n, w)), total=np.empty((n, w)),
+            gather=np.empty((n, w)), hard=np.empty((n, w), dtype=bool),
+            m_vc=np.empty((e, w)), suffix=np.empty((e, w)),
+            flip=np.empty((e, w), dtype=bool),
+            parity=np.empty((m, w), dtype=bool),
+            m_cv_flat=np.empty((e + 1, w)),
+            checks=np.empty((max_dc, m, w), dtype=np.uint8))
 
 
 class _MinSumArrays(NamedTuple):
-    """One row per word, edges by flat index s * m + r; a block of b words
-    works on rows [:b]."""
+    """Word-minor: one column per word, so that row v holds variable v and
+    row s * m + r edge s * m + r of every word.  A block of b words works
+    on the first rows * b elements of each array, viewed by cols(b) as a
+    contiguous (rows, b)."""
 
-    llrs: np.ndarray        # (W, n) channel LLRs of the words still decoding
-    total: np.ndarray       # (W, n) posterior LLRs
-    gather: np.ndarray      # (W, n) one edge slot's messages per variable
-    hard: np.ndarray        # (W, n) bool hard decision, total < 0
-    m_vc: np.ndarray        # (W, e) variable-to-check messages
-    suffix: np.ndarray      # (W, e) scratch: suffix minima, then signs
-    flip: np.ndarray        # (W, e) bool: outgoing message is negative
-    parity: np.ndarray      # (W, m) bool: XOR of a check's incoming signs
-    # check-to-variable messages, plus a zero for var_edges' pad
-    m_cv_flat: np.ndarray   # (W, e + 1)
+    llrs: np.ndarray        # (n, W) channel LLRs of the words still decoding
+    total: np.ndarray       # (n, W) posterior LLRs
+    gather: np.ndarray      # (n, W) one edge slot's messages per variable
+    hard: np.ndarray        # (n, W) bool hard decision, total < 0
+    m_vc: np.ndarray        # (e, W) variable-to-check messages
+    # scratch: suffix minima, then signs, then the columns kept on a repack
+    suffix: np.ndarray      # (e, W)
+    flip: np.ndarray        # (e, W) bool: outgoing message is negative
+    parity: np.ndarray      # (m, W) bool: XOR of a check's incoming signs
+    # check-to-variable messages, plus a zero row for var_edges' pad
+    m_cv_flat: np.ndarray   # (e + 1, W)
+    checks: np.ndarray      # (max_dc, m, W) uint8: the syndrome's gather
 
-    def rows(self, b: int) -> _MinSumArrays:
-        return _MinSumArrays(*(a[:b] for a in self))
+    def cols(self, b: int) -> _MinSumArrays:
+        return _MinSumArrays(*(_prefix(a, a.shape[:-1] + (b,)) for a in self))
+
+
+def _prefix(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first elements of contiguous a, as a contiguous array of shape."""
+    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def ldpc_encode(code: LdpcCode, info: np.ndarray) -> np.ndarray:
@@ -185,13 +196,28 @@ def ldpc_encode(code: LdpcCode, info: np.ndarray) -> np.ndarray:
     return cw[0] if single else cw
 
 
-def ldpc_syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
+def ldpc_syndrome(code: LdpcCode, bits: np.ndarray, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """H @ bits mod 2 over the last axis, as an XOR over each check's
-    variables; (..., n) -> (..., m) uint8."""
+    variables; (..., n) -> (..., m) uint8.
+
+    The bits are gathered along the bit axis moved to the front, into out
+    if given: a (max_dc, m, ...) uint8 scratch, with which the call
+    allocates nothing and returns a view of out.  A (b, n) transpose of a
+    contiguous (n, b) array is gathered by whole rows.
+    """
     check_vars, check_mask, _ = code._graph
     bits = np.asarray(bits, dtype=np.uint8)
-    return np.bitwise_xor.reduce(np.take(bits, check_vars, axis=-1)
-                                 & check_mask, axis=-2)
+    if bits.shape[-1] != code.n:
+        raise ValueError(f"bits length {bits.shape[-1]} != n = {code.n}")
+    checks = np.take(np.moveaxis(bits, -1, 0), check_vars, axis=0, out=out,
+                     mode="clip")
+    mask = check_mask.view(np.uint8).reshape(
+        check_mask.shape + (1,) * (bits.ndim - 1))
+    np.bitwise_and(checks, mask, out=checks)
+    for slot in checks[1:]:
+        np.bitwise_xor(checks[0], slot, out=checks[0])
+    return np.moveaxis(checks[0], 0, -1)
 
 
 def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
@@ -208,6 +234,8 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
     do not decode on one LdpcCode from two threads at once (the library
     parallelizes with processes only).
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     llrs = np.asarray(llrs, dtype=np.float64)
     single = llrs.ndim == 1
     if single:
@@ -230,77 +258,82 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
 def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int,
              info: np.ndarray, done: np.ndarray) -> None:
     """ldpc_decode on one (b, n) block, into its (b, k) info and (b,) done.
-    A converged word leaves the working rows; the others are updated until
-    max_iter.  Every array of the loop is a row prefix of code._workspace,
-    written with out=; edge arrays stay 2-D, where in-place ufuncs on the
-    strided m_cv run at contiguous speed."""
+
+    Word-minor: every array of the loop is a contiguous (rows, b') view of
+    code._workspace, one column per word still decoding, written with
+    out=.  So each gather by variable, edge or check is a copy of whole
+    rows, and each of the max_dc check slots is one contiguous (m, b')
+    block.  The LLRs are transposed in once and the info bits out after
+    each syndrome.  A converged word leaves the working columns; the
+    others are updated until max_iter.
+    """
     check_vars, check_mask, var_edges = code._graph
     max_dc, m = check_vars.shape
-    edge_vars, pad = check_vars.ravel(), ~check_mask.ravel()
-
-    w = code._workspace.rows(len(llrs))
-    bits = np.less(llrs, 0, out=w.hard).view(np.uint8)
-    done[:] = ~np.any(ldpc_syndrome(code, bits), axis=1)
-    info[:] = bits[:, :code.k]
-
-    act = np.flatnonzero(~done)                       # words still decoding
-    w = code._workspace.rows(act.size)
-    np.take(llrs, act, axis=0, out=w.llrs, mode="clip")
-    for it in range(max_iter):
-        if act.size == 0:
+    edge_vars, pad = check_vars.ravel(), np.flatnonzero(~check_mask.ravel())
+    ws = code._workspace
+    w = ws.cols(len(llrs))
+    np.copyto(w.llrs, llrs.T)
+    np.less(w.llrs, 0, out=w.hard)
+    act = np.arange(len(llrs))                        # words still decoding
+    for it in range(max_iter + 1):
+        bits = w.hard.view(np.uint8)
+        conv = ~np.any(ldpc_syndrome(code, bits.T, out=w.checks), axis=1)
+        # unconverged words keep their latest hard decision
+        info[act] = bits[:code.k].T
+        done[act] = conv
+        if it == max_iter or conv.all():
             break
-        m_cv = w.m_cv_flat[:, :-1]
+        if conv.any():
+            # the unconverged columns, through scratch, into a narrower view
+            keep = np.flatnonzero(~conv)
+            new = ws.cols(keep.size)
+            state = ((w.llrs, new.llrs), (w.total, new.total),
+                     (w.m_cv_flat[:-1], new.m_cv_flat[:-1]))
+            # before the first iteration only the channel LLRs hold state
+            for old, now in state[:3 if it else 1]:
+                kept = _prefix(ws.suffix, (len(old), keep.size))
+                np.copyto(now, np.take(old, keep, axis=1, out=kept,
+                                       mode="clip"))
+            act, w = act[keep], new
+        m_cv = w.m_cv_flat[:-1]
         # variable-to-check messages: the channel LLRs at first, then the
         # last totals minus each edge's own message
-        np.take(w.total if it else w.llrs, edge_vars, axis=1, out=w.m_vc,
+        np.take(w.total if it else w.llrs, edge_vars, axis=0, out=w.m_vc,
                 mode="clip")
         if it:
             np.subtract(w.m_vc, m_cv, out=w.m_vc)
-        np.copyto(w.m_vc, np.inf, where=pad)
+        w.m_vc[pad] = np.inf
         # check-node update: normalized sign * min over the other edges
-        flip = np.less(w.m_vc, 0, out=w.flip).reshape(act.size, max_dc, m)
-        np.logical_xor(flip, np.logical_xor.reduce(flip, axis=1,
-                                                   out=w.parity)[:, None],
+        flip = np.less(w.m_vc, 0, out=w.flip).reshape(max_dc, m, -1)
+        np.logical_xor(flip, np.logical_xor.reduce(flip, axis=0,
+                                                   out=w.parity),
                        out=flip)
-        _min_of_others(np.abs(w.m_vc, out=w.m_vc), max_dc, m_cv, w.suffix)
+        _min_of_others(np.abs(w.m_vc, out=w.m_vc).reshape(max_dc, -1),
+                       m_cv.reshape(max_dc, -1),
+                       w.suffix.reshape(max_dc, -1))
         sign = np.multiply(w.flip, -2 * MIN_SUM_NORMALIZATION, out=w.suffix)
         np.add(sign, MIN_SUM_NORMALIZATION, out=sign)  # exactly -K or K
         np.multiply(sign, m_cv, out=m_cv)
         # variable-node update; edges summed left to right (fixes rounding)
-        np.take(w.m_cv_flat, var_edges[0], axis=1, out=w.total, mode="clip")
+        w.m_cv_flat[-1] = 0                             # var_edges' pad
+        np.take(w.m_cv_flat, var_edges[0], axis=0, out=w.total, mode="clip")
         for edges in var_edges[1:]:
-            np.take(w.m_cv_flat, edges, axis=1, out=w.gather, mode="clip")
+            np.take(w.m_cv_flat, edges, axis=0, out=w.gather, mode="clip")
             np.add(w.total, w.gather, out=w.total)
         np.add(w.total, w.llrs, out=w.total)
-        bits = np.less(w.total, 0, out=w.hard).view(np.uint8)
-        conv = ~np.any(ldpc_syndrome(code, bits), axis=1)
-        # unconverged words keep their latest hard decision
-        info[act] = bits[:, :code.k]
-        if conv.any():
-            # the last unconverged rows fill the converged rows' places
-            done[act[conv]] = True
-            n_left = act.size - int(conv.sum())
-            holes = np.flatnonzero(conv[:n_left])
-            movers = n_left + np.flatnonzero(~conv[n_left:])
-            for a in (w.llrs, w.total, w.m_cv_flat):
-                a[holes] = a[movers]
-            act[holes] = act[movers]
-            act = act[:n_left]
-            w = w.rows(n_left)
+        np.less(w.total, 0, out=w.hard)
 
 
-def _min_of_others(mag: np.ndarray, d: int, out: np.ndarray,
+def _min_of_others(mag: np.ndarray, out: np.ndarray,
                    suffix: np.ndarray) -> None:
-    """For each of the d equal column slots of (B, d * m) mag, the minimum
-    over the other slots (inf if there is none) into out, from running
-    minima taken from both ends; suffix is scratch of mag's shape."""
-    m = mag.shape[1] // d
-    slot = [np.s_[:, j * m:(j + 1) * m] for j in range(d)]
-    out[slot[0]] = suffix[slot[-1]] = np.inf
+    """For each row (slot) of (d, L) mag, the minimum over the other rows
+    (inf if there is none) into out, from running minima taken from both
+    ends; suffix is scratch of mag's shape."""
+    d = len(mag)
+    out[0] = suffix[-1] = np.inf
     for j in range(1, d):
-        np.minimum(out[slot[j - 1]], mag[slot[j - 1]], out=out[slot[j]])
-        np.minimum(suffix[slot[d - j]], mag[slot[d - j]],
-                   out=suffix[slot[d - j - 1]])
+        np.minimum(out[j - 1], mag[j - 1], out=out[j])
+        np.minimum(suffix[d - j], mag[d - j], out=suffix[d - j - 1])
     np.minimum(out, suffix, out=out)
 
 

@@ -246,8 +246,9 @@ def test_reused_working_set_does_not_leak_between_calls(code):
 
 
 def test_decode_loop_allocates_no_working_arrays(code):
-    """After a warm-up, a 100-word decode allocates its outputs and the
-    syndrome's temporaries, not a fresh set of arrays per iteration."""
+    """After a warm-up, a 100-word decode allocates its outputs and small
+    index arrays only: neither the loop nor its syndrome makes a fresh
+    set of arrays per iteration."""
     llr = _awgn_llrs(code, np.random.default_rng(14), 100, 1.5)
     fec.ldpc_decode(code, llr)
     tracemalloc.start()
@@ -256,7 +257,84 @@ def test_decode_loop_allocates_no_working_arrays(code):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 256 * 2**10
+
+
+def _mixed_batch(code):
+    """300 shuffled words, more than two decode blocks: 100 that converge
+    at iteration 0, 100 AWGN words at 2 dB (most converge mid-loop) and
+    100 of pure noise that never converge."""
+    rng = np.random.default_rng(15)
+    info = rng.integers(0, 2, (100, code.k)).astype(np.uint8)
+    clean = 8.0 * (1 - 2 * fec.ldpc_encode(code, info).astype(np.float64))
+    llr = np.concatenate([clean, _awgn_llrs(code, rng, 100, 2.0),
+                          rng.normal(0, 1, (100, code.n))])
+    return llr[rng.permutation(len(llr))]
+
+
+def _first_converged(code, llr):
+    """The iteration at which each word converges, DEFAULT_MAX_ITER if
+    never."""
+    first = np.full(len(llr), fec.DEFAULT_MAX_ITER)
+    for it in range(fec.DEFAULT_MAX_ITER, -1, -1):
+        first[fec.ldpc_decode(code, llr, max_iter=it)[1]] = it
+    return first
+
+
+def test_decode_across_blocks_matches_word_by_word(code):
+    llr = _mixed_batch(code)
+    assert len(llr) > 2 * fec.DECODE_BLOCK
+    first = _first_converged(code, llr)
+    info, conv = fec.ldpc_decode(code, llr)
+    for i in range(0, len(llr), fec.DECODE_BLOCK):
+        blk = slice(i, i + fec.DECODE_BLOCK)
+        # every block has words that leave the working columns before the
+        # first iteration and in the loop, and words that stay to the end
+        assert (first[blk] == 0).any() and (~conv[blk]).any()
+        assert ((first[blk] > 0) & conv[blk]).any()
+    for i, word in enumerate(llr):
+        want_info, want_conv = fec.ldpc_decode(code, word)
+        assert np.array_equal(info[i], want_info) and conv[i] == want_conv
+
+
+def test_decode_calls_syndrome_once_per_block_and_iteration(code,
+                                                            monkeypatch):
+    """perfbench's traced run derives fec.decode_iters from these calls:
+    one per block and one per iteration it ran, through the module-level
+    name."""
+    llr = _mixed_batch(code)
+    # a block iterates until its last word converges
+    last = [int(f.max()) for f in np.split(
+        _first_converged(code, llr),
+        range(fec.DECODE_BLOCK, len(llr), fec.DECODE_BLOCK))]
+    calls = []
+    syndrome = fec.ldpc_syndrome
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return syndrome(*args, **kwargs)
+
+    monkeypatch.setattr(fec, "ldpc_syndrome", counted)
+    for max_iter in (fec.DEFAULT_MAX_ITER, 3, 0):
+        calls.clear()
+        fec.ldpc_decode(code, llr, max_iter=max_iter)
+        assert len(calls) == sum(1 + min(it, max_iter) for it in last)
+    calls.clear()
+    fec.ldpc_decode(code, llr[:0])
+    assert not calls
+
+
+def test_decode_rejects_negative_max_iter(code):
+    with pytest.raises(ValueError, match="max_iter"):
+        fec.ldpc_decode(code, np.ones(code.n), max_iter=-1)
+
+
+def test_syndrome_rejects_wrong_length(code):
+    extra = np.zeros((2, code.n + 5), dtype=np.uint8)
+    extra[:, -1] = 1          # a bit beyond n that no check reads
+    for bits in (extra, np.zeros((2, code.n - 1), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="length"):
+            fec.ldpc_syndrome(code, bits)
 
 
 # ---------------------------------------------------------------------------
