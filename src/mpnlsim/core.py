@@ -12,7 +12,7 @@ LLR sign convention (normative): positive LLR means bit 0 is more likely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,30 +26,41 @@ LLR_CLIP = 20.0
 SLICE_GUARD = 1e-9
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
 @dataclass(frozen=True)
 class Constellation:
-    """Gray-labelled square QAM constellation with unit average energy."""
+    """Unit-energy Gray-labelled square QAM, built from its order alone."""
 
     order: int
-    points: np.ndarray = field(repr=False)       # indexed by integer label
-    bits_per_symbol: int = field(init=False)
 
     def __post_init__(self):
         if self.order not in (4, 16, 64):
             raise ValueError(f"unsupported constellation order {self.order}")
-        object.__setattr__(self, "bits_per_symbol", int(np.log2(self.order)))
 
     @property
+    def bits_per_symbol(self) -> int:
+        return self.order.bit_length() - 1
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Points indexed by integer label, mapped as the module states."""
+        side = 1 << (self.bits_per_symbol // 2)        # levels per axis
+        # per-axis levels indexed by Gray label: the pos-th of the
+        # descending levels L-1, L-3, ..., -(L-1) has label pos ^ (pos >> 1)
+        pos = np.arange(side)
+        lv = np.empty(side)
+        lv[pos ^ (pos >> 1)] = np.arange(side - 1, -side, -2, dtype=float)
+        norm = np.sqrt(2.0 * (self.order - 1) / 3.0)
+        i, q = np.divmod(np.arange(self.order), side)
+        return (lv[i] + 1j * lv[q]) / norm
+
+    @cached_property
     def labels(self) -> np.ndarray:
-        """Bit labels, shape (Q, bits_per_symbol); row i labels points[i]."""
-        q = self.order
-        b = self.bits_per_symbol
-        idx = np.arange(q)
-        return (idx[:, None] >> np.arange(b - 1, -1, -1)) & 1
+        """Bit labels, shape (Q, bits_per_symbol), read-only; row i labels
+        points[i], MSB first."""
+        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
+        table = (np.arange(self.order)[:, None] >> shifts) & 1
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def bit_sets(self) -> np.ndarray:
@@ -121,43 +132,17 @@ class Constellation:
         return labels.reshape(y.shape)[()]
 
 
-def _axis_levels(bits: int) -> np.ndarray:
-    """Per-axis amplitude levels indexed by the Gray bit label."""
-    n = 1 << bits
-    desc = np.arange(n - 1, -n, -2, dtype=float)   # L-1, L-3, ..., -(L-1)
-    levels = np.empty(n)
-    for pos in range(n):
-        levels[_gray(pos)] = desc[pos]
-    return levels
-
-
-def make_constellation(order: int) -> Constellation:
-    """Build the unit-energy Gray-mapped constellation of the given order."""
-    if order not in (4, 16, 64):
-        raise ValueError(f"unsupported constellation order {order}")
-    bits = int(np.log2(order))
-    half = bits // 2
-    lv = _axis_levels(half)
-    norm = np.sqrt(2.0 * (4 ** half - 1) / 3.0)
-    labels = np.arange(order)
-    i_label = labels >> half
-    q_label = labels & ((1 << half) - 1)
-    points = (lv[i_label] + 1j * lv[q_label]) / norm
-    return Constellation(order=order, points=points)
-
-
-QPSK = make_constellation(4)
-QAM16 = make_constellation(16)
-QAM64 = make_constellation(64)
+QPSK = Constellation(4)
+QAM16 = Constellation(16)
+QAM64 = Constellation(64)
 
 _BY_ORDER = {4: QPSK, 16: QAM16, 64: QAM64}
 
 
 def constellation_for(order: int) -> Constellation:
-    try:
-        return _BY_ORDER[order]
-    except KeyError:
-        raise ValueError(f"unsupported constellation order {order}") from None
+    """The shared instance of a supported order; any other order fails
+    Constellation's own check."""
+    return _BY_ORDER.get(order) or Constellation(order)
 
 
 @dataclass(frozen=True)
@@ -271,6 +256,4 @@ def demap_llr(y_eq, noise_var: float, c: Constellation,
 
 def bits_from_labels(labels: np.ndarray, c: Constellation) -> np.ndarray:
     """Expand integer point labels to bit arrays (trailing bps axis)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
-    return (labels[..., None] >> shifts) & 1
+    return c.labels[np.asarray(labels, dtype=np.int64)]

@@ -35,13 +35,13 @@ class SingularChannelError(ValueError):
 
 def _enumerate_labels(n: int, q: int) -> np.ndarray:
     """All q^n label vectors in lexicographic order (stream 0 most significant)."""
-    count = q ** n
-    idx = np.arange(count)
-    out = np.empty((count, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        out[:, j] = idx % q
-        idx //= q
-    return out
+    return np.stack(np.unravel_index(np.arange(q ** n), (q,) * n), axis=-1)
+
+
+def _check_enumeration(n: int, q: int):
+    """ValueError when exhaustive ML would enumerate more than the guard."""
+    if q ** n > ML_ENUM_GUARD:
+        raise ValueError(f"enumeration {q}^{n} exceeds guard {ML_ENUM_GUARD}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +104,8 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, c: Constellation):
     (B, Q^N, N), metrics (B, Q^N), best (B,)); best is the first minimum,
     so ties break lexicographically."""
     b, m, n = h.shape
-    q = c.order
-    if q ** n > ML_ENUM_GUARD:
-        raise ValueError(f"enumeration {q}^{n} exceeds guard {ML_ENUM_GUARD}")
-    labels = _enumerate_labels(n, q)
+    _check_enumeration(n, c.order)
+    labels = _enumerate_labels(n, c.order)
     cands = c.points[labels]                             # (C, N)
     resid = y[:, None, :] - np.einsum("bmn,cn->bcm", h, cands)
     metrics = np.sum(np.abs(resid) ** 2, axis=2)         # (B, C)
@@ -486,8 +484,9 @@ DETECTORS = {
         min_antennas=lambda n, q, n_paths: 1,
         apply=lambda _, h, y, nv, c: linear_detect_batch(h, y, nv, c,
                                                          "mmse")),
+    # ML serves any M, but not past its enumeration guard
     "ml": Detector(
-        min_antennas=lambda n, q, n_paths: 1,
+        min_antennas=lambda n, q, n_paths: _check_enumeration(n, q) or 1,
         apply=lambda _, h, y, nv, c: _list_output(
             *ml_detect_batch(h, y, c), nv, c)),
     "mpnl": Detector(

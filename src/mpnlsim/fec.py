@@ -105,12 +105,8 @@ class LdpcCode:
 
     @cached_property
     def _encoder(self) -> np.ndarray:
-        return _gf2_parity_solver(self.parity_check)
-
-    @cached_property
-    def _encoder_f32(self) -> np.ndarray:
         # float32 sums of at most k ones are exact while k < 2**24
-        return self._encoder.astype(np.float32)
+        return _gf2_parity_solver(self.parity_check).astype(np.float32)
 
     @cached_property
     def _graph(self):
@@ -191,7 +187,7 @@ def ldpc_encode(code: LdpcCode, info: np.ndarray) -> np.ndarray:
         info = info[None]
     if info.shape[-1] != code.k:
         raise ValueError(f"info length {info.shape[-1]} != k = {code.k}")
-    parity = (info.astype(np.float32) @ code._encoder_f32.T).astype(np.uint32)
+    parity = (info.astype(np.float32) @ code._encoder.T).astype(np.uint32)
     cw = np.concatenate([info, (parity & 1).astype(np.uint8)], axis=-1)
     return cw[0] if single else cw
 

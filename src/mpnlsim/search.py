@@ -10,6 +10,7 @@ comparison).
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -111,18 +112,21 @@ def heatmap(streams, mcs_list, detectors, fixtures: FixtureConfig,
             frames_per_channel: int = 8, n_paths: int = 32,
             progress=None) -> list[SearchCell]:
     """Full (streams x MCS x detector) minimum-antenna grid."""
-    for name in detectors:     # fail on a bad name before any cell runs
-        detect.soft_detector(name)
+    grid = list(itertools.product(streams, mcs_list, detectors))
+    # every cell's link settings fail before any cell runs
+    for n, mi, name in grid:
+        mcs = mcs_entry(mi)
+        linksim.LinkConfig(n_streams=n, m_antennas=M_MAX, mcs=mcs,
+                           detector=name, n_paths=n_paths,
+                           rb_per_vehicle=fixtures.rb_per_vehicle(mcs))
     cells = []
-    for n in streams:
-        for mi in mcs_list:
-            for name in detectors:
-                cell = min_antennas(n, mi, name, fixtures,
-                                    frames_per_channel=frames_per_channel,
-                                    n_paths=n_paths)
-                cells.append(cell)
-                if progress:
-                    progress(cell)
+    for n, mi, name in grid:
+        cell = min_antennas(n, mi, name, fixtures,
+                            frames_per_channel=frames_per_channel,
+                            n_paths=n_paths)
+        cells.append(cell)
+        if progress:
+            progress(cell)
     return cells
 
 

@@ -205,6 +205,8 @@ def search_config(tmp_path, **kw):
         "delays_ns": [0, 100], "powers_db": [0, 4000]}), "powers"),
     ("per-sweep", sweep_config, dict(n_subcarriers=6), "n_subcarriers"),
     ("search", search_config, dict(n_subcarriers=6), "n_subcarriers"),
+    ("per-sweep", sweep_config, dict(detectors=["mmse", "ml"], n_streams=9,
+                                     m_antennas=9), "exceeds guard"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):
@@ -219,18 +221,23 @@ def test_rejects_bad_integer_setting_before_any_cell(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad, key", [
+    (dict(detectors=["mmse", "sphere"]), "sphere"),
+    (dict(streams=[2, 13]), "n_streams"),
+    (dict(mcs=[2, 28]), "MCS index 28"),
+    (dict(streams=[2, 9], detectors=["mmse", "ml"]), "exceeds guard"),
+], ids=["sphere", "13-streams", "mcs-28", "ml-9-streams"])
 def test_search_rejects_bad_detector_before_any_cell(tmp_path, capsys,
-                                                    monkeypatch):
+                                                    monkeypatch, bad, key):
+    # the first cell alone is valid, so only an up-front check stops it
     def measure_per(*args, **kwargs):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(linksim, "measure_per", measure_per)
-    cfgp = write_config(tmp_path, dict(
-        streams=[2], mcs=[0], detectors=["mmse", "sphere"],
-        channels_per_group=2, frames_per_channel=2, n_subcarriers=12))
     out = tmp_path / "grid.csv"
-    assert cli.main(["search", "--config", cfgp, "--out", str(out)]) == 2
-    assert "sphere" in capsys.readouterr().err
+    assert cli.main(["search", "--config", search_config(tmp_path, **bad),
+                     "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

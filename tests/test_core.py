@@ -1,8 +1,53 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mpnlsim import core
+from mpnlsim import core, detect
+
+
+def _digest(*arrays):
+    """SHA-256 over each array's bytes, shape and dtype."""
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        h.update(a.tobytes())
+        h.update(repr((a.shape, a.dtype.str)).encode())
+    return h.hexdigest()
+
+
+# digests of the tables the QAM map was first built with
+_TABLE_DIGESTS = {
+    4: "a7e1cd5d7b5e505b6fe6b5a565f759fe5af53c66fd504ce391ae5183b613abaf",
+    16: "4aa4e717627d921be20d29f25bfdc1e81e5f8da01b0874a62f00836753f0180b",
+    64: "d8be5d104ea599da303483031dbe0e1a9346da240ad06eba8e5b132605ece968",
+}
+_ENUMERATION_DIGESTS = {
+    (1, 4): "0450d5882f64b35ddd213d1f3d062c2143dd88bd8754ae2eafcb69be53160167",
+    (3, 4): "7a8d3559322f4392e93763ce0a6edc2ef575869121baf64ae67e5f679d955801",
+    (2, 16): "a03887fb1830d07c9e60e2fe31a903e2f1179626ec8ae03ab461ee63adb99e12",
+    (4, 4): "e1bdaeddbecdc20c7ba8ce83adbe4ca5cbdb42b571cf20f960870fe3ee1c4bab",
+}
+
+
+def test_constellation_tables_match_golden():
+    # points, labels, bit sets and the slicer of every order, and ML's
+    # label enumeration, byte for byte with shape and dtype
+    for order, want in _TABLE_DIGESTS.items():
+        c = core.constellation_for(order)
+        scale, table = c._slicer
+        assert _digest(c.points, c.labels, c.bit_sets, scale, table) == want
+    for (n, q), want in _ENUMERATION_DIGESTS.items():
+        assert _digest(detect._enumerate_labels(n, q)) == want
+
+
+def test_constellation_labels_read_only_and_order_checked():
+    # the label table is shared by every consumer, so it refuses writes
+    with pytest.raises(ValueError, match="read-only"):
+        core.QAM16.labels[0, 0] = 1
+    assert core.QAM16.labels is core.QAM16.labels
+    with pytest.raises(ValueError, match="unsupported constellation order 8"):
+        core.Constellation(8)
 
 
 @pytest.mark.parametrize("order", [4, 16, 64])

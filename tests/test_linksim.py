@@ -46,6 +46,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="n_paths"):
         make_cfg(detector="mpnl", n_paths=0)
     make_cfg(detector="mmse", n_streams=4, m_antennas=1)
+    # exhaustive ML stops at its enumeration guard: QPSK 4^8 = 2^16
+    with pytest.raises(ValueError, match="enumeration 4\\^9 exceeds guard"):
+        make_cfg(detector="ml", n_streams=9, m_antennas=9)
+    make_cfg(detector="ml", n_streams=8, m_antennas=8)
 
 
 def test_bits_per_block():
