@@ -1,11 +1,10 @@
 """Fading channel generation.
 
-Two generators: i.i.d. block-Rayleigh (oracle/testing channel) and a
-clustered tapped-delay-line model with classical-Doppler fading as a
-configurable stand-in for CDL-style profiles.  Doppler fading is produced
-by a linear transform of white Gaussians whose covariance is the exact
-Jakes autocorrelation J0(2*pi*fd*dt), so the process is exactly Gaussian
-with the classical spectrum.
+One generator: a clustered tapped-delay-line model with classical-Doppler
+fading, a configurable stand-in for CDL-style profiles.  Doppler fading is
+produced by a linear transform of white Gaussians whose covariance is the
+exact Jakes autocorrelation J0(2*pi*fd*dt), so the process is exactly
+Gaussian with the classical spectrum.
 """
 
 from __future__ import annotations
@@ -134,18 +133,6 @@ class ChannelGrid:
     @property
     def n_streams(self) -> int:
         return self.h.shape[3]
-
-
-def rayleigh_block(m: int, n: int, seed,
-                   n_symbols: int = 14, n_subcarriers: int = 1) -> ChannelGrid:
-    """Time-invariant, frequency-flat i.i.d. CN(0,1) channel."""
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be >= 1")
-    rng = np.random.default_rng(seed)
-    h0 = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-    h0 /= np.sqrt(2.0)
-    h = np.broadcast_to(h0, (n_symbols, n_subcarriers, m, n)).copy()
-    return ChannelGrid(h=h)
 
 
 def _jakes_gains(rng, n_clusters: int, m: int, n: int,

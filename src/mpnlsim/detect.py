@@ -19,7 +19,7 @@ smallest antenna count the detector can serve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,9 @@ import numpy as np
 from .core import LLR_CLIP, Constellation, demap_llr
 
 ML_ENUM_GUARD = 1 << 16
+# candidates a list detector scores in one kernel call; a larger stack is
+# applied in row blocks, so its candidate arrays stay within tens of MB
+LIST_BLOCK = 1 << 16
 
 
 class SingularChannelError(ValueError):
@@ -215,6 +218,10 @@ class BatchPathPlan:
     @property
     def batch(self) -> int:
         return self.perm.shape[0]
+
+    def rows(self, s: slice) -> BatchPathPlan:
+        """The plans of rows s of the stack."""
+        return replace(self, perm=self.perm[s], qh=self.qh[s], r=self.r[s])
 
 
 def _sorted_qr_batch(a: np.ndarray):
@@ -463,10 +470,22 @@ class Detector:
     plan: Callable = lambda h, noise_var, c, n_paths: None
 
 
-def _list_output(labels, metrics, best, noise_var, c):
-    """Hard labels and max-log LLRs of a batched candidate-list search."""
-    hard = np.take_along_axis(labels, best[:, None, None], axis=1)[:, 0]
-    return hard, _candidate_llrs_batch(labels, metrics, noise_var, c)
+def _list_output(search, n_cands: int, y, noise_var, c):
+    """Hard labels and max-log LLRs of a batched candidate-list search.
+
+    search(s) runs the search on rows s of the stack, which scores n_cands
+    candidates per row.  It is called on blocks of at most
+    LIST_BLOCK // n_cands rows (one call when the stack fits); rows are
+    independent, so the split changes no output.
+    """
+    step = max(1, LIST_BLOCK // n_cands)
+    parts = []
+    for i in range(0, max(len(y), 1), step):
+        labels, metrics, best = search(slice(i, i + step))
+        hard = np.take_along_axis(labels, best[:, None, None], axis=1)[:, 0]
+        parts.append((hard, _candidate_llrs_batch(labels, metrics, noise_var,
+                                                  c)))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _mpnl_min_antennas(n: int, q: int, n_paths: int) -> int:
@@ -488,12 +507,14 @@ DETECTORS = {
     "ml": Detector(
         min_antennas=lambda n, q, n_paths: _check_enumeration(n, q) or 1,
         apply=lambda _, h, y, nv, c: _list_output(
-            *ml_detect_batch(h, y, c), nv, c)),
+            lambda s: ml_detect_batch(h[s], y[s], c), c.order ** h.shape[2],
+            y, nv, c)),
     "mpnl": Detector(
         min_antennas=_mpnl_min_antennas,
         plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),
         apply=lambda plan, h, y, nv, c: _list_output(
-            *mpnl_detect_batch(plan, h, y, c), nv, c)),
+            lambda s: mpnl_detect_batch(plan.rows(s), h[s], y[s], c),
+            plan.n_paths, y, nv, c)),
 }
 
 

@@ -16,6 +16,7 @@ worker scheduling and batch partitioning.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -66,6 +67,8 @@ class LinkConfig:
                                default_rb_allocation(self.mcs))
         if not 1 <= self.rb_per_vehicle <= self.numerology.n_rb:
             raise ValueError("rb_per_vehicle out of range")
+        fec.design_rate_match(fec.default_code(), self.mcs.code_rate,
+                              self.bits_per_block)
 
     @property
     def n_subcarriers(self) -> int:
@@ -77,19 +80,20 @@ class LinkConfig:
         return re * self.mcs.constellation.bits_per_symbol
 
 
+@functools.cache
 def default_rb_allocation(mcs: McsEntry) -> int:
-    """Largest RB count whose coded-bit load fits one mother codeword.
-
-    The allocation is capped so the rate match stays realizable: the
-    transport block needs at most k info bits and at most n - k parity
-    bits from the mother code.
-    """
-    code = fec.default_code()
+    """Largest RB count, up to n_rb, whose transport block the mother code
+    fits; fec.design_rate_match is the one statement of that rule."""
     bits_per_rb = DEFAULT_NUMEROLOGY.sc_per_rb * len(DATA_SYMBOLS) * \
         mcs.constellation.bits_per_symbol
-    r = float(mcs.code_rate)
-    cap = min(code.n, int(code.k / r), int((code.n - code.k) / (1 - r)))
-    return max(1, cap // bits_per_rb)
+    for rb in range(DEFAULT_NUMEROLOGY.n_rb, 0, -1):
+        try:
+            fec.design_rate_match(fec.default_code(), mcs.code_rate,
+                                  rb * bits_per_rb)
+            return rb
+        except ValueError as e:
+            reason = e
+    raise ValueError(f"MCS {mcs.index} does not fit one RB: {reason}")
 
 
 @dataclass(frozen=True)

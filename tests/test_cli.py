@@ -207,6 +207,7 @@ def search_config(tmp_path, **kw):
     ("search", search_config, dict(n_subcarriers=6), "n_subcarriers"),
     ("per-sweep", sweep_config, dict(detectors=["mmse", "ml"], n_streams=9,
                                      m_antennas=9), "exceeds guard"),
+    ("per-sweep", sweep_config, dict(mcs=24), "MCS 24"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):
@@ -226,7 +227,8 @@ def test_rejects_bad_integer_setting_before_any_cell(
     (dict(streams=[2, 13]), "n_streams"),
     (dict(mcs=[2, 28]), "MCS index 28"),
     (dict(streams=[2, 9], detectors=["mmse", "ml"]), "exceeds guard"),
-], ids=["sphere", "13-streams", "mcs-28", "ml-9-streams"])
+    (dict(mcs=[2, 24]), "MCS 24"),
+], ids=["sphere", "13-streams", "mcs-28", "ml-9-streams", "mcs-24"])
 def test_search_rejects_bad_detector_before_any_cell(tmp_path, capsys,
                                                     monkeypatch, bad, key):
     # the first cell alone is valid, so only an up-front check stops it

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -650,6 +651,59 @@ def test_kernels_bit_identical_across_batch_splits():
         want = np.concatenate(pieces)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _observed_stack(rng, b, m, n, c):
+    """A (B, M, N) Rayleigh stack, its (B, M) observations at 10 dB and
+    the noise variance."""
+    h, nv = _stack(rng, b, m, n), n / 10.0
+    y = np.einsum("bmn,bn->bm", h, c.points[rng.integers(0, c.order, (b, n))])
+    return h, y + np.sqrt(nv) * _stack(rng, b, m, 1)[..., 0], nv
+
+
+@pytest.mark.parametrize("name, kernel", [("ml", "ml_detect_batch"),
+                                          ("mpnl", "mpnl_detect_batch")])
+def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
+    """A list detector's apply gives the same bytes in one kernel call and
+    in row blocks of 3, 3, 3 and 1 REs (16-QAM, N = 2: 256 ML candidates
+    and 32 MPNL paths per RE)."""
+    c = QAM16
+    h, y, nv = _observed_stack(np.random.default_rng(185), 10, 3, 2, c)
+    d = det.DETECTORS[name]
+    plan = d.plan(h, nv, c, 32)
+    rows = []
+    search = getattr(det, kernel)
+    monkeypatch.setattr(det, kernel, lambda *a: rows.append(len(a[-2]))
+                        or search(*a))
+    whole = d.apply(plan, h, y, nv, c)
+    monkeypatch.setattr(det, "LIST_BLOCK", 3 * (256 if name == "ml" else 32))
+    for got, want in zip(d.apply(plan, h, y, nv, c), whole):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rows == [10, 3, 3, 3, 1]
+
+
+@pytest.mark.parametrize("name, n_paths, b", [("ml", 32, 16),
+                                              ("mpnl", 1 << 16, 8)])
+def test_list_apply_memory_stays_within_row_blocks(name, n_paths, b):
+    """At N = M = 8 QPSK, ML and a 65536-path MPNL score 2^16 candidates
+    per RE, about 30 MB of working arrays each.  An apply on B REs equals
+    its per-RE applies, and its traced peak stays under 64 MB, where one
+    call on the whole stack peaks near 270 (ML) and 200 MB (MPNL)."""
+    h, y, nv = _observed_stack(np.random.default_rng(186), b, 8, 8, QPSK)
+    d = det.DETECTORS[name]
+    plan = d.plan(h, nv, QPSK, n_paths)
+    tracemalloc.start()
+    try:
+        got = d.apply(plan, h, y, nv, QPSK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    rows = [slice(i, i + 1) for i in range(b)]
+    for got_part, *pieces in zip(got, *(
+            d.apply(d.plan(h[s], nv, QPSK, n_paths), h[s], y[s], nv, QPSK)
+            for s in rows)):
+        assert got_part.tobytes() == np.concatenate(pieces).tobytes()
 
 
 def test_closest_matches_stable_sort():

@@ -16,8 +16,13 @@ def make_cfg(**kw):
 
 
 def make_grid(cfg, seed=0):
-    return ch.rayleigh_block(cfg.m_antennas, cfg.n_streams, seed=seed,
-                             n_subcarriers=cfg.n_subcarriers)
+    """A constant, frequency-flat i.i.d. CN(0, 1) channel over the slot."""
+    m, n = cfg.m_antennas, cfg.n_streams
+    rng = np.random.default_rng(seed)
+    h0 = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    h0 /= np.sqrt(2.0)
+    return ch.ChannelGrid(h=np.broadcast_to(h0, (
+        cfg.numerology.symbols_per_slot, cfg.n_subcarriers, m, n)).copy())
 
 
 def test_config_validation():
@@ -50,6 +55,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="enumeration 4\\^9 exceeds guard"):
         make_cfg(detector="ml", n_streams=9, m_antennas=9)
     make_cfg(detector="ml", n_streams=8, m_antennas=8)
+    # an explicit allocation must fit the mother code too
+    with pytest.raises(ValueError, match="needs 1221 info bits"):
+        make_cfg(mcs=mcs_entry(12), rb_per_vehicle=5)
 
 
 def test_bits_per_block():
@@ -58,22 +66,27 @@ def test_bits_per_block():
     assert cfg.bits_per_block == 24 * 12 * 2
 
 
-@pytest.mark.parametrize("idx", [0, 2, 7, 12, 16, 20])
+# default RB counts of MCS 0-23; MCS 24-27 fit not even one RB
+RB_DEFAULTS = [2, 2, 2, 2, 3, 3, 4, 4, 3, 3, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1,
+               1, 1, 1]
+
+
+@pytest.mark.parametrize("idx", range(28))
 def test_default_rb_allocation_always_rate_matchable(idx):
     mcs = mcs_entry(idx)
+    if idx >= len(RB_DEFAULTS):
+        with pytest.raises(ValueError, match=f"MCS {idx} does not fit"):
+            linksim.default_rb_allocation(mcs)
+        return
     rb = linksim.default_rb_allocation(mcs)
-    assert rb >= 1
-    bits = rb * 12 * len(linksim.DATA_SYMBOLS) * \
-        mcs.constellation.bits_per_symbol
-    fec.design_rate_match(fec.default_code(), mcs.code_rate, bits)
-
-
-def test_default_rb_allocation_is_maximal():
-    # one more RB would break the rate match (or exceed the codeword)
-    mcs = mcs_entry(9)
-    rb = linksim.default_rb_allocation(mcs)
+    assert rb == RB_DEFAULTS[idx]
+    assert make_cfg(mcs=mcs, rb_per_vehicle=None).rb_per_vehicle == rb
     bits_per_rb = 12 * len(linksim.DATA_SYMBOLS) * \
         mcs.constellation.bits_per_symbol
+    # every count up to the default fits; one more RB does not
+    for k in range(1, rb + 1):
+        fec.design_rate_match(fec.default_code(), mcs.code_rate,
+                              k * bits_per_rb)
     with pytest.raises(ValueError):
         fec.design_rate_match(fec.default_code(), mcs.code_rate,
                               (rb + 1) * bits_per_rb)
@@ -201,7 +214,7 @@ def test_ls_csi_decodes_at_high_snr():
 
 def test_grid_too_small_rejected():
     cfg = make_cfg(m_antennas=8)
-    grid = ch.rayleigh_block(4, 2, seed=0, n_subcarriers=cfg.n_subcarriers)
+    grid = make_grid(make_cfg(m_antennas=4))
     with pytest.raises(ValueError):
         linksim.simulate_frames(cfg, grid, 0.1, 0, [0])
 
