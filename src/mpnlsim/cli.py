@@ -61,8 +61,8 @@ def _load_config(path) -> tuple[dict, str]:
 def _setting(key: str, value, default, rule):
     """Check `value` against `rule`, never a bool: a str from a table of
     names, an int >= an int floor, or a number within the float range >= a
-    float floor (> an `Above` one); a list of them where `default` is a
-    list.  A callable rule checks a structured setting itself."""
+    float floor (> an `Above` one); a non-empty list of them for a list
+    `default`.  A callable rule checks a structured setting itself."""
     if callable(rule):
         return rule(key, value)
     many = isinstance(default, list)
@@ -81,8 +81,8 @@ def _setting(key: str, value, default, rule):
         ok = isinstance(items, list) and all(
             type(v) is str and v in rule for v in items)
         kind = f"{'names' if many else 'a name'} from {sorted(rule)}"
-    if not ok:
-        raise ConfigError(f"{key} must be {'a list of ' if many else ''}"
+    if not (ok and items):
+        raise ConfigError(f"{key} must be {'a non-empty list of ' * many}"
                           f"{kind} (got {value!r})")
 
 
@@ -334,14 +334,14 @@ COMMANDS = {
     "per-sweep": (cmd_per_sweep, {
         **_FIXTURE_SETTINGS, "snr_db": ([], -math.inf),
         "snr_jitter_db": (0.0, 0.0), "n_streams": (4, 1), "m_antennas": (8, 1),
-        "mcs": (7, 0), "channels": (10, 0), "frames_per_channel": (20, 1),
+        "mcs": (7, 0), "channels": (10, 1), "frames_per_channel": (20, 1),
         "n_paths": (32, 1), "csi": ("genie", linksim.CSI_MODES),
         "detectors": (["mmse", "mpnl"], det.DETECTORS)}),
     "search": (cmd_search, {
         **_FIXTURE_SETTINGS, "streams": ([2, 4, 6], 1),
         "mcs": ([2, 7, 12], 0), "detectors": (["mmse", "mpnl"], det.DETECTORS),
         "frames_per_channel": (8, 1), "n_paths": (32, 1),
-        "region": ("R1", ch.REGIONS), "channels_per_group": (50, 0)}),
+        "region": ("R1", ch.REGIONS), "channels_per_group": (50, 1)}),
     "connectivity": (cmd_connectivity, {
         "table_csv": (None, _path), "mcs": (12, 0),
         "se": (None, Above(0.0)),  # None: the MCS's spectral efficiency

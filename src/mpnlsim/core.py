@@ -237,14 +237,14 @@ def modulate(bits, c: Constellation) -> np.ndarray:
     return c.points[groups @ weights]
 
 
-def demap_llr(y_eq, noise_var: float, c: Constellation,
+def demap_llr(y_eq, noise_var, c: Constellation,
               clip: float = LLR_CLIP) -> np.ndarray:
     """Max-log per-bit LLRs; positive means bit 0 more likely.
 
     y_eq may be scalar or an array; output gains a trailing
-    bits_per_symbol axis.
+    bits_per_symbol axis, against which noise_var broadcasts.
     """
-    if noise_var <= 0:
+    if np.any(np.asarray(noise_var) <= 0):
         raise ValueError("noise_var must be positive")
     y = np.asarray(y_eq, dtype=complex)
     d = np.abs(y[..., None] - c.points) ** 2      # (..., Q)

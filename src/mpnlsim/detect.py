@@ -26,9 +26,9 @@ import numpy as np
 
 from .core import LLR_CLIP, Constellation, demap_llr
 
-ML_ENUM_GUARD = 1 << 16
-# candidates a list detector scores in one kernel call; a larger stack is
-# applied in row blocks, so its candidate arrays stay within tens of MB
+# candidates a list detector scores in one kernel call, and the bound on
+# ML's enumeration and MPNL's n_paths; a larger stack is applied in row
+# blocks, so its candidate arrays stay within tens of MB
 LIST_BLOCK = 1 << 16
 
 
@@ -42,9 +42,18 @@ def _enumerate_labels(n: int, q: int) -> np.ndarray:
 
 
 def _check_enumeration(n: int, q: int):
-    """ValueError when exhaustive ML would enumerate more than the guard."""
-    if q ** n > ML_ENUM_GUARD:
-        raise ValueError(f"enumeration {q}^{n} exceeds guard {ML_ENUM_GUARD}")
+    """ValueError when exhaustive ML would enumerate more than LIST_BLOCK."""
+    if q ** n > LIST_BLOCK:
+        raise ValueError(f"enumeration {q}^{n} exceeds guard {LIST_BLOCK}")
+
+
+def _path_metrics(h: np.ndarray, y: np.ndarray, labels: np.ndarray,
+                  c: Constellation) -> np.ndarray:
+    """The one list metric: ||y - H x||^2 (B, P) of labels (B, P, N)."""
+    resid = np.einsum("bmn,bpn->bpm", h, c.points[labels])
+    np.subtract(y[:, None, :], resid, out=resid)
+    dist = np.abs(resid)
+    return np.square(dist, out=dist).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +96,7 @@ def _linear_batch(h: np.ndarray, y: np.ndarray, noise_var,
         beta = np.clip(1.0 - nv[:, None] * diag, 1e-12, None)
         est = soft / beta
         nv_eff = np.clip((1.0 - beta) / beta, 1e-15, None)
-    labels = c.nearest(est)
-    llrs = demap_llr(est, 1.0, c, clip=np.inf) / nv_eff[..., None]
-    return labels, np.clip(llrs, -LLR_CLIP, LLR_CLIP), soft
+    return c.nearest(est), demap_llr(est, nv_eff[..., None], c), soft
 
 
 def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
@@ -109,11 +116,9 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, c: Constellation):
     b, m, n = h.shape
     _check_enumeration(n, c.order)
     labels = _enumerate_labels(n, c.order)
-    cands = c.points[labels]                             # (C, N)
-    resid = y[:, None, :] - np.einsum("bmn,cn->bcm", h, cands)
-    metrics = np.sum(np.abs(resid) ** 2, axis=2)         # (B, C)
-    best = np.argmin(metrics, axis=1)
-    return (np.broadcast_to(labels, (b,) + labels.shape), metrics, best)
+    labels = np.broadcast_to(labels, (b,) + labels.shape)
+    metrics = _path_metrics(h, y, labels, c)
+    return labels, metrics, np.argmin(metrics, axis=1)
 
 
 def sphere_detect(h: np.ndarray, y: np.ndarray,
@@ -442,13 +447,8 @@ def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
     """
     z = np.einsum("bnm,bm->bn", plan.qh, y)
     labels = _tree_labels(z, plan.r, plan.expansions, c, plan.perm)
-    cands = c.points[labels]                             # (B, P, N)
-    resid = np.einsum("bmn,bpn->bpm", h, cands)
-    np.subtract(y[:, None, :], resid, out=resid)
-    dist = np.abs(resid)
-    metrics = np.square(dist, out=dist).sum(axis=2)
-    best = _select_best(labels, metrics)
-    return labels, metrics, best
+    metrics = _path_metrics(h, y, labels, c)
+    return labels, metrics, _select_best(labels, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +490,8 @@ def _list_output(search, n_cands: int, y, noise_var, c):
 
 def _mpnl_min_antennas(n: int, q: int, n_paths: int) -> int:
     """Smallest M whose N - M rank-deficient layers the budget expands."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if not 1 <= n_paths <= LIST_BLOCK:
+        raise ValueError(f"n_paths must be in [1, {LIST_BLOCK}]")
     return next(m for m in range(1, n + 1) if q ** (n - m) <= n_paths)
 
 

@@ -180,16 +180,12 @@ def _prefix(a: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def ldpc_encode(code: LdpcCode, info: np.ndarray) -> np.ndarray:
-    """Systematic encoding; accepts (k,) or (B, k) bit arrays."""
+    """Systematic encoding of (..., k) bit arrays into (..., n)."""
     info = np.asarray(info, dtype=np.uint8)
-    single = info.ndim == 1
-    if single:
-        info = info[None]
     if info.shape[-1] != code.k:
         raise ValueError(f"info length {info.shape[-1]} != k = {code.k}")
     parity = (info.astype(np.float32) @ code._encoder.T).astype(np.uint32)
-    cw = np.concatenate([info, (parity & 1).astype(np.uint8)], axis=-1)
-    return cw[0] if single else cw
+    return np.concatenate([info, (parity & 1).astype(np.uint8)], axis=-1)
 
 
 def ldpc_syndrome(code: LdpcCode, bits: np.ndarray, *,
@@ -220,11 +216,11 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
                 max_iter: int = DEFAULT_MAX_ITER):
     """Normalized min-sum decoding (MIN_SUM_NORMALIZATION).
 
-    llrs: (n,) or (B, n), positive = bit 0 more likely.  Returns
-    (info bits, converged) with matching leading shape.  Convergence is a
-    zero syndrome on the running hard decision; non-convergence yields the
-    final-iteration hard decision.  Words are decoded DECODE_BLOCK at a
-    time; each word's result does not depend on the others.
+    llrs: (..., n), positive = bit 0 more likely.  Returns (info bits
+    (..., k), converged (...)).  Convergence is a zero syndrome on the
+    running hard decision; non-convergence yields the final-iteration hard
+    decision.  Words are decoded DECODE_BLOCK at a time; each word's
+    result does not depend on the others.
 
     The working arrays belong to `code` and are reused by every call, so
     do not decode on one LdpcCode from two threads at once (the library
@@ -233,22 +229,18 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     llrs = np.asarray(llrs, dtype=np.float64)
-    single = llrs.ndim == 1
-    if single:
-        llrs = llrs[None]
     if not np.all(np.isfinite(llrs)):
         raise ValueError("LLRs must be finite")
-    b, n = llrs.shape
+    *lead, n = llrs.shape
     if n != code.n:
         raise ValueError(f"LLR length {n} != codeword length {code.n}")
-    info = np.empty((b, code.k), dtype=np.uint8)
-    done = np.empty(b, dtype=bool)
-    for i in range(0, b, DECODE_BLOCK):
+    flat = llrs.reshape(-1, n)
+    info = np.empty((len(flat), code.k), dtype=np.uint8)
+    done = np.empty(len(flat), dtype=bool)
+    for i in range(0, len(flat), DECODE_BLOCK):
         blk = slice(i, i + DECODE_BLOCK)
-        _min_sum(code, llrs[blk], max_iter, info[blk], done[blk])
-    if single:
-        return info[0], bool(done[0])
-    return info, done
+        _min_sum(code, flat[blk], max_iter, info[blk], done[blk])
+    return info.reshape(*lead, code.k), done.reshape(lead)
 
 
 def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int,

@@ -67,17 +67,19 @@ class LinkConfig:
                                default_rb_allocation(self.mcs))
         if not 1 <= self.rb_per_vehicle <= self.numerology.n_rb:
             raise ValueError("rb_per_vehicle out of range")
-        fec.design_rate_match(fec.default_code(), self.mcs.code_rate,
-                              self.bits_per_block)
+        self.rate_match         # a block the code cannot fit fails here
 
     @property
     def n_subcarriers(self) -> int:
         return self.rb_per_vehicle * self.numerology.sc_per_rb
 
-    @property
-    def bits_per_block(self) -> int:
-        re = self.n_subcarriers * len(DATA_SYMBOLS)
-        return re * self.mcs.constellation.bits_per_symbol
+    @functools.cached_property
+    def rate_match(self) -> fec.RateMatch:
+        """The transport block's fit to the mother code, designed once."""
+        bits = self.n_subcarriers * len(DATA_SYMBOLS) * \
+            self.mcs.constellation.bits_per_symbol
+        return fec.design_rate_match(fec.default_code(), self.mcs.code_rate,
+                                     bits)
 
 
 @functools.cache
@@ -158,7 +160,7 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     c = cfg.mcs.constellation
     bps = c.bits_per_symbol
     code = fec.default_code()
-    rm = fec.design_rate_match(code, cfg.mcs.code_rate, cfg.bits_per_block)
+    rm = cfg.rate_match
     n_data = len(DATA_SYMBOLS)
     frame_indices = list(frame_indices)
     f = len(frame_indices)

@@ -60,11 +60,14 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
 
 
 def test_per_sweep_requires_snr_list(tmp_path, capsys):
-    cfgp = write_config(tmp_path, {"snr_db": []})
-    rc = cli.main(["per-sweep", "--config", cfgp,
-                   "--out", str(tmp_path / "o.csv")])
-    assert rc == 2
-    assert "empty sweep" in capsys.readouterr().err
+    # an explicit empty list fails its setting check; an absent one, whose
+    # default is empty, fails the sweep's own
+    for data, msg in (({"snr_db": []}, "snr_db must be a non-empty list"),
+                      ({}, "empty sweep")):
+        rc = cli.main(["per-sweep", "--config", write_config(tmp_path, data),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert msg in capsys.readouterr().err
 
 
 def sweep_config(tmp_path, **kw):
@@ -138,8 +141,12 @@ def test_per_sweep_rejects_zero_channels(tmp_path, capsys):
     cfgp = sweep_config(tmp_path, channels=0)
     out = tmp_path / "sweep.csv"
     assert cli.main(["per-sweep", "--config", cfgp, "--out", str(out)]) == 2
-    assert "non-empty channel set" in capsys.readouterr().err
+    assert "channels must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def bare_config(tmp_path, **kw):
+    return write_config(tmp_path, kw)
 
 
 def search_config(tmp_path, **kw):
@@ -208,6 +215,15 @@ def search_config(tmp_path, **kw):
     ("per-sweep", sweep_config, dict(detectors=["mmse", "ml"], n_streams=9,
                                      m_antennas=9), "exceeds guard"),
     ("per-sweep", sweep_config, dict(mcs=24), "MCS 24"),
+    ("per-sweep", sweep_config, dict(detectors=["mpnl"], n_paths=65537),
+     "n_paths"),
+    ("search", search_config, dict(channels_per_group=0),
+     "channels_per_group"),
+    ("per-sweep", sweep_config, dict(detectors=[]), "detectors"),
+    ("search", search_config, dict(streams=[]), "streams"),
+    ("connectivity", bare_config, dict(antenna_budgets=[]),
+     "antenna_budgets"),
+    ("bench", bare_config, dict(workers=[]), "workers"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):
@@ -428,8 +444,10 @@ def test_settings_defaults_pass_their_rules(tmp_path, monkeypatch, command):
     monkeypatch.setitem(cli.COMMANDS, command, (
         lambda settings, manifest, out, seed: received.append(settings),
         table))
+    # None and [] stand for an absent setting (per-sweep's snr_db must be
+    # given), which no config can spell
     spelled = {key: default for key, (default, _) in table.items()
-               if default is not None}
+               if default not in (None, [])}
     for name, data in [("empty.yaml", {}), ("spelled.yaml", spelled)]:
         assert cli.main([command, "--config",
                          write_config(tmp_path, data, name),

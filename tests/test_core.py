@@ -103,6 +103,25 @@ def test_demap_rejects_zero_noise():
         core.demap_llr(0.1 + 0.1j, 0.0, core.QPSK)
 
 
+def test_demap_array_noise_matches_scalar_calls():
+    """A noise variance per symbol or per row, broadcast against the
+    (..., bps) output, gives each element's scalar call byte for byte; one
+    non-positive entry is rejected."""
+    rng = np.random.default_rng(5)
+    for c in (core.QPSK, core.QAM16, core.QAM64):
+        y = 1.5 * (rng.standard_normal((3, 5))
+                   + 1j * rng.standard_normal((3, 5)))
+        for nv in (rng.uniform(1e-3, 3.0, (3, 5, 1)),
+                   rng.uniform(1e-3, 3.0, (3, 1, 1))):
+            got = core.demap_llr(y, nv, c)
+            each = np.broadcast_to(nv, y.shape + (1,))
+            for idx in np.ndindex(y.shape):
+                want = core.demap_llr(y[idx], each[idx][0], c)
+                assert got[idx].tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            core.demap_llr(y, np.array([[0.5], [0.0], [1.0]]), c)
+
+
 def test_demap_saturates_far_from_boundary():
     y = 10 * (1 + 1j) / np.sqrt(2)
     llr = core.demap_llr(y, 1.0, core.QPSK)

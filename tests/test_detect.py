@@ -73,6 +73,14 @@ def test_zf_rejects_singular_channel():
         det.linear_detect_batch(stack[:, :1], y[:, :1], 0.1, QPSK, "zf")
 
 
+def test_zf_rejects_zero_noise_variance():
+    """ZF's LLRs scale by noise_var * diag((H^H H)^-1), so noise_var 0
+    fails the demapper's check, not as a division by zero."""
+    with pytest.raises(ValueError, match="noise_var must be positive"):
+        det.linear_detect_batch(np.eye(2, dtype=complex)[None],
+                                QPSK.points[[0, 3]][None], 0.0, QPSK, "zf")
+
+
 def test_mmse_identity_closed_form():
     y = np.array([0.3 + 0.1j, -0.2 + 0.5j])
     for nv in (0.1, 1.0, 3.0):
@@ -704,6 +712,92 @@ def test_list_apply_memory_stays_within_row_blocks(name, n_paths, b):
             d.apply(d.plan(h[s], nv, QPSK, n_paths), h[s], y[s], nv, QPSK)
             for s in rows)):
         assert got_part.tobytes() == np.concatenate(pieces).tobytes()
+
+
+def _table_golden_cases():
+    """(name, thunk) pairs over QPSK N x M 1x1, 2x2, 3x2, 4x4 and 8x8,
+    16-QAM 2x2, 3x4 and 4x3 and 64-QAM 2x2: ml_detect_batch's (labels,
+    metrics, best) and each DETECTORS row's (hard, LLRs), MPNL at 32
+    paths.  Every stack holds a zero channel, a zero column, an identity
+    channel and a y = 0 row, whose metrics tie.  ZF runs on the rows from
+    the identity channel on, and gives its error message where M < N."""
+    rng = np.random.default_rng(187)
+    for c, n, m in ((QPSK, 1, 1), (QPSK, 2, 2), (QPSK, 3, 2), (QPSK, 4, 4),
+                    (QPSK, 8, 8), (QAM16, 2, 2), (QAM16, 3, 4),
+                    (QAM16, 4, 3), (QAM64, 2, 2)):
+        h, y, nv = _observed_stack(rng, 12, m, n, c)
+        h[0] = 0
+        h[1, :, -1] = 0
+        h[2] = np.eye(m, n)
+        y[3] = 0
+        tag = f"q{c.order}_n{n}m{m}"
+        yield f"{tag}_ml_kernel", lambda h=h, y=y, c=c: det.ml_detect_batch(
+            h, y, c)
+        for name, d in det.DETECTORS.items():
+            def apply(d=d, s=slice(2 if name == "zf" else 0, None), h=h,
+                      y=y, nv=nv, c=c):
+                try:
+                    return d.apply(d.plan(h[s], nv, c, 32), h[s], y[s], nv, c)
+                except det.SingularChannelError as e:
+                    return (str(e),)
+            yield f"{tag}_{name}", apply
+
+
+# SHA-256 of each _table_golden_cases output, taken before ML and MPNL
+# shared one path metric and the linear LLRs were scaled inside the
+# demapper; both must leave every byte as it was.
+GOLDEN_TABLE = {
+    "q4_n1m1_ml_kernel": "7974f2ea32b306e459043c6774b387408be11e5bda87a764686905a51c17ec29",
+    "q4_n1m1_zf": "8c22b25d987992e103d147eccd7bb070d5ba8843bfd52f97910cb5a9d4bad89e",
+    "q4_n1m1_mmse": "c4b2cf9891a3812656e1a40918db49a08663ba6c156c667a4176186baed2a252",
+    "q4_n1m1_ml": "79ae7b0103c5ad3b8532388d10d78172ed1beb6ee7cdacbe965b9d99ec681c45",
+    "q4_n1m1_mpnl": "79ae7b0103c5ad3b8532388d10d78172ed1beb6ee7cdacbe965b9d99ec681c45",
+    "q4_n2m2_ml_kernel": "f1155188fe0319d1b8dece523083514e25ed60ae3b3998e1b5d2c7111cc0dcba",
+    "q4_n2m2_zf": "8e9c6033d35d0ed77f08668e56c99fa40bc931626b1b005f51cda8b18960a991",
+    "q4_n2m2_mmse": "216e332d2179a33dfddcbe6c7669ea8295cbe30d884c28a213edd0020c7afc24",
+    "q4_n2m2_ml": "c8186e67bf0fe0a840c0576f82615845482fdeb74a2c6a9fc74f4eb3f9b43d29",
+    "q4_n2m2_mpnl": "c8186e67bf0fe0a840c0576f82615845482fdeb74a2c6a9fc74f4eb3f9b43d29",
+    "q4_n3m2_ml_kernel": "27484386efa651faac6cdd713dd4d23f178d0d704ac8684467525b62454e7b40",
+    "q4_n3m2_zf": "dc7ac06d05b9d1b58c7b664f4eec01821e6872632c7b5aebb525106f395ac046",
+    "q4_n3m2_mmse": "306fb510bc95018e9686e99b069373553fe98c5b40dd340a5df0742011221684",
+    "q4_n3m2_ml": "f01aa57377f8e99cd7839faec3ddf2f0e7a24d37c17d3b337b495c9ed13223d6",
+    "q4_n3m2_mpnl": "327e0bb95f05f939a0319569f123ba08fbfcaca363997666a55cb7a3a9224eaa",
+    "q4_n4m4_ml_kernel": "f2be1a4dec23d055965bb213cc6388c9f1ccc843f661ef05f951b6fcf831d229",
+    "q4_n4m4_zf": "dcfd2c422d35e7432e9d6d611dadd11e0cfea4dbe12f8e30e020a6394265051f",
+    "q4_n4m4_mmse": "412b2d754ef4b6facbebe59badfc72790ec8e8a5d6a47b10e1c5e9629a46cce1",
+    "q4_n4m4_ml": "27898e4ebaa3d445e18532774859730327a5e54afddf255ad365f987ee0c6a8e",
+    "q4_n4m4_mpnl": "95852f66eb2de62536114844a051a838e5249268d97f2777bcd8f8a2942d2980",
+    "q4_n8m8_ml_kernel": "fcb649f00d5f357930c351c47ec7e9c31f98ed30a70f026eaff728e5d2c52083",
+    "q4_n8m8_zf": "34903eb812d646db799941eb66bbc829150feb79d6e5a95d014957b8befe588e",
+    "q4_n8m8_mmse": "f7489b609f44adcac50a60fcfd13b04eeb8fc8f3bdf95e7b5f0e927e5eb97582",
+    "q4_n8m8_ml": "a19232be60c4644c6100d54190744462a994c6d3d24980ace7a21d8be162fe0b",
+    "q4_n8m8_mpnl": "a615c79bd41bfbd7c11fad8cdcc796428f05265482a115664e673d528ec062b9",
+    "q16_n2m2_ml_kernel": "ba6029f8f9c50b9144ba7558f927d94ede708026fb7329df4bd3200e625864a9",
+    "q16_n2m2_zf": "5fec0b6c8c25a1199db1a812cf6398a0e526d36a871b7891c5d7d956f0a787f0",
+    "q16_n2m2_mmse": "568da3d161828f228cb7f1d84b5bf1da4449f80d98b0f15933cd5121cddf3799",
+    "q16_n2m2_ml": "fe2df5e32e8c197c8ba36286afa63a063aa872010715e5f85fe99279174e9e69",
+    "q16_n2m2_mpnl": "65d1b92e392a079279d3b6340cbbd86a451b59d26943b3e2c17e7b440fad16cf",
+    "q16_n3m4_ml_kernel": "f592c8c849e22ce6c177ba0e085034fd204ffe1525148d04e06295dd3c1ac298",
+    "q16_n3m4_zf": "4b5ee5e0a61ff893111f2d3a953e84092e05755ec977f7a639ae5011eb9efdbc",
+    "q16_n3m4_mmse": "a6b22b6a8255069df7c79e64d19a7b3d0df74969933b2f14076c02459ca47c7b",
+    "q16_n3m4_ml": "dc98737862024eda37dee7b60b4a4ad6a05c894e88d755a75bc414822343e449",
+    "q16_n3m4_mpnl": "478f29d8b2f88a1ffe47483ea91fcef91d0baa39b7feae20a279b1d1dbb3a6dc",
+    "q16_n4m3_ml_kernel": "cfa267e8f98de73520aa929f8f6c81f58ef7fb8de61b9607db645f367048d1b2",
+    "q16_n4m3_zf": "dc7ac06d05b9d1b58c7b664f4eec01821e6872632c7b5aebb525106f395ac046",
+    "q16_n4m3_mmse": "3a036abde391a2ec389810198ebe53a795c1937cd89723c2bcbbe8c53a028e47",
+    "q16_n4m3_ml": "705d8198c5311ad5fd479fca1204d931a78e5affff728b4bd2085259f28aed64",
+    "q16_n4m3_mpnl": "441520e77afffabacacbca9b785d2887da747bf320586ed8f781e17a5f848691",
+    "q64_n2m2_ml_kernel": "23c4776ff9f2f9e6d4e0196f45500c73a1f4ca0f089fa79c554b0bfd23ab6c24",
+    "q64_n2m2_zf": "daa49172b050aedf0c50b39fc589f710490379c0164dadaf24de16a13b13542f",
+    "q64_n2m2_mmse": "35983ed889a8f49789e3b69aef54d818690cab995f47cda92a3048a0b21f1415",
+    "q64_n2m2_ml": "3e0a48ca63f6c2ccbcf28b261848a2ae32bd4f141d7f60bbcaa31667ed8313ea",
+    "q64_n2m2_mpnl": "922f6952e956c5ee654c3e51c6ec6f17a1a23c52b4e727b1a50e3404d5f6356b",
+}
+
+
+def test_detector_table_matches_golden():
+    got = {name: _digest(*run()) for name, run in _table_golden_cases()}
+    assert got == GOLDEN_TABLE
 
 
 def test_closest_matches_stable_sort():

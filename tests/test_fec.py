@@ -130,6 +130,21 @@ def test_decode_batch_matches_single(code):
         assert batch_conv[i] == single_conv[0]
 
 
+def test_any_leading_shape_equals_flattened_call(code):
+    """A (2, 3, k) encode and a (2, 3, n) decode give the bytes of the
+    (6, k) and (6, n) calls, in the leading shape."""
+    rng = np.random.default_rng(14)
+    info = rng.integers(0, 2, (2, 3, code.k)).astype(np.uint8)
+    cw = fec.ldpc_encode(code, info)
+    want = fec.ldpc_encode(code, info.reshape(6, code.k))
+    assert cw.shape == (2, 3, code.n) and cw.tobytes() == want.tobytes()
+    llr = 2.0 * (1 - 2 * cw.astype(np.float64))
+    llr += rng.normal(0, 1.2, llr.shape)
+    got = fec.ldpc_decode(code, llr)
+    for g, w in zip(got, fec.ldpc_decode(code, llr.reshape(6, code.n))):
+        assert g.shape == (2, 3) + w.shape[1:] and g.tobytes() == w.tobytes()
+
+
 def _irregular_code():
     """Small code whose checks have degrees 2 to 7, so the padded check
     slots are used; the parity part is dual-diagonal, hence invertible."""

@@ -48,8 +48,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="'mpnl' needs at least 2"):
         make_cfg(detector="mpnl", n_streams=4, m_antennas=1)
     make_cfg(detector="mpnl", n_streams=4, m_antennas=2)
-    with pytest.raises(ValueError, match="n_paths"):
-        make_cfg(detector="mpnl", n_paths=0)
+    # the path budget is bounded like ML's enumeration, by LIST_BLOCK
+    for n_paths in (0, 65537):
+        with pytest.raises(ValueError, match="n_paths must be in"):
+            make_cfg(detector="mpnl", n_paths=n_paths)
+    make_cfg(detector="mpnl", n_paths=65536)
     make_cfg(detector="mmse", n_streams=4, m_antennas=1)
     # exhaustive ML stops at its enumeration guard: QPSK 4^8 = 2^16
     with pytest.raises(ValueError, match="enumeration 4\\^9 exceeds guard"):
@@ -63,7 +66,8 @@ def test_config_validation():
 def test_bits_per_block():
     cfg = make_cfg(rb_per_vehicle=2)
     assert cfg.n_subcarriers == 24
-    assert cfg.bits_per_block == 24 * 12 * 2
+    # the transport block fills 24 subcarriers x 12 data symbols of QPSK
+    assert cfg.rate_match.n_tx == 24 * 12 * 2
 
 
 # default RB counts of MCS 0-23; MCS 24-27 fit not even one RB
