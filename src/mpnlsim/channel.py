@@ -153,14 +153,12 @@ def _jakes_gains(rng, n_clusters: int, m: int, n: int,
 
 
 def tdl_generate(profile: ClusterProfile, mob: MobilityConfig, *, m: int,
-                 n: int, seed, n_subcarriers: int | None = None) -> ChannelGrid:
+                 n: int, seed, n_subcarriers: int) -> ChannelGrid:
     """Clustered TDL channel over one slot, unit average per-link power."""
     num = DEFAULT_NUMEROLOGY
     delays = np.asarray(profile.delays)
     if delays.max() >= DELAY_GUARD_S:
         raise ValueError(f"cluster delay exceeds the {DELAY_GUARD_S*1e6} us guard")
-    if n_subcarriers is None:
-        n_subcarriers = num.n_rb * num.sc_per_rb
     rng = np.random.default_rng(seed)
     n_sym = num.symbols_per_slot
     t = np.arange(n_sym) * num.symbol_duration_s

@@ -42,6 +42,10 @@ class Above(float):
     """A float floor that a setting must exceed."""
 
 
+class Required(list):
+    """The default of a list setting that every config must give."""
+
+
 def _load_config(path) -> tuple[dict, str]:
     try:
         with open(path, "rb") as f:
@@ -143,8 +147,6 @@ def _sweep_entropy(seed: int, snr) -> tuple:
 
 
 def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
-    if not cfg["snr_db"]:
-        raise ConfigError("empty sweep: snr_db list is required")
     n, m = cfg["n_streams"], cfg["m_antennas"]
     mcs = mcs_entry(cfg["mcs"])
     fx = _fixture_config(cfg, seed)
@@ -196,8 +198,8 @@ def cmd_connectivity(cfg: dict, manifest: dict, out, seed: int):
     try:
         cells = search.read_heatmap_csv(
             cfg["table_csv"] or shipped_heatmap_path())
-    except OSError as e:
-        raise ConfigError(f"cannot read antenna table: {e}") from None
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read table_csv: {e}") from None
     table = search.cells_to_table(cells)
     mcs_index = cfg["mcs"]
     mcs = mcs_entry(mcs_index)  # rejects an index outside the MCS table
@@ -280,21 +282,12 @@ def run_bench(name, n, m, order, n_paths, snr_db, seed, n_instances,
     return times, np.concatenate(results)
 
 
-def run_bench_once(name, n, m, order, n_paths, snr_db, seed,
-                   n_instances, chunk_size, workers):
-    """One timed pass; returns (elapsed seconds, stacked hard decisions)."""
-    times, hard = run_bench(name, n, m, order, n_paths, snr_db, seed,
-                            n_instances, chunk_size, workers, repeats=1)
-    return times[0], hard
-
-
 def cmd_bench(cfg: dict, manifest: dict, out, seed: int):
     name, n, m = cfg["detector"], cfg["n_streams"], cfg["m_antennas"]
     order, n_paths = cfg["modulation_order"], cfg["n_paths"]
     n_instances, chunk_size = cfg["n_instances"], cfg["chunk_size"]
-    if n_instances < 1 or n_instances % chunk_size:
-        raise ConfigError("n_instances must be a positive multiple of "
-                          "chunk_size")
+    if n_instances % chunk_size:
+        raise ConfigError("n_instances must be a multiple of chunk_size")
     # a bad order, name or antenna count fails before any pool starts
     constellation_for(order)
     det.check_antenna_floor(name, n, m, order, n_paths)
@@ -329,10 +322,11 @@ _FIXTURE_SETTINGS = {
 
 # command -> (function, {config key: (default, rule)}), the one declaration
 # of what a command reads besides `seed`; a rule is a table of names, an
-# int floor, a float floor (strict where `Above`) or a structured check
+# int floor, a float floor (strict where `Above`) or a structured check,
+# and a `Required` default marks a key the config must give
 COMMANDS = {
     "per-sweep": (cmd_per_sweep, {
-        **_FIXTURE_SETTINGS, "snr_db": ([], -math.inf),
+        **_FIXTURE_SETTINGS, "snr_db": (Required(), -math.inf),
         "snr_jitter_db": (0.0, 0.0), "n_streams": (4, 1), "m_antennas": (8, 1),
         "mcs": (7, 0), "channels": (10, 1), "frames_per_channel": (20, 1),
         "n_paths": (32, 1), "csi": ("genie", linksim.CSI_MODES),
@@ -350,7 +344,7 @@ COMMANDS = {
     "bench": (cmd_bench, {
         "detector": ("mpnl", det.DETECTORS), "n_streams": (8, 1),
         "m_antennas": (8, 1), "modulation_order": (16, 1), "n_paths": (32, 1),
-        "snr_db": (20.0, -math.inf), "n_instances": (8192, 0),
+        "snr_db": (20.0, -math.inf), "n_instances": (8192, 1),
         "chunk_size": (512, 1), "workers": ([1, 4, 8], 1), "repeats": (5, 1)}),
 }
 
@@ -383,6 +377,9 @@ def main(argv=None) -> int:
             if key not in table:
                 raise ConfigError(f"{args.command} does not read {key!r}")
             _setting(key, value, *table[key])
+        for key, (default, _) in table.items():
+            if isinstance(default, Required) and key not in cfg:
+                raise ConfigError(f"{args.command} needs {key!r}")
         settings = {key: cfg.get(key, default)
                     for key, (default, _) in table.items()}
         manifest = {"command": args.command, "config_digest": digest,

@@ -1,17 +1,16 @@
 """MIMO detectors.
 
-Linear ZF/MMSE, exact maximum-likelihood oracles (exhaustive search and a
-Schnorr-Euchner sphere decoder), and the fixed-complexity parallel-path
-detector ("mpnl"): a channel-time preprocessing step plans a sorted-QR
-candidate tree whose per-layer expansion counts multiply to exactly
-n_paths, and at transmission time the n_paths candidate vectors are
-completed independently of each other, so they can be evaluated on any
-number of workers with bit-identical results.
+Linear ZF/MMSE, exhaustive maximum-likelihood search, and the
+fixed-complexity parallel-path detector ("mpnl"): a channel-time
+preprocessing step plans a sorted-QR candidate tree whose per-layer
+expansion counts multiply to exactly n_paths, and at transmission time
+the n_paths candidate vectors are completed independently of each other,
+so they can be evaluated on any number of workers with bit-identical
+results.
 
 All detectors break metric ties lexicographically over candidate bit
 labels.  The kernels (trailing `_batch`) operate on stacks of instances
-and hold the math; a single instance is a stack of one.  The sphere
-decoder is the one non-batched oracle, kept out of the table.
+and hold the math; a single instance is a stack of one.
 `DETECTORS` is the one table every caller dispatches through: per name,
 the batched channel-time plan and transmission-time apply, and the
 smallest antenna count the detector can serve.
@@ -106,7 +105,7 @@ def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
 
 
 # ---------------------------------------------------------------------------
-# exact non-linear oracles
+# exhaustive maximum-likelihood search
 # ---------------------------------------------------------------------------
 
 def ml_detect_batch(h: np.ndarray, y: np.ndarray, c: Constellation):
@@ -119,50 +118,6 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, c: Constellation):
     labels = np.broadcast_to(labels, (b,) + labels.shape)
     metrics = _path_metrics(h, y, labels, c)
     return labels, metrics, np.argmin(metrics, axis=1)
-
-
-def sphere_detect(h: np.ndarray, y: np.ndarray,
-                  c: Constellation) -> np.ndarray:
-    """Depth-first Schnorr-Euchner sphere decoder on one (M, N) channel and
-    (M,) observation; returns the (N,) exact-ML point labels."""
-    m, n = h.shape
-    if m < n:
-        raise SingularChannelError("sphere decoder requires M >= N")
-    qm, r = np.linalg.qr(h)
-    diag = np.diag(r)
-    if np.min(np.abs(diag)) < 1e-10 * np.max(np.abs(diag)):
-        raise SingularChannelError("rank-deficient channel")
-    # make the diagonal real positive
-    phase = diag / np.abs(diag)
-    r = (r.T * phase.conj()).T
-    qm = qm * phase
-    z = qm.conj().T @ y
-    pts = c.points
-
-    best_labels = None
-    best_metric = np.inf
-
-    stack = [(n - 1, 0.0, np.zeros(n, dtype=np.int64), z.copy())]
-    while stack:
-        layer, metric, labels, resid = stack.pop()
-        center = resid[layer] / r[layer, layer]
-        d = np.abs(center - pts) ** 2 * np.abs(r[layer, layer]) ** 2
-        order = np.argsort(d, kind="stable")
-        children = []
-        for k in order:
-            pm = metric + d[k]
-            if pm >= best_metric:
-                break                    # SE order: the rest are worse
-            lab = labels.copy()
-            lab[layer] = k
-            if layer == 0:
-                best_metric = pm
-                best_labels = lab
-            else:
-                res = resid - r[:, layer] * pts[k]
-                children.append((layer - 1, pm, lab, res))
-        stack.extend(reversed(children))  # visit best child first
-    return best_labels
 
 
 # ---------------------------------------------------------------------------

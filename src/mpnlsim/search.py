@@ -23,6 +23,8 @@ from .core import DEFAULT_NUMEROLOGY, Numerology, mcs_entry
 PER_THRESHOLD = 0.10
 M_MIN, M_MAX = 2, linksim.MAX_ANTENNAS
 UNSUPPORTED = 0   # sentinel for "no antenna count up to 32 qualifies"
+HEATMAP_HEADER = ("streams", "mcs", "detector", "min_antennas", "per",
+                  "per_below", "frames")
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,7 @@ def write_heatmap_csv(cells, path, manifest_lines=()) -> None:
         for line in manifest_lines:
             f.write(f"# {line}\n")
         w = csv.writer(f)
-        w.writerow(["streams", "mcs", "detector", "min_antennas", "per",
-                    "per_below", "frames"])
+        w.writerow(HEATMAP_HEADER)
         for c in cells:
             w.writerow([c.n_streams, c.mcs_index, c.detector,
                         c.min_antennas if c.supported else "unsupported",
@@ -145,11 +146,15 @@ def write_heatmap_csv(cells, path, manifest_lines=()) -> None:
 
 
 def read_heatmap_csv(path) -> list[SearchCell]:
-    """Read back a grid written by write_heatmap_csv."""
+    """Read back a grid written by write_heatmap_csv; ValueError unless its
+    first row is HEATMAP_HEADER and each row has a field per column."""
     cells = []
     with open(path) as f:
         rows = [r for r in csv.reader(
             line for line in f if not line.startswith("#"))]
+    if rows[:1] != [list(HEATMAP_HEADER)] or any(
+            len(row) != len(HEATMAP_HEADER) for row in rows):
+        raise ValueError(f"{path} is not a heatmap table written by search")
     for row in rows[1:]:
         n, mi, detector, m, per, per_below, frames = row
         cells.append(SearchCell(

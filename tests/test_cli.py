@@ -60,14 +60,16 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
 
 
 def test_per_sweep_requires_snr_list(tmp_path, capsys):
-    # an explicit empty list fails its setting check; an absent one, whose
-    # default is empty, fails the sweep's own
+    # an explicit empty list fails its setting check; an absent one fails
+    # as a Required key before the sweep runs
+    out = tmp_path / "o.csv"
     for data, msg in (({"snr_db": []}, "snr_db must be a non-empty list"),
-                      ({}, "empty sweep")):
+                      ({}, "per-sweep needs 'snr_db'")):
         rc = cli.main(["per-sweep", "--config", write_config(tmp_path, data),
-                       "--out", str(tmp_path / "o.csv")])
+                       "--out", str(out)])
         assert rc == 2
         assert msg in capsys.readouterr().err
+        assert not out.exists()
 
 
 def sweep_config(tmp_path, **kw):
@@ -336,6 +338,21 @@ def test_connectivity_rejects_bad_setting(tmp_path, capsys, bad, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("table", ["", "snr_db,detector,per,ci95,frames\n"
+                                   "20,mmse,0.1,0.05,40\n"],
+                         ids=["empty", "per-sweep-columns"])
+def test_connectivity_rejects_non_heatmap_table(tmp_path, capsys, table):
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    out = tmp_path / "r.json"
+    cfgp = write_config(tmp_path, dict(table_csv=str(path)))
+    assert cli.main(["connectivity", "--config", cfgp,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "table_csv" in err and str(path) in err
+    assert not out.exists()
+
+
 def test_connectivity_rejects_bad_use_case(tmp_path, capsys):
     cfgp = write_config(tmp_path, dict(use_cases=[{"name": "x"}]))
     rc = cli.main(["connectivity", "--config", cfgp,
@@ -380,7 +397,7 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     (dict(chunk_size=0), "chunk_size"),
     (dict(workers=[1, 0]), "workers"),
     (dict(n_instances=100), "multiple of chunk_size"),
-    (dict(n_instances=0), "multiple of chunk_size"),
+    (dict(n_instances=0), "n_instances"),
     (dict(repeats="3"), "repeats"),
     (dict(repeats=True), "repeats"),
     (dict(chunk_size=64.0), "chunk_size"),
@@ -410,9 +427,17 @@ def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
     assert not out.exists()
 
 
+def required_settings(table):
+    """A value for each `Required` key of a command's table; the one such
+    key, per-sweep's snr_db, is a list of numbers."""
+    return {key: [20.0] for key, (default, _) in table.items()
+            if isinstance(default, cli.Required)}
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_seed_flag_checked_like_config_seed(tmp_path, capsys, monkeypatch,
                                             command):
+    required = required_settings(cli.COMMANDS[command][1])
     ran = []
     monkeypatch.setitem(cli.COMMANDS, command, (
         lambda settings, manifest, out, seed: ran.append(
@@ -423,7 +448,7 @@ def test_seed_flag_checked_like_config_seed(tmp_path, capsys, monkeypatch,
     for data, argv in [({}, ["--seed", "-1"]), ({"seed": -1}, []),
                        ({"seed": -1}, ["--seed", "1"]),
                        ({"seed": 1}, ["--seed", "-1"])]:
-        cfgp = write_config(tmp_path, data)
+        cfgp = write_config(tmp_path, {**required, **data})
         assert cli.main([command, "--config", cfgp, "--out", str(out),
                          *argv]) == 2
         assert "seed must be an integer >= 0 (got -1)" in \
@@ -431,7 +456,7 @@ def test_seed_flag_checked_like_config_seed(tmp_path, capsys, monkeypatch,
         assert not out.exists()
     assert ran == []
     # --seed overrides a valid config seed
-    cfgp = write_config(tmp_path, {"seed": 5})
+    cfgp = write_config(tmp_path, {**required, "seed": 5})
     assert cli.main([command, "--config", cfgp, "--out", str(out),
                      "--seed", "7"]) == 0
     assert ran == [(7, 7)]
@@ -444,11 +469,13 @@ def test_settings_defaults_pass_their_rules(tmp_path, monkeypatch, command):
     monkeypatch.setitem(cli.COMMANDS, command, (
         lambda settings, manifest, out, seed: received.append(settings),
         table))
-    # None and [] stand for an absent setting (per-sweep's snr_db must be
-    # given), which no config can spell
+    # None stands for an absent setting, which no config can spell; a
+    # Required key has no default and every config gives it
+    required = required_settings(table)
     spelled = {key: default for key, (default, _) in table.items()
-               if default not in (None, [])}
-    for name, data in [("empty.yaml", {}), ("spelled.yaml", spelled)]:
+               if default is not None and key not in required}
+    for name, data in [("empty.yaml", required),
+                       ("spelled.yaml", {**spelled, **required})]:
         assert cli.main([command, "--config",
                          write_config(tmp_path, data, name),
                          "--out", str(tmp_path / "out")]) == 0

@@ -83,6 +83,9 @@ def test_csv_roundtrip(tmp_path):
     assert "unsupported" in text
     back = search.read_heatmap_csv(path)
     assert back == cells
+    # a header-only table is a table with no cells
+    search.write_heatmap_csv([], path)
+    assert search.read_heatmap_csv(path) == []
 
 
 def test_cells_to_table():
