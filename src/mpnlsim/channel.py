@@ -38,6 +38,9 @@ class ClusterProfile:
             raise ValueError("delays and powers must be finite")
         if np.any(d < 0) or np.any(np.diff(d) < 0):
             raise ValueError("delays must be non-negative and sorted")
+        if d[-1] >= DELAY_GUARD_S:
+            raise ValueError(
+                f"cluster delay exceeds the {DELAY_GUARD_S*1e6} us guard")
         if np.any(p < 0):
             raise ValueError("cluster powers must be non-negative")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -157,8 +160,6 @@ def tdl_generate(profile: ClusterProfile, mob: MobilityConfig, *, m: int,
     """Clustered TDL channel over one slot, unit average per-link power."""
     num = DEFAULT_NUMEROLOGY
     delays = np.asarray(profile.delays)
-    if delays.max() >= DELAY_GUARD_S:
-        raise ValueError(f"cluster delay exceeds the {DELAY_GUARD_S*1e6} us guard")
     rng = np.random.default_rng(seed)
     n_sym = num.symbols_per_slot
     t = np.arange(n_sym) * num.symbol_duration_s

@@ -21,7 +21,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import yaml
@@ -206,29 +206,22 @@ def cmd_connectivity(cfg: dict, manifest: dict, out, seed: int):
     se = cfg["se"] or mcs.spectral_efficiency
     use_cases = DEFAULT_USE_CASES if cfg["use_cases"] is None else tuple(
         UseCase(u["name"], u["rate_mbps"] * 1e6) for u in cfg["use_cases"])
-    rows = conn.connectivity_report(
+    report = conn.connectivity_report(
         use_cases=use_cases, se=se, table=table, mcs_index=mcs_index,
         antenna_budgets=cfg["antenna_budgets"])
-    payload = {
-        "manifest": manifest, "spectral_efficiency": se, "mcs": mcs_index,
-        "rows": [
-            {"use_case": r.use_case, "antenna_budget": r.antenna_budget,
-             "streams": r.streams, "vehicles": r.vehicles,
-             # strict JSON has no Infinity: an infinite ratio (mmse
-             # serves no vehicle) takes the CSV's token
-             "gain_ratio": (None if r.gain_ratio is None
-                            else "inf" if math.isinf(r.gain_ratio)
-                            else float(r.gain_ratio))}
-            for r in rows],
-    }
+    # strict JSON has no Infinity: an infinite ratio (mmse serves no
+    # vehicle) takes the CSV's token in both files
+    rows = [{**asdict(r), "gain_ratio": "inf" if r.gain_ratio == math.inf
+             else r.gain_ratio} for r in report]
     with open(out, "w") as f:
-        json.dump(payload, f, indent=2, default=str, allow_nan=False)
-    csv_rows = [[r.use_case, r.antenna_budget,
-                 r.vehicles.get("mmse"), r.vehicles.get("mpnl"),
-                 r.gain_ratio] for r in rows]
+        json.dump({"manifest": manifest, "spectral_efficiency": se,
+                   "mcs": mcs_index, "rows": rows},
+                  f, indent=2, default=str, allow_nan=False)
     _write_csv(str(out) + ".csv", manifest,
                ["use_case", "antenna_budget", "vehicles_mmse",
-                "vehicles_mpnl", "gain_ratio"], csv_rows)
+                "vehicles_mpnl", "gain_ratio"],
+               [[r["use_case"], r["antenna_budget"], r["vehicles"]["mmse"],
+                 r["vehicles"]["mpnl"], r["gain_ratio"]] for r in rows])
 
 
 def shipped_heatmap_path():

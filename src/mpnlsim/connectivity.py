@@ -8,7 +8,8 @@ uplink rate R is
 with a one-resource-block scheduling unit; when the per-vehicle demand
 ratio R / (SE * SCS * SC_RB) is below 1, the scheduling unit dictates the
 maximum, NRB * N.  A ratio of exactly 1 takes the floor branch (same
-result, fixed boundary).
+result, fixed boundary).  A demand above NRB resource blocks serves no
+vehicle: the outer floor is 0.
 """
 
 from __future__ import annotations
@@ -16,57 +17,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import linksim
-from .core import DEFAULT_NUMEROLOGY, Numerology, UseCase
+from .core import DEFAULT_NUMEROLOGY, UseCase
 
 DEFAULT_CHAIN_POWER_W = 15.6
 
 
-class UnsupportableUseCase(ValueError):
-    """Per-vehicle RB demand exceeds the carrier's resource blocks."""
-
-
-@dataclass(frozen=True)
-class ConnectivityQuery:
-    use_case: UseCase
-    se: float                       # average per-vehicle bits/s/Hz
-    n_streams: int
-    numerology: Numerology = DEFAULT_NUMEROLOGY
-
-    def __post_init__(self):
-        if self.se <= 0:
-            raise ValueError("spectral efficiency must be positive")
-        if self.n_streams < 1:
-            raise ValueError("n_streams must be >= 1")
-
-
-def max_vehicles(q: ConnectivityQuery) -> int:
-    num = q.numerology
-    ratio = q.use_case.rate_bps / (q.se * num.scs_hz * num.sc_per_rb)
+def max_vehicles(use_case: UseCase, se: float, n_streams: int) -> int:
+    """Vehicles served on DEFAULT_NUMEROLOGY at `se` average per-vehicle
+    bits/s/Hz with `n_streams` concurrent streams."""
+    if se <= 0:
+        raise ValueError("spectral efficiency must be positive")
+    if n_streams < 1:
+        raise ValueError("n_streams must be >= 1")
+    num = DEFAULT_NUMEROLOGY
+    ratio = use_case.rate_bps / (se * num.scs_hz * num.sc_per_rb)
     if ratio < 1:
-        return num.n_rb * q.n_streams
-    rb_per_vehicle = math.floor(ratio)
-    if rb_per_vehicle > num.n_rb:
-        raise UnsupportableUseCase(
-            f"{q.use_case.name}: needs {rb_per_vehicle} RBs/vehicle, "
-            f"carrier has {num.n_rb}")
-    return (num.n_rb // rb_per_vehicle) * q.n_streams
+        return num.n_rb * n_streams
+    return (num.n_rb // math.floor(ratio)) * n_streams
 
 
-@dataclass(frozen=True)
-class PowerQuery:
-    m_linear: int
-    m_nonlinear: int
-    p_chain_w: float = DEFAULT_CHAIN_POWER_W
-
-    def __post_init__(self):
-        if not self.m_linear >= self.m_nonlinear >= 0:
-            raise ValueError("need m_linear >= m_nonlinear >= 0")
-
-
-def power_savings(q: PowerQuery) -> float:
+def power_savings(m_linear: int, m_nonlinear: int,
+                  p_chain_w: float = DEFAULT_CHAIN_POWER_W) -> float:
     """Saved watts from the removed RF chains."""
-    return (q.m_linear - q.m_nonlinear) * q.p_chain_w
+    if not m_linear >= m_nonlinear >= 0:
+        raise ValueError("need m_linear >= m_nonlinear >= 0")
+    return (m_linear - m_nonlinear) * p_chain_w
 
 
 @dataclass(frozen=True)
@@ -84,17 +59,13 @@ def max_streams_for_budget(table: dict, detector: str, mcs_index: int,
 
     table maps (streams, mcs, detector) -> SearchCell.  Returns 0 when no
     entry fits, None when the table has no cells for this detector/MCS.
-    Stream counts above linksim.MAX_STREAMS are ignored.
     """
-    best = None
-    for (n, mi, det), cell in table.items():
-        if det != detector or mi != mcs_index or n > linksim.MAX_STREAMS:
-            continue
-        if best is None:
-            best = 0
-        if cell.supported and cell.min_antennas <= budget:
-            best = max(best, n)
-    return best
+    cells = [(n, cell) for (n, mi, det), cell in table.items()
+             if det == detector and mi == mcs_index]
+    if not cells:
+        return None
+    return max((n for n, cell in cells
+                if cell.supported and cell.min_antennas <= budget), default=0)
 
 
 def connectivity_report(use_cases, se: float, table: dict, mcs_index: int,
@@ -108,30 +79,12 @@ def connectivity_report(use_cases, se: float, table: dict, mcs_index: int,
     rows = []
     for uc in use_cases:
         for budget in antenna_budgets:
-            streams, vehicles = {}, {}
-            for det in ("mmse", "mpnl"):
-                n = max_streams_for_budget(table, det, mcs_index, budget)
-                streams[det] = n
-                if n is None:
-                    vehicles[det] = None
-                elif n == 0:
-                    vehicles[det] = 0
-                else:
-                    q = ConnectivityQuery(use_case=uc, se=se, n_streams=n)
-                    try:
-                        vehicles[det] = max_vehicles(q)
-                    except UnsupportableUseCase:
-                        vehicles[det] = 0
+            streams = {d: max_streams_for_budget(table, d, mcs_index, budget)
+                       for d in ("mmse", "mpnl")}
+            vehicles = {d: n and max_vehicles(uc, se, n)
+                        for d, n in streams.items()}
             vb, vo = vehicles["mmse"], vehicles["mpnl"]
-            if vb is None or vo is None:
-                ratio = None
-            elif vb == vo:
-                ratio = 1.0
-            elif vb == 0:
-                ratio = math.inf
-            else:
-                ratio = vo / vb
-            rows.append(ReportRow(use_case=uc.name, antenna_budget=budget,
-                                  streams=streams, vehicles=vehicles,
-                                  gain_ratio=ratio))
+            ratio = (None if vb is None or vo is None else 1.0 if vb == vo
+                     else math.inf if vb == 0 else vo / vb)
+            rows.append(ReportRow(uc.name, budget, streams, vehicles, ratio))
     return rows

@@ -18,6 +18,7 @@ smallest antenna count the detector can serve.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -35,9 +36,13 @@ class SingularChannelError(ValueError):
     pass
 
 
+@functools.cache
 def _enumerate_labels(n: int, q: int) -> np.ndarray:
-    """All q^n label vectors in lexicographic order (stream 0 most significant)."""
-    return np.stack(np.unravel_index(np.arange(q ** n), (q,) * n), axis=-1)
+    """All q^n label vectors in lexicographic order (stream 0 most
+    significant), one read-only table per (n, q)."""
+    table = np.stack(np.unravel_index(np.arange(q ** n), (q,) * n), axis=-1)
+    table.flags.writeable = False
+    return table
 
 
 def _check_enumeration(n: int, q: int):

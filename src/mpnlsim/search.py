@@ -147,7 +147,8 @@ def write_heatmap_csv(cells, path, manifest_lines=()) -> None:
 
 def read_heatmap_csv(path) -> list[SearchCell]:
     """Read back a grid written by write_heatmap_csv; ValueError unless its
-    first row is HEATMAP_HEADER and each row has a field per column."""
+    first row is HEATMAP_HEADER, each row has a field per column and a
+    stream count in [1, linksim.MAX_STREAMS]."""
     cells = []
     with open(path) as f:
         rows = [r for r in csv.reader(
@@ -157,6 +158,9 @@ def read_heatmap_csv(path) -> list[SearchCell]:
         raise ValueError(f"{path} is not a heatmap table written by search")
     for row in rows[1:]:
         n, mi, detector, m, per, per_below, frames = row
+        if not 1 <= int(n) <= linksim.MAX_STREAMS:
+            raise ValueError(f"{path}: {n} streams is outside "
+                             f"[1, {linksim.MAX_STREAMS}]")
         cells.append(SearchCell(
             n_streams=int(n), mcs_index=int(mi), detector=detector,
             min_antennas=UNSUPPORTED if m == "unsupported" else int(m),

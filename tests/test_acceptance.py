@@ -100,9 +100,8 @@ def test_criterion_03_mmse_matches_direct_solve():
 def test_criterion_04_vehicle_count_936():
     num = DEFAULT_NUMEROLOGY
     rb_rate = num.scs_hz * num.sc_per_rb
-    q = conn.ConnectivityQuery(use_case=UseCase("sub-RB demand", 0.5 * rb_rate),
-                               se=1.0, n_streams=12, numerology=num)
-    got = conn.max_vehicles(q)
+    got = conn.max_vehicles(UseCase("sub-RB demand", 0.5 * rb_rate), se=1.0,
+                            n_streams=12)
     report(4, got == 936 and num.n_rb == 78,
            f"NRB=78, N=12, demand ratio < 1 -> {got} vehicles (expected 936)")
 
@@ -233,7 +232,7 @@ def test_criterion_09_connectivity_dominance(shipped_table):
 
 
 def test_criterion_10_power_arithmetic():
-    got = conn.power_savings(conn.PowerQuery(21, 7, 15.6))
+    got = conn.power_savings(21, 7, 15.6)
     report(10, got == 218.4, f"(21 - 7) chains x 15.6 W = {got} W "
                              f"(expected exactly 218.4)")
 

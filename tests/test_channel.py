@@ -70,10 +70,8 @@ def test_tdl_single_zero_delay_cluster_flat_in_frequency():
 
 
 def test_tdl_rejects_delay_beyond_guard():
-    prof = ch.ClusterProfile("late", (0.0, 3e-6), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        ch.tdl_generate(prof, ch.MobilityConfig(), m=1, n=1, seed=0,
-                        n_subcarriers=12)
+    with pytest.raises(ValueError, match="guard"):
+        ch.ClusterProfile("late", (0.0, 3e-6), (0.5, 0.5))
 
 
 @pytest.mark.parametrize("profile", [ch.TDL_B_LIKE, ch.TDL_D_LIKE])

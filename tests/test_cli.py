@@ -2,11 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import yaml
 
+from mpnlsim import channel as ch
 from mpnlsim import cli, linksim, search
 
 
@@ -261,6 +263,23 @@ def test_search_rejects_bad_detector_before_any_cell(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("per-sweep", sweep_config), ("search", search_config)])
+def test_profile_beyond_guard_rejected_before_any_grid(
+        tmp_path, capsys, monkeypatch, command, config):
+    # a 3000 ns cluster is past the 2340 ns guard
+    def tdl_generate(*args, **kwargs):
+        raise AssertionError("a grid was drawn")
+
+    monkeypatch.setattr(ch, "tdl_generate", tdl_generate)
+    out = tmp_path / "out.csv"
+    cfgp = config(tmp_path, profile={"delays_ns": [0, 3000],
+                                     "powers_db": [0, -3]})
+    assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 2
+    assert "guard" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_flag_only_for_bench(tmp_path, capsys):
     cfgp = sweep_config(tmp_path)
     out = tmp_path / "sweep.csv"
@@ -338,9 +357,12 @@ def test_connectivity_rejects_bad_setting(tmp_path, capsys, bad, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("table", ["", "snr_db,detector,per,ci95,frames\n"
-                                   "20,mmse,0.1,0.05,40\n"],
-                         ids=["empty", "per-sweep-columns"])
+@pytest.mark.parametrize("table", [
+    "", "snr_db,detector,per,ci95,frames\n20,mmse,0.1,0.05,40\n",
+    # more streams than linksim.MAX_STREAMS: a row no search can write
+    ",".join(search.HEATMAP_HEADER) + "\n2,12,mpnl,2,0.05,0.2,400\n"
+    "14,12,mpnl,14,0.05,0.2,400\n",
+], ids=["empty", "per-sweep-columns", "14-streams"])
 def test_connectivity_rejects_non_heatmap_table(tmp_path, capsys, table):
     path = tmp_path / "table.csv"
     path.write_text(table)
@@ -349,8 +371,40 @@ def test_connectivity_rejects_non_heatmap_table(tmp_path, capsys, table):
     assert cli.main(["connectivity", "--config", cfgp,
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "table_csv" in err and str(path) in err
+    assert "cannot read table_csv" in err and str(path) in err
     assert not out.exists()
+
+
+# SHA-256 of the report's JSON and CSV with their manifests left out, over
+# se {the MCS's, 0.5, 3.0} x {default use cases, three custom rates} with
+# budgets 1-32 on the shipped table, taken before the report's rewrite
+@pytest.mark.parametrize("mcs, digest", [
+    (2, "5307ca80047928b103c155cb0ecdeb0351e07777229d322695fd1778d7688cbf"),
+    (7, "7f83e278c86d169f5422a7b5f25b0b0a0dd7f5a056e0513485463aed5931b018"),
+    (12, "a0eab848bae5221c374f03d7dd40c3402fd89fcccd947105f8a97b827a422f51"),
+])
+def test_connectivity_matches_golden(tmp_path, mcs, digest):
+    # 0.1 Mbps is below one RB, 400 Mbps above the carrier at se 0.5
+    custom = [{"name": "slow", "rate_mbps": 0.1},
+              {"name": "mid", "rate_mbps": 20},
+              {"name": "fast", "rate_mbps": 400}]
+    h = hashlib.sha256()
+    for se in ({}, {"se": 0.5}, {"se": 3.0}):
+        for uc in ({}, {"use_cases": custom}):
+            cfgp = write_config(tmp_path, dict(
+                mcs=mcs, antenna_budgets=list(range(1, 33)), **se, **uc))
+            out = tmp_path / "r.json"
+            assert cli.main(["connectivity", "--config", cfgp,
+                             "--out", str(out)]) == 0
+            # the manifest is the first member, one line per field
+            text = re.sub(r'^  "manifest": \{\n(?:    .*\n)*  \},\n', "",
+                          out.read_text(), count=1, flags=re.M)
+            assert '"manifest"' not in text
+            with open(str(out) + ".csv") as f:
+                rows = "".join(line for line in f if not line.startswith("# "))
+            h.update(text.encode())
+            h.update(rows.encode())
+    assert h.hexdigest() == digest
 
 
 def test_connectivity_rejects_bad_use_case(tmp_path, capsys):

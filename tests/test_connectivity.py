@@ -9,60 +9,53 @@ from mpnlsim.search import SearchCell, UNSUPPORTED, cells_to_table
 RB_RATE = DEFAULT_NUMEROLOGY.scs_hz * DEFAULT_NUMEROLOGY.sc_per_rb  # bps/RB @ SE 1
 
 
-def query(rate_bps, se, n):
-    return conn.ConnectivityQuery(use_case=UseCase("t", rate_bps), se=se,
-                                  n_streams=n)
+def vehicles(rate_bps, se, n):
+    return conn.max_vehicles(UseCase("t", rate_bps), se, n)
 
 
 def test_low_demand_limited_by_scheduling_unit():
     # demand below one RB: every RB can serve a vehicle
-    q = query(0.5 * RB_RATE, 1.0, 4)
-    assert conn.max_vehicles(q) == DEFAULT_NUMEROLOGY.n_rb * 4
+    assert vehicles(0.5 * RB_RATE, 1.0, 4) == DEFAULT_NUMEROLOGY.n_rb * 4
 
 
 def test_integer_rb_demand():
     # exactly 2 RBs per vehicle at SE 1
-    q = query(2 * RB_RATE, 1.0, 3)
-    assert conn.max_vehicles(q) == (DEFAULT_NUMEROLOGY.n_rb // 2) * 3
+    assert vehicles(2 * RB_RATE, 1.0, 3) == (DEFAULT_NUMEROLOGY.n_rb // 2) * 3
 
 
 def test_fractional_demand_floors():
     # 2.9 RBs of demand floors to 2 RBs per vehicle
-    q = query(2.9 * RB_RATE, 1.0, 1)
-    assert conn.max_vehicles(q) == DEFAULT_NUMEROLOGY.n_rb // 2
+    assert vehicles(2.9 * RB_RATE, 1.0, 1) == DEFAULT_NUMEROLOGY.n_rb // 2
 
 
 def test_boundary_ratio_one():
-    q = query(RB_RATE, 1.0, 2)
-    assert conn.max_vehicles(q) == DEFAULT_NUMEROLOGY.n_rb * 2
+    assert vehicles(RB_RATE, 1.0, 2) == DEFAULT_NUMEROLOGY.n_rb * 2
 
 
 def test_se_scales_capacity():
-    lo = conn.max_vehicles(query(6 * RB_RATE, 1.0, 1))
-    hi = conn.max_vehicles(query(6 * RB_RATE, 2.0, 1))
+    lo = vehicles(6 * RB_RATE, 1.0, 1)
+    hi = vehicles(6 * RB_RATE, 2.0, 1)
     assert hi == 2 * lo
 
 
 def test_unsupportable_demand():
-    q = query((DEFAULT_NUMEROLOGY.n_rb + 1) * RB_RATE, 1.0, 1)
-    with pytest.raises(conn.UnsupportableUseCase):
-        conn.max_vehicles(q)
+    # more RBs per vehicle than the carrier has: no vehicle is served
+    assert vehicles((DEFAULT_NUMEROLOGY.n_rb + 1) * RB_RATE, 1.0, 1) == 0
 
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        query(1e6, 0.0, 1)
+        vehicles(1e6, 0.0, 1)
     with pytest.raises(ValueError):
-        query(1e6, 1.0, 0)
+        vehicles(1e6, 1.0, 0)
 
 
 def test_power_savings():
-    assert conn.power_savings(conn.PowerQuery(10, 4)) == pytest.approx(93.6)
-    assert conn.power_savings(conn.PowerQuery(5, 5)) == 0.0
-    assert conn.power_savings(
-        conn.PowerQuery(3, 1, p_chain_w=2.0)) == pytest.approx(4.0)
+    assert conn.power_savings(10, 4) == pytest.approx(93.6)
+    assert conn.power_savings(5, 5) == 0.0
+    assert conn.power_savings(3, 1, p_chain_w=2.0) == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        conn.PowerQuery(2, 4)
+        conn.power_savings(2, 4)
 
 
 def fake_table():
@@ -85,9 +78,6 @@ def test_max_streams_for_budget():
     assert conn.max_streams_for_budget(table, "mmse", 12, 2) == 0
     assert conn.max_streams_for_budget(table, "zf", 12, 8) is None
     assert conn.max_streams_for_budget(table, "mpnl", 2, 8) == 0  # unsupported
-    # more streams than MAX_STREAMS never count, whatever the budget
-    table[(14, 12, "mpnl")] = SearchCell(14, 12, "mpnl", 14, 0.05, 0.2, 400)
-    assert conn.max_streams_for_budget(table, "mpnl", 12, 64) == 6
 
 
 def test_connectivity_report_shape_and_gains():

@@ -171,6 +171,14 @@ def test_ml_enumeration_guard():
         det.ml_detect_batch(h[None], np.zeros((1, 3)), constellation_for(64))
 
 
+def test_ml_enumeration_built_once_read_only():
+    # every ML call on one (N, Q) shares its table, so it refuses writes
+    table = det._enumerate_labels(4, 16)
+    assert det._enumerate_labels(4, 16) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
 def test_ml_permutation_equivariance():
     rng = np.random.default_rng(13)
     h, y, _, _ = rand_instance(rng, 4, 4, QPSK, 8.0)
