@@ -33,6 +33,9 @@ def max_vehicles(use_case: UseCase, se: float, n_streams: int) -> int:
     ratio = use_case.rate_bps / (se * num.scs_hz * num.sc_per_rb)
     if ratio < 1:
         return num.n_rb * n_streams
+    # the floor below is 0 here, and an infinite ratio cannot be floored
+    if ratio >= num.n_rb + 1:
+        return 0
     return (num.n_rb // math.floor(ratio)) * n_streams
 
 

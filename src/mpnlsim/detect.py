@@ -184,7 +184,7 @@ class BatchPathPlan:
     def batch(self) -> int:
         return self.perm.shape[0]
 
-    def rows(self, s: slice) -> BatchPathPlan:
+    def __getitem__(self, s: slice) -> BatchPathPlan:
         """The plans of rows s of the stack."""
         return replace(self, perm=self.perm[s], qh=self.qh[s], r=self.r[s])
 
@@ -234,9 +234,10 @@ def _sorted_qr_batch(a: np.ndarray):
             np.ascontiguousarray(rt.transpose(2, 1, 0)))
 
 
-def mpnl_plan_batch(h: np.ndarray, noise_var: float, n_paths: int,
+def mpnl_plan_batch(h: np.ndarray, noise_var, n_paths: int,
                     c: Constellation) -> BatchPathPlan:
-    """Plan candidate trees for a (B, M, N) channel stack.
+    """Plan candidate trees for a (B, M, N) channel stack; noise_var is a
+    scalar or one variance per row.
 
     Overloaded channels (N > M) are planned on the noise-augmented matrix
     [H; sqrt(nv) I] so every layer has a positive diagonal; the N - M top
@@ -247,9 +248,9 @@ def mpnl_plan_batch(h: np.ndarray, noise_var: float, n_paths: int,
     expansions, realized = allocate_expansions(
         n, c.order, n_paths, n_forced=max(0, n - m))
     if n > m:
-        a = np.concatenate(
-            [h, np.sqrt(noise_var) * np.broadcast_to(np.eye(n), (b, n, n))],
-            axis=1)
+        a = np.concatenate([h, np.broadcast_to(
+            np.sqrt(np.reshape(noise_var, (-1, 1, 1))) * np.eye(n),
+            (b, n, n))], axis=1)
     else:
         a = h
     perm, qt, r = _sorted_qr_batch(a)
@@ -374,11 +375,8 @@ def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
     other = cost.min(axis=0)
     min1 = np.where(top_bits, low, other)                # (B, N, bps)
     min0 = np.where(top_bits, other, low)
-    nv = np.asarray(noise_var)
-    if nv.ndim:
-        nv = nv.reshape((-1,) + (1,) * (min0.ndim - 1))
     with np.errstate(invalid="ignore"):
-        llr = (min1 - min0) / nv
+        llr = (min1 - min0) / np.reshape(noise_var, (-1, 1, 1))
     return np.clip(llr, -clip, clip)
 
 
@@ -420,7 +418,8 @@ class Detector:
     """One row of DETECTORS: min_antennas(n, q, n_paths), the smallest M
     serving n streams; apply(plan, h, y, noise_var, c) -> (hard labels
     (B, N), LLRs (B, N, bps)); plan(h, noise_var, c, n_paths),
-    channel-time work on a (B, M, N) stack.  Entries look kernels up as
+    channel-time work on a (B, M, N) stack.  Every entry takes noise_var
+    as a scalar or one variance per stack row, and looks kernels up as
     module globals at call time, so a wrapper installed on one sees every
     call.
     """
@@ -430,21 +429,24 @@ class Detector:
     plan: Callable = lambda h, noise_var, c, n_paths: None
 
 
-def _list_output(search, n_cands: int, y, noise_var, c):
+def _list_output(search, n_cands: int, c, noise_var, *rows):
     """Hard labels and max-log LLRs of a batched candidate-list search.
 
-    search(s) runs the search on rows s of the stack, which scores n_cands
-    candidates per row.  It is called on blocks of at most
-    LIST_BLOCK // n_cands rows (one call when the stack fits); rows are
+    rows are the search's per-row inputs, ending with the observations y.
+    search(*(x[s] for x in rows), c) scores n_cands candidates on each row
+    of block s, and the block's LLRs divide by its slice of noise_var (a
+    scalar or one variance per row).  Blocks hold at most
+    LIST_BLOCK // n_cands rows (one block when the stack fits); rows are
     independent, so the split changes no output.
     """
+    nv = np.broadcast_to(noise_var, (len(rows[-1]),))
     step = max(1, LIST_BLOCK // n_cands)
     parts = []
-    for i in range(0, max(len(y), 1), step):
-        labels, metrics, best = search(slice(i, i + step))
+    for i in range(0, max(len(nv), 1), step):
+        s = slice(i, i + step)
+        labels, metrics, best = search(*(x[s] for x in rows), c)
         hard = np.take_along_axis(labels, best[:, None, None], axis=1)[:, 0]
-        parts.append((hard, _candidate_llrs_batch(labels, metrics, noise_var,
-                                                  c)))
+        parts.append((hard, _candidate_llrs_batch(labels, metrics, nv[s], c)))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
@@ -467,14 +469,12 @@ DETECTORS = {
     "ml": Detector(
         min_antennas=lambda n, q, n_paths: _check_enumeration(n, q) or 1,
         apply=lambda _, h, y, nv, c: _list_output(
-            lambda s: ml_detect_batch(h[s], y[s], c), c.order ** h.shape[2],
-            y, nv, c)),
+            ml_detect_batch, c.order ** h.shape[2], c, nv, h, y)),
     "mpnl": Detector(
         min_antennas=_mpnl_min_antennas,
         plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),
         apply=lambda plan, h, y, nv, c: _list_output(
-            lambda s: mpnl_detect_batch(plan.rows(s), h[s], y[s], c),
-            plan.n_paths, y, nv, c)),
+            mpnl_detect_batch, plan.n_paths, c, nv, plan, h, y)),
 }
 
 

@@ -49,14 +49,16 @@ class FixtureConfig:
 
     def generate(self, n: int, m: int, seeds):
         """One channel grid and calibrated noise variance per SeedSequence;
-        a child of each seed draws the SNR jitter."""
+        its first child, made without spawning, draws the SNR jitter."""
         grids, nvs = [], []
         for ss in seeds:
             g = ch.tdl_generate(self.profile, self.mobility,
                                 m=m, n=n, seed=ss,
                                 n_subcarriers=self.n_subcarriers)
             grids.append(g)
-            nvs.append(ch.calibrate_noise(self.region, g, ss.spawn(1)[0]))
+            jitter = np.random.SeedSequence(ss.entropy,
+                                            spawn_key=(*ss.spawn_key, 0))
+            nvs.append(ch.calibrate_noise(self.region, g, jitter))
         return grids, nvs
 
     def rb_per_vehicle(self, mcs) -> int:
@@ -147,9 +149,10 @@ def write_heatmap_csv(cells, path, manifest_lines=()) -> None:
 
 def read_heatmap_csv(path) -> list[SearchCell]:
     """Read back a grid written by write_heatmap_csv; ValueError unless its
-    first row is HEATMAP_HEADER, each row has a field per column and a
-    stream count in [1, linksim.MAX_STREAMS]."""
-    cells = []
+    first row is HEATMAP_HEADER, each row has a field per column, a stream
+    count in [1, linksim.MAX_STREAMS], a min_antennas of "unsupported" or
+    in [M_MIN, M_MAX], and a (streams, mcs, detector) no other row has."""
+    cells, keys = [], set()
     with open(path) as f:
         rows = [r for r in csv.reader(
             line for line in f if not line.startswith("#"))]
@@ -158,12 +161,19 @@ def read_heatmap_csv(path) -> list[SearchCell]:
         raise ValueError(f"{path} is not a heatmap table written by search")
     for row in rows[1:]:
         n, mi, detector, m, per, per_below, frames = row
-        if not 1 <= int(n) <= linksim.MAX_STREAMS:
+        key = (int(n), int(mi), detector)
+        if not 1 <= key[0] <= linksim.MAX_STREAMS:
             raise ValueError(f"{path}: {n} streams is outside "
                              f"[1, {linksim.MAX_STREAMS}]")
+        if m != "unsupported" and not M_MIN <= int(m) <= M_MAX:
+            raise ValueError(f"{path}: row {','.join(row)} has min_antennas "
+                             f"outside [{M_MIN}, {M_MAX}]")
+        if key in keys:
+            raise ValueError(f"{path}: row {','.join(row)} repeats its "
+                             "(streams, mcs, detector)")
+        keys.add(key)
         cells.append(SearchCell(
-            n_streams=int(n), mcs_index=int(mi), detector=detector,
-            min_antennas=UNSUPPORTED if m == "unsupported" else int(m),
+            *key, min_antennas=UNSUPPORTED if m == "unsupported" else int(m),
             measured_per=float(per), per_below=float(per_below),
             frames=int(frames)))
     return cells

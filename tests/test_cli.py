@@ -362,7 +362,13 @@ def test_connectivity_rejects_bad_setting(tmp_path, capsys, bad, key):
     # more streams than linksim.MAX_STREAMS: a row no search can write
     ",".join(search.HEATMAP_HEADER) + "\n2,12,mpnl,2,0.05,0.2,400\n"
     "14,12,mpnl,14,0.05,0.2,400\n",
-], ids=["empty", "per-sweep-columns", "14-streams"])
+    # a second row for one (streams, mcs, detector)
+    ",".join(search.HEATMAP_HEADER) + "\n2,12,mmse,3,0.05,0.2,400\n"
+    "2,12,mmse,9,0.05,0.2,400\n",
+    # an antenna count no search can report
+    ",".join(search.HEATMAP_HEADER) + "\n2,12,mmse,-3,0.05,0.2,400\n",
+], ids=["empty", "per-sweep-columns", "14-streams", "repeated-key",
+        "negative-antennas"])
 def test_connectivity_rejects_non_heatmap_table(tmp_path, capsys, table):
     path = tmp_path / "table.csv"
     path.write_text(table)
@@ -405,6 +411,18 @@ def test_connectivity_matches_golden(tmp_path, mcs, digest):
             h.update(text.encode())
             h.update(rows.encode())
     assert h.hexdigest() == digest
+
+
+def test_connectivity_unbounded_demand_serves_no_vehicle(tmp_path):
+    # 1e303 Mbps passes the finite check and overflows to inf in bits/s
+    cfgp = write_config(tmp_path, dict(
+        antenna_budgets=[8],
+        use_cases=[{"name": "big", "rate_mbps": 1.0e+303}]))
+    out = tmp_path / "r.json"
+    assert cli.main(["connectivity", "--config", cfgp,
+                     "--out", str(out)]) == 0
+    row, = json.loads(out.read_text())["rows"]
+    assert row["vehicles"] == {"mmse": 0, "mpnl": 0}
 
 
 def test_connectivity_rejects_bad_use_case(tmp_path, capsys):

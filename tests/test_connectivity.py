@@ -39,8 +39,12 @@ def test_se_scales_capacity():
 
 
 def test_unsupportable_demand():
-    # more RBs per vehicle than the carrier has: no vehicle is served
+    # more RBs per vehicle than the carrier has: no vehicle is served, also
+    # at an infinite demand, which cannot be floored; a ratio in
+    # [n_rb, n_rb + 1) still serves one vehicle per stream
     assert vehicles((DEFAULT_NUMEROLOGY.n_rb + 1) * RB_RATE, 1.0, 1) == 0
+    assert conn.max_vehicles(UseCase("x", math.inf), 1.0, 4) == 0
+    assert vehicles((DEFAULT_NUMEROLOGY.n_rb + 0.5) * RB_RATE, 1.0, 4) == 4
 
 
 def test_query_validation():

@@ -699,6 +699,30 @@ def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
     assert rows == [10, 3, 3, 3, 1]
 
 
+@pytest.mark.parametrize("name, m", [("zf", 3), ("mmse", 3), ("ml", 3),
+                                     ("mpnl", 3), ("mpnl", 1)],
+                         ids=["zf", "mmse", "ml", "mpnl", "mpnl-overloaded"])
+def test_detectors_row_independent_under_per_row_noise_variance(
+        monkeypatch, name, m):
+    """plan + apply on a 10-RE stack with one noise variance per RE gives
+    the bytes of the per-RE calls with that RE's scalar variance, also
+    when the list detectors run in row blocks of 3 (16-QAM, N = 2: 256 ML
+    candidates and 32 MPNL paths per RE)."""
+    c = QAM16
+    rng = np.random.default_rng(187)
+    h, y, nv = _observed_stack(rng, 10, m, 2, c)
+    nvs = nv * rng.uniform(0.5, 2.0, 10)
+    d = det.DETECTORS[name]
+    monkeypatch.setattr(det, "LIST_BLOCK", 3 * (256 if name == "ml" else 32))
+    whole = d.apply(d.plan(h, nvs, c, 32), h, y, nvs, c)
+    rows = [d.apply(d.plan(h[i:i + 1], nvs[i], c, 32), h[i:i + 1],
+                    y[i:i + 1], nvs[i], c) for i in range(10)]
+    for got, *pieces in zip(whole, *rows):
+        want = np.concatenate(pieces)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name, n_paths, b", [("ml", 32, 16),
                                               ("mpnl", 1 << 16, 8)])
 def test_list_apply_memory_stays_within_row_blocks(name, n_paths, b):

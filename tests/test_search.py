@@ -29,6 +29,16 @@ def test_fixture_channels_reproducible():
     assert nv1 == nv2
 
 
+def test_fixture_generate_leaves_its_seeds_as_found():
+    fx = small_fixtures()
+    seeds = fx.seeds(2, 2)
+    g1, nv1 = fx.generate(2, 2, seeds)
+    g2, nv2 = fx.generate(2, 2, seeds)
+    for a, b in zip(g1, g2):
+        assert np.array_equal(a.h, b.h)
+    assert nv1 == nv2
+
+
 def test_min_antennas_easy_case():
     fx = small_fixtures()
     cell = search.min_antennas(2, 0, "mmse", fx, frames_per_channel=2)
