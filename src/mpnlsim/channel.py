@@ -4,15 +4,18 @@ One generator: a clustered tapped-delay-line model with classical-Doppler
 fading, a configurable stand-in for CDL-style profiles.  Doppler fading is
 produced by a linear transform of white Gaussians whose covariance is the
 exact Jakes autocorrelation J0(2*pi*fd*dt), so the process is exactly
-Gaussian with the classical spectrum.
+Gaussian with the classical spectrum.  J0 is a port of the Cephes routine
+that ``scipy.special.j0`` runs, so the package needs no scipy, and the
+covariance's factor is computed once per Doppler shift.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0
 
 from .core import DEFAULT_NUMEROLOGY
 
@@ -94,8 +97,16 @@ class MobilityConfig:
     carrier_hz: float = 3.5e9
 
     def __post_init__(self):
+        for name in ("speed_kmh", "carrier_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.speed_kmh < 0 or self.carrier_hz <= 0:
             raise ValueError("invalid mobility parameters")
+        # the Jakes argument 2*pi*fd*dt must stay finite
+        if not math.isfinite(2 * math.pi * self.doppler_hz):
+            raise ValueError(
+                f"speed_kmh={self.speed_kmh} and carrier_hz={self.carrier_hz}"
+                " give a Doppler shift beyond the float range")
 
     @property
     def doppler_hz(self) -> float:
@@ -138,17 +149,89 @@ class ChannelGrid:
         return self.h.shape[3]
 
 
-def _jakes_gains(rng, n_clusters: int, m: int, n: int,
-                 t: np.ndarray, doppler_hz: float) -> np.ndarray:
-    """Unit-variance complex Gaussians with Jakes temporal correlation.
+# Cephes j0 coefficients.  x <= 5: J0 = (z - DR1)(z - DR2) RP(z) / RQ(z),
+# z = x^2, DR1 and DR2 the squares of J0's first two zeros; x > 5: the
+# asymptotic form with P = PP/PQ and Q = QP/QQ in 25/x^2.  RQ and QQ carry
+# the leading 1 that Cephes' p1evl implies: 1.0 * z + c rounds as z + c.
+_J0_DR1 = 5.78318596294678452118E0
+_J0_DR2 = 3.04712623436620863991E1
+_J0_RP = (-4.79443220978201773821E9, 1.95617491946556577543E12,
+          -2.49248344360967716204E14, 9.70862251047306323952E15)
+_J0_RQ = (1.0, 4.99563147152651017219E2, 1.73785401676374683123E5,
+          4.84409658339962045305E7, 1.11855537045356834862E10,
+          2.11277520115489217587E12, 3.10518229857422583814E14,
+          3.18121955943204943306E16, 1.71086294081043136091E18)
+_J0_PP = (7.96936729297347051624E-4, 8.28352392107440799803E-2,
+          1.23953371646414299388E0, 5.44725003058768775090E0,
+          8.74716500199817011941E0, 5.30324038235394892183E0,
+          9.99999999999999997821E-1)
+_J0_PQ = (9.24408810558863637013E-4, 8.56288474354474431428E-2,
+          1.25352743901058953537E0, 5.47097740330417105182E0,
+          8.76190883237069594232E0, 5.30605288235394617618E0,
+          1.00000000000000000218E0)
+_J0_QP = (-1.13663838898469149931E-2, -1.28252718670509318512E0,
+          -1.95539544257735972385E1, -9.32060152123768231369E1,
+          -1.77681167980488050595E2, -1.47077505154951170175E2,
+          -5.14105326766599330220E1, -6.05014350600728481186E0)
+_J0_QQ = (1.0, 6.43178256118178023184E1, 8.56430025976980587198E2,
+          3.88240183605401609683E3, 7.24046774195652478189E3,
+          5.93072701187316984827E3, 2.06209331660327847417E3,
+          2.42005740240291393179E2)
+_SQ2OPI = 7.9788456080286535587989E-1    # sqrt(2 / pi)
 
-    Returns shape (n_clusters, m, n, len(t)).
-    """
-    n_t = t.size
-    cov = j0(2 * np.pi * doppler_hz * (t[:, None] - t[None, :]))
+
+def _polevl(x: float, coef: tuple) -> float:
+    """coef[0] x^n + ... + coef[n] by Horner's rule, as Cephes' polevl."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _j0(x: float) -> float:
+    """Bessel J0 of a finite float, bit for bit ``scipy.special.j0``: the
+    Cephes routine's operations in its order, on Python floats (no fused
+    multiply-add)."""
+    x = abs(x)
+    if x <= 5.0:
+        z = x * x
+        if x < 1.0e-5:
+            return 1.0 - z / 4.0
+        return ((z - _J0_DR1) * (z - _J0_DR2) * _polevl(z, _J0_RP)
+                / _polevl(z, _J0_RQ))
+    w = 5.0 / x
+    q = 25.0 / (x * x)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ)
+    xn = x - math.pi / 4
+    p = p * math.cos(xn) - w * q * math.sin(xn)
+    return p * _SQ2OPI / math.sqrt(x)
+
+
+@functools.cache
+def _jakes_factor(doppler_hz: float) -> np.ndarray:
+    """Read-only F with F @ F.T the Jakes covariance J0(2*pi*fd*dt) over
+    one slot's symbol times, computed once per Doppler shift."""
+    num = DEFAULT_NUMEROLOGY
+    t = np.arange(num.symbols_per_slot) * num.symbol_duration_s
+    arg = 2 * np.pi * doppler_hz * (t[:, None] - t[None, :])
+    # every element: t_i - t_j at equal |i - j| can differ in the last bit
+    cov = np.array([_j0(a) for a in arg.ravel().tolist()]).reshape(arg.shape)
     w, v = np.linalg.eigh(cov)
     w = np.clip(w, 0.0, None)
     chol = v * np.sqrt(w)           # cov = chol @ chol.T
+    chol.flags.writeable = False
+    return chol
+
+
+def _jakes_gains(rng, n_clusters: int, m: int, n: int,
+                 doppler_hz: float) -> np.ndarray:
+    """Unit-variance complex Gaussians with Jakes temporal correlation.
+
+    Returns shape (n_clusters, m, n, symbols per slot), a fresh array.
+    """
+    chol = _jakes_factor(doppler_hz)
+    n_t = chol.shape[0]
     white = (rng.standard_normal((n_clusters, m, n, n_t))
              + 1j * rng.standard_normal((n_clusters, m, n, n_t)))
     white /= np.sqrt(2.0)
@@ -161,18 +244,15 @@ def tdl_generate(profile: ClusterProfile, mob: MobilityConfig, *, m: int,
     num = DEFAULT_NUMEROLOGY
     delays = np.asarray(profile.delays)
     rng = np.random.default_rng(seed)
-    n_sym = num.symbols_per_slot
-    t = np.arange(n_sym) * num.symbol_duration_s
     powers = np.asarray(profile.powers)
 
-    g = _jakes_gains(rng, delays.size, m, n, t, mob.doppler_hz)
+    g = _jakes_gains(rng, delays.size, m, n, mob.doppler_hz)
 
     if profile.los:
         k = 10 ** (profile.rician_k_db / 10)
         # deterministic (per-seed) LOS phase per link on the first cluster
         phase = rng.uniform(0, 2 * np.pi, size=(m, n))
         los = np.exp(1j * phase)[..., None]
-        g = g.copy()
         g[0] = np.sqrt(k / (k + 1)) * los + np.sqrt(1 / (k + 1)) * g[0]
 
     f = np.arange(n_subcarriers) * num.scs_hz

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,59 @@ def zero_grid(m, n):
 def test_doppler_constant():
     mob = ch.MobilityConfig(speed_kmh=30, carrier_hz=3.5e9)
     assert abs(mob.doppler_hz - 97.24) < 0.1
+
+
+@pytest.mark.parametrize("speed, carrier, match", [
+    (math.nan, 3.5e9, "speed_kmh"),
+    (math.inf, 3.5e9, "speed_kmh"),
+    (30.0, math.inf, "carrier_hz"),
+    (30.0, math.nan, "carrier_hz"),
+    # both finite, but (1e300 / 3.6) * 1e300 overflows
+    (1e300, 1e300, "Doppler"),
+])
+def test_mobility_rejects_non_finite(speed, carrier, match):
+    with pytest.raises(ValueError, match=match):
+        ch.MobilityConfig(speed_kmh=speed, carrier_hz=carrier)
+
+
+def test_j0_port_equals_scipy_bit_for_bit():
+    x = np.concatenate([
+        np.linspace(0.0, 60.0, 120_001),
+        [0.0, -0.0, 1e-5, np.nextafter(1e-5, 0), 5.0, np.nextafter(5.0, 6.0),
+         np.nextafter(5.0, 0.0), 1e-300, 1e4],
+        -np.linspace(0.0, 60.0, 6_001),
+    ])
+    port = np.array([ch._j0(v) for v in x.tolist()])
+    assert np.array_equal(port.view(np.int64), j0(x).view(np.int64))
+
+
+def test_jakes_factor_once_per_doppler(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    ch._jakes_factor.cache_clear()
+    mob = ch.MobilityConfig(speed_kmh=123.0)
+    for s in range(3):
+        ch.tdl_generate(ch.TDL_B_LIKE, mob, m=2, n=2, seed=s, n_subcarriers=4)
+    assert calls == [(14, 14)]
+    f = ch._jakes_factor(mob.doppler_hz)
+    assert f is ch._jakes_factor(mob.doppler_hz)
+    assert not f.flags.writeable
+
+
+# SHA-256 of tdl_generate(...).h, as the scipy-based channel produced it
+@pytest.mark.parametrize("profile, mob, digest", [
+    (ch.TDL_B_LIKE, ch.MobilityConfig(speed_kmh=30.0),
+     "1f01f2e95eefb2f15acd41d47c1891e9b7659774d19d6dc193cc23a072bd7bf6"),
+    # the LOS branch, and J0 arguments up to 38: J0's x > 5 branch
+    (ch.TDL_D_LIKE, ch.MobilityConfig(speed_kmh=500.0, carrier_hz=28e9),
+     "deea8b7ae54d345fcad37de6cfad23acc7fe857c60209de3319f6b7ff6b21038"),
+])
+def test_tdl_generate_bytes_pinned(profile, mob, digest):
+    g = ch.tdl_generate(profile, mob, m=4, n=2, seed=11, n_subcarriers=24)
+    assert g.h.shape == (14, 24, 4, 2) and g.h.flags.c_contiguous
+    assert hashlib.sha256(g.h.tobytes()).hexdigest() == digest
 
 
 def test_profile_invariants():
