@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_NUMEROLOGY
+from .core import DEFAULT_NUMEROLOGY, MAX_STREAMS
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -115,9 +115,44 @@ class MobilityConfig:
 
 @dataclass(frozen=True)
 class SnrRegion:
+    """An SNR target whose fixtures draw their SNR uniformly within
+    +- jitter_db of it."""
+
     name: str
     target_snr_db: float
     jitter_db: float = 1.0
+
+    def __post_init__(self):
+        for name in ("target_snr_db", "jitter_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.jitter_db < 0:
+            raise ValueError("jitter_db must be >= 0")
+        t, j = self.target_snr_db, self.jitter_db
+        check_snr_range(f"target_snr_db={t} with jitter_db={j}", t - j,
+                        t + j, MAX_STREAMS)
+
+
+def noise_variance(n_streams: int, snr_db: float) -> float:
+    """The noise variance at which n_streams unit-power streams over
+    unit-gain links arrive at snr_db per receive antenna."""
+    return n_streams / 10 ** (snr_db / 10)
+
+
+def check_snr_range(what: str, lo_db: float, hi_db: float,
+                    max_streams: int):
+    """ValueError naming `what` unless every SNR in [lo_db, hi_db] gives 1
+    to max_streams streams a finite, positive noise variance.  The
+    variance falls with the SNR and grows with the stream count, so the
+    two corners decide."""
+    for n, snr in ((1, hi_db), (max_streams, lo_db)):
+        try:
+            nv = noise_variance(n, snr)
+        except (OverflowError, ZeroDivisionError):
+            nv = math.nan
+        if not (math.isfinite(nv) and nv > 0):
+            raise ValueError(f"{what} gives a noise variance that is not "
+                             f"finite and positive for N = {n}")
 
 
 # Figure-caption assignment: the nearer region gets the higher SNR.
@@ -274,4 +309,4 @@ def calibrate_noise(region: SnrRegion, grid: ChannelGrid, seed) -> float:
     rng = np.random.default_rng(seed)
     snr_db = region.target_snr_db + rng.uniform(-region.jitter_db,
                                                 region.jitter_db)
-    return grid.n_streams / 10 ** (snr_db / 10)
+    return noise_variance(grid.n_streams, snr_db)

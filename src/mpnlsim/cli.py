@@ -150,16 +150,17 @@ def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
     n, m = cfg["n_streams"], cfg["m_antennas"]
     mcs = mcs_entry(cfg["mcs"])
     fx = _fixture_config(cfg, seed)
-    # every config is checked before the first SNR point runs
+    # every config and SNR point is checked before the first point runs
     configs = [linksim.LinkConfig(
         n_streams=n, m_antennas=m, mcs=mcs, detector=name,
         n_paths=cfg["n_paths"], seed=seed, csi=cfg["csi"],
         rb_per_vehicle=fx.rb_per_vehicle(mcs))
         for name in cfg["detectors"]]
+    regions = [ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
+                            jitter_db=cfg["snr_jitter_db"])
+               for snr in cfg["snr_db"]]
     rows = []
-    for snr in cfg["snr_db"]:
-        region = ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
-                              jitter_db=cfg["snr_jitter_db"])
+    for snr, region in zip(cfg["snr_db"], regions):
         seeds = np.random.SeedSequence(
             entropy=_sweep_entropy(seed, snr)).spawn(cfg["channels"])
         grids, nvs = replace(fx, region=region).generate(n, m, seeds)
@@ -242,7 +243,7 @@ def _bench_chunk(args):
     h = (rng.standard_normal((chunk_size, m, n))
          + 1j * rng.standard_normal((chunk_size, m, n))) / np.sqrt(2)
     labels_true = rng.integers(0, order, (chunk_size, n))
-    nv = n / 10 ** (snr_db / 10)
+    nv = ch.noise_variance(n, snr_db)
     noise = np.sqrt(nv / 2) * (rng.standard_normal((chunk_size, m))
                                + 1j * rng.standard_normal((chunk_size, m)))
     y = np.einsum("bmn,bn->bm", h, c.points[labels_true]) + noise
@@ -281,9 +282,11 @@ def cmd_bench(cfg: dict, manifest: dict, out, seed: int):
     n_instances, chunk_size = cfg["n_instances"], cfg["chunk_size"]
     if n_instances % chunk_size:
         raise ConfigError("n_instances must be a multiple of chunk_size")
-    # a bad order, name or antenna count fails before any pool starts
+    # a bad order, name, antenna count or SNR fails before any pool starts
     constellation_for(order)
     det.check_antenna_floor(name, n, m, order, n_paths)
+    ch.check_snr_range(f"snr_db={cfg['snr_db']}", cfg["snr_db"],
+                       cfg["snr_db"], n)
     rows = []
     # one worker runs first: the speed baseline and the bit-identity reference
     for w in [1] + [w for w in cfg["workers"] if w != 1]:

@@ -203,6 +203,15 @@ class Numerology:
 
 DEFAULT_NUMEROLOGY = Numerology()
 
+# the slot layout, after the PUSCH DMRS of TS 38.211: each stream sends
+# unit pilots on one of DMRS_COMBS disjoint subcarrier combs of one DMRS
+# symbol, and data on every other symbol of the slot
+DMRS_SYMBOLS = (3, 12)
+DMRS_COMBS = 6
+DATA_SYMBOLS = tuple(s for s in range(DEFAULT_NUMEROLOGY.symbols_per_slot)
+                     if s not in DMRS_SYMBOLS)
+MAX_STREAMS = DMRS_COMBS * len(DMRS_SYMBOLS)   # one pilot port per stream
+
 
 @dataclass(frozen=True)
 class UseCase:

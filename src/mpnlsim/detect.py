@@ -53,26 +53,46 @@ def _check_enumeration(n: int, q: int):
 
 def _path_metrics(h: np.ndarray, y: np.ndarray, labels: np.ndarray,
                   c: Constellation) -> np.ndarray:
-    """The one list metric: ||y - H x||^2 (B, P) of labels (B, P, N)."""
-    resid = np.einsum("bmn,bpn->bpm", h, c.points[labels])
-    np.subtract(y[:, None, :], resid, out=resid)
+    """The one list metric: ||y - H x||^2 (B, P) of labels (B, P, N).
+
+    The residuals are formed antenna-major, (B, M, P), the layout numpy's
+    non-BLAS einsum writes fastest here; it still sums each output over n
+    in ascending order from zero with the same complex product, so the
+    layout changes no bit.  The squared magnitudes go back to a contiguous
+    (B, P, M) array before the sum, so each metric stays numpy's pairwise
+    sum over M contiguous terms, whose order differs from a sum down axis
+    1 once M >= 8.
+    """
+    resid = np.einsum("bmn,bpn->bmp", h, c.points[labels])
+    np.subtract(y[:, :, None], resid, out=resid)
     dist = np.abs(resid)
-    return np.square(dist, out=dist).sum(axis=2)
+    np.square(dist, out=dist)
+    return np.ascontiguousarray(dist.transpose(0, 2, 1)).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
 # linear detectors
 # ---------------------------------------------------------------------------
 
-def _linear_batch(h: np.ndarray, y: np.ndarray, noise_var,
-                  c: Constellation, mode: str):
-    """Batched ZF/MMSE: (hard labels (B, N), llrs (B, N, bps), raw soft
-    estimates (B, N)).  ZF raises SingularChannelError when M < N or any
+@dataclass(frozen=True)
+class LinearPlan:
+    """ZF/MMSE channel-time work on a (B, M, N) stack: everything that does
+    not depend on the observations."""
+
+    hh: np.ndarray = field(repr=False)      # (B, N, M) H^H
+    a_inv: np.ndarray = field(repr=False)   # (B, N, N) (H^H H [+ nv I])^-1
+    beta: np.ndarray | None = field(repr=False)  # (B, N) MMSE bias; ZF None
+    nv_eff: np.ndarray = field(repr=False)  # (B, N) per-stream noise
+
+
+def linear_plan_batch(h: np.ndarray, noise_var, mode: str) -> LinearPlan:
+    """Plan ZF or MMSE for a (B, M, N) stack; noise_var is a scalar or one
+    variance per row.  ZF raises SingularChannelError when M < N or any
     channel of the stack is rank-deficient.
 
-    MMSE's raw soft estimate is the biased (H^H H + nv I)^-1 H^H y;
-    slicing and LLRs use the unbiased soft_i / beta_i with effective noise
-    variance (1 - beta_i) / beta_i, beta_i = 1 - nv [(H^H H + nv I)^-1]_ii.
+    MMSE's bias is beta_i = 1 - nv [(H^H H + nv I)^-1]_ii, and its unbiased
+    estimates see effective noise variance (1 - beta_i) / beta_i; ZF's
+    see nv [(H^H H)^-1]_ii.
     """
     b, m, n = h.shape
     if mode not in ("zf", "mmse"):
@@ -82,7 +102,6 @@ def _linear_batch(h: np.ndarray, y: np.ndarray, noise_var,
         raise SingularChannelError("ZF requires M >= N")
     hh = h.conj().transpose(0, 2, 1)
     gram = hh @ h
-    hy = np.einsum("bnm,bm->bn", hh, y)
     nv = np.broadcast_to(np.asarray(noise_var, dtype=float), (b,))
     a = gram if zf else gram + nv[:, None, None] * np.eye(n)
     try:
@@ -92,21 +111,30 @@ def _linear_batch(h: np.ndarray, y: np.ndarray, noise_var,
     # a NaN or infinite condition number fails the comparison too
     if zf and not np.all(np.linalg.cond(gram) <= 1e12):
         raise SingularChannelError("rank-deficient channel")
-    soft = np.einsum("bij,bj->bi", a_inv, hy)
     diag = np.real(np.einsum("bii->bi", a_inv))
     if zf:
-        est, nv_eff = soft, nv[:, None] * diag
-    else:
-        beta = np.clip(1.0 - nv[:, None] * diag, 1e-12, None)
-        est = soft / beta
-        nv_eff = np.clip((1.0 - beta) / beta, 1e-15, None)
-    return c.nearest(est), demap_llr(est, nv_eff[..., None], c), soft
+        return LinearPlan(hh=hh, a_inv=a_inv, beta=None,
+                          nv_eff=nv[:, None] * diag)
+    beta = np.clip(1.0 - nv[:, None] * diag, 1e-12, None)
+    return LinearPlan(hh=hh, a_inv=a_inv, beta=beta,
+                      nv_eff=np.clip((1.0 - beta) / beta, 1e-15, None))
+
+
+def _linear_apply(plan: LinearPlan, y: np.ndarray, c: Constellation):
+    """Planned ZF/MMSE on observations y (B, M): (hard labels (B, N), llrs
+    (B, N, bps), raw soft estimates (B, N)).  MMSE's raw estimate is the
+    biased (H^H H + nv I)^-1 H^H y; slicing and LLRs use soft / beta."""
+    hy = np.einsum("bnm,bm->bn", plan.hh, y)
+    soft = np.einsum("bij,bj->bi", plan.a_inv, hy)
+    est = soft if plan.beta is None else soft / plan.beta
+    return c.nearest(est), demap_llr(est, plan.nv_eff[..., None], c), soft
 
 
 def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
                         c: Constellation, mode: str):
-    """Batched ZF/MMSE.  Returns (hard labels (B, N), llrs (B, N, bps))."""
-    return _linear_batch(h, y, noise_var, c, mode)[:2]
+    """Batched ZF/MMSE, planned and applied once.  Returns (hard labels
+    (B, N), llrs (B, N, bps))."""
+    return _linear_apply(linear_plan_batch(h, noise_var, mode), y, c)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +290,7 @@ def mpnl_plan_batch(h: np.ndarray, noise_var, n_paths: int,
 
 def _closest(d: np.ndarray, e: int) -> np.ndarray:
     """The first e indices of a stable argsort of d (Q, ...) along its
-    first axis, returned as (..., e).
+    first axis, returned as a C-contiguous (..., e) array.
 
     Below log2(Q) children it takes e first-minimum picks instead, which
     measured 1.4-8x faster than the sort on 16- and 64-QAM layers of 672
@@ -276,7 +304,8 @@ def _closest(d: np.ndarray, e: int) -> np.ndarray:
     """
     q = d.shape[0]
     if e >= q.bit_length() - 1:
-        return np.moveaxis(np.argsort(d, axis=0, kind="stable")[:e], 0, -1)
+        return np.ascontiguousarray(np.moveaxis(
+            np.argsort(d, axis=0, kind="stable")[:e], 0, -1))
     flat = d.reshape(q, -1)
     masked = flat.copy()
     cols = np.arange(flat.shape[1])
@@ -460,11 +489,12 @@ def _mpnl_min_antennas(n: int, q: int, n_paths: int) -> int:
 DETECTORS = {
     "zf": Detector(
         min_antennas=lambda n, q, n_paths: n,
-        apply=lambda _, h, y, nv, c: linear_detect_batch(h, y, nv, c, "zf")),
+        plan=lambda h, nv, c, n_paths: linear_plan_batch(h, nv, "zf"),
+        apply=lambda plan, h, y, nv, c: _linear_apply(plan, y, c)[:2]),
     "mmse": Detector(
         min_antennas=lambda n, q, n_paths: 1,
-        apply=lambda _, h, y, nv, c: linear_detect_batch(h, y, nv, c,
-                                                         "mmse")),
+        plan=lambda h, nv, c, n_paths: linear_plan_batch(h, nv, "mmse"),
+        apply=lambda plan, h, y, nv, c: _linear_apply(plan, y, c)[:2]),
     # ML serves any M, but not past its enumeration guard
     "ml": Detector(
         min_antennas=lambda n, q, n_paths: _check_enumeration(n, q) or 1,

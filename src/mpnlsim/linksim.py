@@ -25,16 +25,9 @@ import numpy as np
 from . import detect as det
 from . import fec
 from .channel import ChannelGrid
-from .core import DEFAULT_NUMEROLOGY, McsEntry, Numerology, modulate
+from .core import (DATA_SYMBOLS, DEFAULT_NUMEROLOGY, DMRS_COMBS,
+                   DMRS_SYMBOLS, MAX_STREAMS, McsEntry, Numerology, modulate)
 
-# the slot layout, after the PUSCH DMRS of TS 38.211: each stream sends
-# unit pilots on one of DMRS_COMBS disjoint subcarrier combs of one DMRS
-# symbol, and data on every other symbol of the slot
-DMRS_SYMBOLS = (3, 12)
-DMRS_COMBS = 6
-DATA_SYMBOLS = tuple(s for s in range(DEFAULT_NUMEROLOGY.symbols_per_slot)
-                     if s not in DMRS_SYMBOLS)
-MAX_STREAMS = DMRS_COMBS * len(DMRS_SYMBOLS)   # one pilot port per stream
 MAX_ANTENNAS = 32
 MIN_FRAMES = 400   # blocks measured before an early stop may fire
 CSI_MODES = ("genie", "ls_dmrs")

@@ -1,9 +1,11 @@
-"""Exact-ML oracle of the detector tests.
+"""Reference implementations of the detector tests.
 
 A depth-first Schnorr-Euchner sphere decoder: an exact maximum-likelihood
 search that shares no code with `mpnlsim.detect.ml_detect_batch`, so the
-two check each other.  Tests import it as ``from oracles import
-sphere_detect``; pytest puts this directory on ``sys.path``.
+two check each other.  And the list metric in the path-major layout it had
+before it was formed antenna-major, which the kernel must match byte for
+byte.  Tests import them as ``from oracles import sphere_detect``; pytest
+puts this directory on ``sys.path``.
 """
 
 import numpy as np
@@ -54,3 +56,14 @@ def sphere_detect(h: np.ndarray, y: np.ndarray,
                 children.append((layer - 1, pm, lab, res))
         stack.extend(reversed(children))  # visit best child first
     return best_labels
+
+
+def path_metrics_bpm(h: np.ndarray, y: np.ndarray, labels: np.ndarray,
+                     c: Constellation) -> np.ndarray:
+    """The list metric ||y - H x||^2 (B, P) of labels (B, P, N), with the
+    residuals laid out path-major, (B, P, M), as `_path_metrics` first
+    formed them; the antenna-major kernel must give its bytes."""
+    resid = np.einsum("bmn,bpn->bpm", h, c.points[labels])
+    np.subtract(y[:, None, :], resid, out=resid)
+    dist = np.abs(resid)
+    return np.square(dist, out=dist).sum(axis=2)

@@ -186,6 +186,36 @@ def test_calibrate_noise_zero_jitter_deterministic():
     assert ch.calibrate_noise(region, g, 1) == pytest.approx(2 / 10.0)
 
 
+@pytest.mark.parametrize("target, jitter, message", [
+    (math.nan, 1.0, "target_snr_db must be finite"),
+    (math.inf, 1.0, "target_snr_db must be finite"),
+    (20.0, math.nan, "jitter_db must be finite"),
+    (20.0, math.inf, "jitter_db must be finite"),
+    (20.0, -1.0, "jitter_db must be >= 0"),
+    # 10 ** (snr / 10) overflows
+    (1e300, 1.0, "for N = 1"),
+    # 10 ** (snr / 10) underflows to 0
+    (-1e300, 1.0, "for N = 1"),
+    # the jitter reaches both
+    (0.0, 1e300, "for N = 1"),
+    # finite for one stream, infinite for MAX_STREAMS
+    (-3073.0, 1.0, "for N = 12"),
+])
+def test_region_rejects_snr_without_finite_noise(target, jitter, message):
+    with pytest.raises(ValueError, match=message):
+        ch.SnrRegion("t", target, jitter_db=jitter)
+
+
+def test_region_at_the_float_range_gives_finite_noise():
+    """The extreme regions SnrRegion admits calibrate a finite, positive
+    noise variance for 1 and 12 streams."""
+    for target in (-3070.0, 3080.0):
+        region = ch.SnrRegion("t", target, jitter_db=1.0)
+        for n in (1, 12):
+            nv = ch.calibrate_noise(region, zero_grid(1, n), seed=5)
+            assert math.isfinite(nv) and nv > 0
+
+
 def test_region_defaults_follow_figure_captions():
     assert ch.REGION_R1.target_snr_db == 20.0
     assert ch.REGION_R2.target_snr_db == 15.0

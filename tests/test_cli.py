@@ -228,6 +228,14 @@ def search_config(tmp_path, **kw):
     ("connectivity", bare_config, dict(antenna_budgets=[]),
      "antenna_budgets"),
     ("bench", bare_config, dict(workers=[]), "workers"),
+    # finite numbers whose noise variance is not: the second point fails
+    # before the first runs
+    ("per-sweep", sweep_config, dict(snr_db=[20, 1.0e300]),
+     "target_snr_db=1e+300"),
+    ("per-sweep", sweep_config, dict(snr_db=[20, -1.0e300]),
+     "target_snr_db=-1e+300"),
+    ("per-sweep", sweep_config, dict(snr_jitter_db=1.0e300),
+     "jitter_db=1e+300"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):
@@ -485,6 +493,10 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     (dict(detector="sphere"), "detector"),
     (dict(detectors=["mpnl"]), "bench does not read 'detectors'"),
     (dict(snr_db=math.inf), "snr_db"),
+    (dict(snr_db=1.0e300), "snr_db=1e+300"),
+    (dict(snr_db=-1.0e300), "snr_db=-1e+300"),
+    # finite for one stream, infinite for the four the bench draws
+    (dict(snr_db=-3080.0, n_streams=4, m_antennas=4), "N = 4"),
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
                                   message):

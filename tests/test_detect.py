@@ -9,7 +9,7 @@ from mpnlsim import channel as ch
 from mpnlsim import detect as det
 from mpnlsim import search
 from mpnlsim.core import QAM16, QAM64, QPSK, constellation_for, demap_llr
-from oracles import sphere_detect
+from oracles import path_metrics_bpm, sphere_detect
 
 
 def rand_channel(rng, m, n):
@@ -85,8 +85,9 @@ def test_zf_rejects_zero_noise_variance():
 def test_mmse_identity_closed_form():
     y = np.array([0.3 + 0.1j, -0.2 + 0.5j])
     for nv in (0.1, 1.0, 3.0):
-        soft = det._linear_batch(np.eye(2, dtype=complex)[None], y[None], nv,
-                                 QPSK, "mmse")[2]
+        plan = det.linear_plan_batch(np.eye(2, dtype=complex)[None], nv,
+                                     "mmse")
+        soft = det._linear_apply(plan, y[None], QPSK)[2]
         assert np.allclose(soft[0], y / (1 + nv))
 
 
@@ -106,7 +107,8 @@ def test_mmse_matches_direct_solve():
         y = (rng.standard_normal(4) + 1j * rng.standard_normal(4))
         nv = float(rng.uniform(0.01, 2.0))
         ref = np.linalg.solve(h.conj().T @ h + nv * np.eye(4), h.conj().T @ y)
-        got = det._linear_batch(h[None], y[None], nv, QPSK, "mmse")[2][0]
+        got = det._linear_apply(det.linear_plan_batch(h[None], nv, "mmse"),
+                                y[None], QPSK)[2][0]
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -134,6 +136,57 @@ def test_linear_batch_matches_scalar():
             near = np.argmin(np.abs(est[:, None] - QPSK.points) ** 2, axis=1)
             assert np.array_equal(labels[i], near)
             assert np.allclose(llrs[i], ref, atol=1e-9)
+
+
+def test_linear_detect_batch_is_the_table_plan_then_apply():
+    """linear_detect_batch gives the bytes of its DETECTORS row's plan and
+    apply, for a scalar and a per-row noise variance, and one plan serves
+    several observation sets with the bytes of a fresh plan for each."""
+    rng = np.random.default_rng(191)
+    h = _stack(rng, 12, 4, 3)
+    ys = [_stack(rng, 12, 4, 1)[..., 0] for _ in range(3)]
+    for mode in ("zf", "mmse"):
+        d = det.DETECTORS[mode]
+        for nv in (0.3, 0.3 * rng.uniform(0.5, 2.0, 12)):
+            plan = d.plan(h, nv, QAM16, 32)
+            for y in ys:
+                for got, want in zip(d.apply(plan, h, y, nv, QAM16),
+                                     det.linear_detect_batch(h, y, nv, QAM16,
+                                                             mode)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 16, 32])
+def test_path_metrics_match_path_major_oracle(m):
+    """_path_metrics gives the bytes of the path-major formula it replaced
+    (tests/oracles.py): on random label stacks for N up to 12, on ML's
+    broadcast enumeration, and on stacks holding zero, inf and NaN channel
+    or observation entries."""
+    rng = np.random.default_rng(193 + m)
+    cases = []
+    for n, c in ((1, QAM64), (2, QAM16), (3, QPSK), (4, QAM16), (8, QPSK),
+                 (12, QAM64)):
+        h = _stack(rng, 9, m, n)
+        y = _stack(rng, 9, m, 1)[..., 0]
+        h[0] = 0
+        h[1, 0, -1] = np.inf
+        h[2, -1, 0] = complex(np.nan, 1.0)
+        h[3, :, 0] = -np.inf
+        y[4] = 0
+        y[5, 0] = complex(0.0, np.inf)
+        y[6, -1] = np.nan
+        cases.append((h, y, rng.integers(0, c.order, (9, 17, n)), c))
+    for n, c in ((2, QAM16), (4, QPSK), (1, QAM64)):
+        labels = det._enumerate_labels(n, c.order)
+        cases.append((_stack(rng, 5, m, n), _stack(rng, 5, m, 1)[..., 0],
+                      np.broadcast_to(labels, (5,) + labels.shape), c))
+    with np.errstate(all="ignore"):
+        for h, y, labels, c in cases:
+            got = det._path_metrics(h, y, labels, c)
+            want = path_metrics_bpm(h, y, labels, c)
+            assert got.shape == want.shape == labels.shape[:2]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -181,19 +181,26 @@ def test_frames_deterministic_and_batch_invariant(csi, detector):
     assert np.array_equal(full, parts)
 
 
-@pytest.mark.parametrize("csi", linksim.CSI_MODES)
-def test_one_plan_per_batch_on_its_distinct_channels(monkeypatch, csi):
+@pytest.mark.parametrize("detector, kernel, csi", [
+    pytest.param(name, kernel, csi,
+                 id=csi if name == "mpnl" else f"{name}-{csi}")
+    for name, kernel in (("mpnl", "mpnl_plan_batch"),
+                         ("mmse", "linear_plan_batch"),
+                         ("zf", "linear_plan_batch"))
+    for csi in linksim.CSI_MODES])
+def test_one_plan_per_batch_on_its_distinct_channels(monkeypatch, detector,
+                                                     kernel, csi):
     # genie CSI knows one channel per data RE, LS one per frame and
-    # subcarrier; either way the batch is planned once
+    # subcarrier; either way each planned row plans the batch once
     planned = []
-    orig = detect.mpnl_plan_batch
+    orig = getattr(detect, kernel)
 
     def plan(h, *args):
         planned.append(h.shape[0])
         return orig(h, *args)
 
-    monkeypatch.setattr(detect, "mpnl_plan_batch", plan)
-    cfg = make_cfg(detector="mpnl", csi=csi, rb_per_vehicle=2)
+    monkeypatch.setattr(detect, kernel, plan)
+    cfg = make_cfg(detector=detector, csi=csi, rb_per_vehicle=2)
     n_frames = 5
     linksim.simulate_frames(cfg, make_grid(cfg), 0.1, 0, range(n_frames))
     per_sc = {"genie": len(linksim.DATA_SYMBOLS), "ls_dmrs": n_frames}[csi]
