@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,11 @@ class SnrRegion:
                         t + j, MAX_STREAMS)
 
 
+# The largest noise variance a region or bench may give: a product of two
+# noise-scale quantities, such as a squared residual, stays finite.
+MAX_NOISE_VARIANCE = math.sqrt(sys.float_info.max)
+
+
 def noise_variance(n_streams: int, snr_db: float) -> float:
     """The noise variance at which n_streams unit-power streams over
     unit-gain links arrive at snr_db per receive antenna."""
@@ -142,17 +148,22 @@ def noise_variance(n_streams: int, snr_db: float) -> float:
 def check_snr_range(what: str, lo_db: float, hi_db: float,
                     max_streams: int):
     """ValueError naming `what` unless every SNR in [lo_db, hi_db] gives 1
-    to max_streams streams a finite, positive noise variance.  The
-    variance falls with the SNR and grows with the stream count, so the
-    two corners decide."""
-    for n, snr in ((1, hi_db), (max_streams, lo_db)):
+    to max_streams streams a noise variance in (0, MAX_NOISE_VARIANCE].
+    The variance falls with the SNR and grows with the stream count, so
+    one stream at hi_db decides the lower end and max_streams at lo_db the
+    upper."""
+    def variance(n, snr):
         try:
-            nv = noise_variance(n, snr)
+            return noise_variance(n, snr)
         except (OverflowError, ZeroDivisionError):
-            nv = math.nan
-        if not (math.isfinite(nv) and nv > 0):
-            raise ValueError(f"{what} gives a noise variance that is not "
-                             f"finite and positive for N = {n}")
+            return math.nan
+
+    for n, ok in ((1, variance(1, hi_db) > 0),
+                  (max_streams, variance(max_streams, lo_db)
+                   <= MAX_NOISE_VARIANCE)):
+        if not ok:
+            raise ValueError(f"{what} gives a noise variance outside "
+                             f"(0, {MAX_NOISE_VARIANCE:.3g}] for N = {n}")
 
 
 # Figure-caption assignment: the nearer region gets the higher SNR.

@@ -22,7 +22,9 @@ MIN_SUM_NORMALIZATION = 0.8125
 DEFAULT_MAX_ITER = 10
 # Words decoded together; larger batches are split into blocks this size,
 # which keeps the working arrays small and leaves every output unchanged.
-DECODE_BLOCK = 128
+# At 64 words the shipped code's working set is about 5.6 MB, and a
+# word-iteration costs less than at 128.
+DECODE_BLOCK = 64
 
 # LLR magnitude assigned to shortened (known-zero) bits at the decoder.
 SHORTENED_LLR = 1e7
@@ -93,6 +95,8 @@ class LdpcCode:
         h = np.asarray(self.parity_check, dtype=np.uint8)
         if h.ndim != 2 or h.shape[0] >= h.shape[1]:
             raise ValueError("parity-check matrix must be m x n with m < n")
+        if not h.any(axis=1).all():
+            raise ValueError("every check must involve at least one bit")
         self.parity_check = h
 
     @property
@@ -109,66 +113,90 @@ class LdpcCode:
         return _gf2_parity_solver(self.parity_check).astype(np.float32)
 
     @cached_property
-    def _graph(self):
-        """Padded edge structures for vectorized min-sum, slot-major: the
-        s-th variable of check r is check_vars[s, r], edge s * m + r, and
-        the s-th edge of variable v is var_edges[s, v]."""
+    def _graph(self) -> _EdgeGraph:
+        """Edge structures for vectorized min-sum, grouped by check degree.
+
+        The checks are ordered by degree, highest first (stably), so that
+        check slot s covers the first rows_s checks of that order: the
+        s-th variable of the check at position p is edge start_s + p, and
+        slots = ((start_s, rows_s), ...).  No edge is padding.  The s-th
+        edge of variable v, in its checks' original order, is
+        var_edges[s, v]; the pad is edge e, one past the last.  The check
+        at original row r has position check_pos[r].
+        """
         h = self.parity_check
         m, n = h.shape
         rows, cols = np.nonzero(h)
         dc = np.bincount(rows, minlength=m)
         dv = np.bincount(cols, minlength=n)
-        max_dc, max_dv = int(dc.max()), int(dv.max())
+        order = np.argsort(-dc, kind="stable")
+        check_pos = np.empty(m, dtype=np.int64)
+        check_pos[order] = np.arange(m)
+        slot_rows = np.count_nonzero(dc[:, None] > np.arange(dc.max()),
+                                     axis=0)
+        starts = np.cumsum(slot_rows) - slot_rows
         # edges come row-major: a check slot is the edge index minus that
         # of its check's first edge
         slot = np.arange(rows.size) - (np.cumsum(dc) - dc)[rows]
-        check_vars = np.zeros((max_dc, m), dtype=np.int64)
-        check_vars[slot, rows] = cols
-        check_mask = np.zeros((max_dc, m), dtype=bool)
-        check_mask[slot, rows] = True
-        # var-centric view: flat edge indices, padded with a dummy slot
+        edge = starts[slot] + check_pos[rows]
+        edge_vars = np.empty(rows.size, dtype=np.int64)
+        edge_vars[edge] = cols
+        # var-centric view, padded with the edge one past the last
         by_var = np.argsort(cols, kind="stable")
         var_cols = cols[by_var]
         var_slot = np.arange(cols.size) - (np.cumsum(dv) - dv)[var_cols]
-        var_edges = np.full((max_dv, n), m * max_dc, dtype=np.int64)
-        var_edges[var_slot, var_cols] = (slot * m + rows)[by_var]
-        return check_vars, check_mask, var_edges
+        var_edges = np.full((int(dv.max()), n), rows.size, dtype=np.int64)
+        var_edges[var_slot, var_cols] = edge[by_var]
+        return _EdgeGraph(edge_vars, tuple(zip(starts.tolist(),
+                                               slot_rows.tolist())),
+                          var_edges, check_pos)
 
     @cached_property
     def _workspace(self) -> _MinSumArrays:
         """_min_sum's working set for DECODE_BLOCK words, reused by every
         block so that its loop allocates nothing (freed temporaries of
         this size cost a page fault per page on every iteration)."""
-        max_dc, m = self._graph[0].shape
-        w, n, e = DECODE_BLOCK, self.n, max_dc * m
+        m, n, w = len(self._graph.check_pos), self.n, DECODE_BLOCK
+        e = len(self._graph.edge_vars)
+        # the message buffers swap roles, and m_vc doubles as an (n, W)
+        # gather, so each holds e + 1 rows (m_cv's pad) and at least n
+        rows = max(e + 1, n)
         return _MinSumArrays(
             llrs=np.empty((n, w)), total=np.empty((n, w)),
-            gather=np.empty((n, w)), hard=np.empty((n, w), dtype=bool),
-            m_vc=np.empty((e, w)), suffix=np.empty((e, w)),
-            flip=np.empty((e, w), dtype=bool),
+            hard=np.empty((n, w), dtype=bool),
+            m_vc=np.empty((rows, w)), m_cv=np.empty((rows, w)),
+            run=np.empty((m, w)), flip=np.empty((e, w), dtype=bool),
             parity=np.empty((m, w), dtype=bool),
-            m_cv_flat=np.empty((e + 1, w)),
-            checks=np.empty((max_dc, m, w), dtype=np.uint8))
+            checks=np.empty((e + m, w), dtype=np.uint8))
+
+
+class _EdgeGraph(NamedTuple):
+    """LdpcCode._graph: the code's edges, check slots grouped by degree."""
+
+    edge_vars: np.ndarray   # (e,) the variable of each edge
+    slots: tuple            # (start, rows) of each check slot's edges
+    var_edges: np.ndarray   # (max_dv, n) each variable's edges, pad e
+    check_pos: np.ndarray   # (m,) each check's position in the slots
 
 
 class _MinSumArrays(NamedTuple):
     """Word-minor: one column per word, so that row v holds variable v and
-    row s * m + r edge s * m + r of every word.  A block of b words works
-    on the first rows * b elements of each array, viewed by cols(b) as a
-    contiguous (rows, b)."""
+    row i edge i of every word.  A block of b words works on the first
+    rows * b elements of each array, viewed by cols(b) as a contiguous
+    (rows, b)."""
 
     llrs: np.ndarray        # (n, W) channel LLRs of the words still decoding
     total: np.ndarray       # (n, W) posterior LLRs
-    gather: np.ndarray      # (n, W) one edge slot's messages per variable
     hard: np.ndarray        # (n, W) bool hard decision, total < 0
-    m_vc: np.ndarray        # (e, W) variable-to-check messages
-    # scratch: suffix minima, then signs, then the columns kept on a repack
-    suffix: np.ndarray      # (e, W)
+    # variable-to-check messages, then their magnitudes, then the signs,
+    # then the variable update's gather and the columns kept on a repack
+    m_vc: np.ndarray        # (max(e + 1, n), W)
+    # check-to-variable messages, plus a zero row e for var_edges' pad
+    m_cv: np.ndarray        # (max(e + 1, n), W)
+    run: np.ndarray         # (m, W) minimum over a check's later slots
     flip: np.ndarray        # (e, W) bool: outgoing message is negative
     parity: np.ndarray      # (m, W) bool: XOR of a check's incoming signs
-    # check-to-variable messages, plus a zero row for var_edges' pad
-    m_cv_flat: np.ndarray   # (e + 1, W)
-    checks: np.ndarray      # (max_dc, m, W) uint8: the syndrome's gather
+    checks: np.ndarray      # (e + m, W) uint8: the syndrome's scratch
 
     def cols(self, b: int) -> _MinSumArrays:
         return _MinSumArrays(*(_prefix(a, a.shape[:-1] + (b,)) for a in self))
@@ -191,25 +219,30 @@ def ldpc_encode(code: LdpcCode, info: np.ndarray) -> np.ndarray:
 def ldpc_syndrome(code: LdpcCode, bits: np.ndarray, *,
                   out: np.ndarray | None = None) -> np.ndarray:
     """H @ bits mod 2 over the last axis, as an XOR over each check's
-    variables; (..., n) -> (..., m) uint8.
+    variables; (..., n) -> (..., m) uint8, checks in H's row order.
 
-    The bits are gathered along the bit axis moved to the front, into out
-    if given: a (max_dc, m, ...) uint8 scratch, with which the call
+    The bits are gathered by edge along the bit axis moved to the front,
+    each later check slot's block is XORed onto the first slot's rows,
+    and those rows are taken back into H's order.  Both steps write into
+    out if given: an (e + m, ...) uint8 scratch, with which the call
     allocates nothing and returns a view of out.  A (b, n) transpose of a
     contiguous (n, b) array is gathered by whole rows.
     """
-    check_vars, check_mask, _ = code._graph
+    edge_vars, slots, _, check_pos = code._graph
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape[-1] != code.n:
         raise ValueError(f"bits length {bits.shape[-1]} != n = {code.n}")
-    checks = np.take(np.moveaxis(bits, -1, 0), check_vars, axis=0, out=out,
-                     mode="clip")
-    mask = check_mask.view(np.uint8).reshape(
-        check_mask.shape + (1,) * (bits.ndim - 1))
-    np.bitwise_and(checks, mask, out=checks)
-    for slot in checks[1:]:
-        np.bitwise_xor(checks[0], slot, out=checks[0])
-    return np.moveaxis(checks[0], 0, -1)
+    e = len(edge_vars)
+    if out is None:
+        out = np.empty((e + len(check_pos),) + bits.shape[:-1],
+                       dtype=np.uint8)
+    checks = np.take(np.moveaxis(bits, -1, 0), edge_vars, axis=0,
+                     out=out[:e], mode="clip")
+    for start, rows in slots[1:]:
+        np.bitwise_xor(checks[:rows], checks[start:start + rows],
+                       out=checks[:rows])
+    synd = np.take(checks, check_pos, axis=0, out=out[e:], mode="clip")
+    return np.moveaxis(synd, 0, -1)
 
 
 def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
@@ -250,14 +283,13 @@ def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int,
     Word-minor: every array of the loop is a contiguous (rows, b') view of
     code._workspace, one column per word still decoding, written with
     out=.  So each gather by variable, edge or check is a copy of whole
-    rows, and each of the max_dc check slots is one contiguous (m, b')
-    block.  The LLRs are transposed in once and the info bits out after
-    each syndrome.  A converged word leaves the working columns; the
-    others are updated until max_iter.
+    rows, and each check slot is one contiguous (rows_s, b') block.  The
+    LLRs are transposed in once, and a word's info bits out once: when it
+    converges, or after max_iter.  A converged word leaves the working
+    columns; the others are updated until max_iter.
     """
-    check_vars, check_mask, var_edges = code._graph
-    max_dc, m = check_vars.shape
-    edge_vars, pad = check_vars.ravel(), np.flatnonzero(~check_mask.ravel())
+    edge_vars, slots, var_edges, _ = code._graph
+    e, k, n = len(edge_vars), code.k, code.n
     ws = code._workspace
     w = ws.cols(len(llrs))
     np.copyto(w.llrs, llrs.T)
@@ -266,63 +298,84 @@ def _min_sum(code: LdpcCode, llrs: np.ndarray, max_iter: int,
     for it in range(max_iter + 1):
         bits = w.hard.view(np.uint8)
         conv = ~np.any(ldpc_syndrome(code, bits.T, out=w.checks), axis=1)
-        # unconverged words keep their latest hard decision
-        info[act] = bits[:code.k].T
-        done[act] = conv
         if it == max_iter or conv.all():
+            # unconverged words keep their latest hard decision
+            info[act] = bits[:k].T
+            done[act] = conv
             break
         if conv.any():
-            # the unconverged columns, through scratch, into a narrower view
-            keep = np.flatnonzero(~conv)
+            fin, keep = np.flatnonzero(conv), np.flatnonzero(~conv)
+            info[act[fin]] = bits[:k, fin].T
+            done[act[fin]] = True
+            # the unconverged columns into a narrower view: m_cv's into the
+            # dead m_vc buffer, whose roles then swap, and the others
+            # through m_vc; before the first iteration only the channel
+            # LLRs hold state
+            ws = ws._replace(m_vc=ws.m_cv, m_cv=ws.m_vc)
             new = ws.cols(keep.size)
-            state = ((w.llrs, new.llrs), (w.total, new.total),
-                     (w.m_cv_flat[:-1], new.m_cv_flat[:-1]))
-            # before the first iteration only the channel LLRs hold state
-            for old, now in state[:3 if it else 1]:
-                kept = _prefix(ws.suffix, (len(old), keep.size))
-                np.copyto(now, np.take(old, keep, axis=1, out=kept,
-                                       mode="clip"))
+            if it:
+                np.take(w.m_cv[:e], keep, axis=1, out=new.m_cv[:e],
+                        mode="clip")
+            state = ((w.llrs, new.llrs), (w.total, new.total))
+            for old, now in state[:2 if it else 1]:
+                np.copyto(now, np.take(old, keep, axis=1,
+                                       out=new.m_vc[:len(old)], mode="clip"))
             act, w = act[keep], new
-        m_cv = w.m_cv_flat[:-1]
+        m_vc, m_cv = w.m_vc[:e], w.m_cv[:e]
         # variable-to-check messages: the channel LLRs at first, then the
         # last totals minus each edge's own message
-        np.take(w.total if it else w.llrs, edge_vars, axis=0, out=w.m_vc,
+        np.take(w.total if it else w.llrs, edge_vars, axis=0, out=m_vc,
                 mode="clip")
         if it:
-            np.subtract(w.m_vc, m_cv, out=w.m_vc)
-        w.m_vc[pad] = np.inf
+            np.subtract(m_vc, m_cv, out=m_vc)
         # check-node update: normalized sign * min over the other edges
-        flip = np.less(w.m_vc, 0, out=w.flip).reshape(max_dc, m, -1)
-        np.logical_xor(flip, np.logical_xor.reduce(flip, axis=0,
-                                                   out=w.parity),
-                       out=flip)
-        _min_of_others(np.abs(w.m_vc, out=w.m_vc).reshape(max_dc, -1),
-                       m_cv.reshape(max_dc, -1),
-                       w.suffix.reshape(max_dc, -1))
-        sign = np.multiply(w.flip, -2 * MIN_SUM_NORMALIZATION, out=w.suffix)
+        flip = np.less(m_vc, 0, out=w.flip)
+        parity = w.parity
+        np.copyto(parity, flip[:len(parity)])             # slot 0: every check
+        for start, rows in slots[1:]:
+            np.logical_xor(parity[:rows], flip[start:start + rows],
+                           out=parity[:rows])
+        for start, rows in slots:
+            np.logical_xor(flip[start:start + rows], parity[:rows],
+                           out=flip[start:start + rows])
+        _min_of_others(slots, np.abs(m_vc, out=m_vc), m_cv, w.run)
+        # m_vc is dead: it takes the signs, then the variable update's gather
+        sign = np.multiply(flip, -2 * MIN_SUM_NORMALIZATION, out=m_vc)
         np.add(sign, MIN_SUM_NORMALIZATION, out=sign)  # exactly -K or K
         np.multiply(sign, m_cv, out=m_cv)
         # variable-node update; edges summed left to right (fixes rounding)
-        w.m_cv_flat[-1] = 0                             # var_edges' pad
-        np.take(w.m_cv_flat, var_edges[0], axis=0, out=w.total, mode="clip")
+        w.m_cv[e] = 0                                   # var_edges' pad
+        np.take(w.m_cv, var_edges[0], axis=0, out=w.total, mode="clip")
+        gather = w.m_vc[:n]
         for edges in var_edges[1:]:
-            np.take(w.m_cv_flat, edges, axis=0, out=w.gather, mode="clip")
-            np.add(w.total, w.gather, out=w.total)
+            np.take(w.m_cv, edges, axis=0, out=gather, mode="clip")
+            np.add(w.total, gather, out=w.total)
         np.add(w.total, w.llrs, out=w.total)
         np.less(w.total, 0, out=w.hard)
 
 
-def _min_of_others(mag: np.ndarray, out: np.ndarray,
-                   suffix: np.ndarray) -> None:
-    """For each row (slot) of (d, L) mag, the minimum over the other rows
-    (inf if there is none) into out, from running minima taken from both
-    ends; suffix is scratch of mag's shape."""
-    d = len(mag)
-    out[0] = suffix[-1] = np.inf
-    for j in range(1, d):
-        np.minimum(out[j - 1], mag[j - 1], out=out[j])
-        np.minimum(suffix[d - j], mag[d - j], out=suffix[d - j - 1])
-    np.minimum(out, suffix, out=out)
+def _min_of_others(slots: tuple, mag: np.ndarray, out: np.ndarray,
+                   run: np.ndarray) -> None:
+    """For each edge row of (e, L) mag, the minimum over the other edges
+    of its check (inf if there is none) into out; slots as in
+    LdpcCode._graph.  A slot's prefix minimum goes straight into out, and
+    run, (m, L) scratch, holds the minimum over the later slots while the
+    slots are walked back down."""
+    mags = [mag[start:start + rows] for start, rows in slots]
+    outs = [out[start:start + rows] for start, rows in slots]
+    d = len(slots)
+    if d > 1:
+        np.copyto(outs[1], mags[0][:len(outs[1])])
+    for j in range(2, d):
+        rows = len(outs[j])
+        np.minimum(outs[j - 1][:rows], mags[j - 1][:rows], out=outs[j])
+    run.fill(np.inf)
+    for j in range(d - 1, 0, -1):
+        rows = len(outs[j])
+        if j < d - 1:                       # the last slot keeps its prefix
+            np.minimum(outs[j], run[:rows], out=outs[j])
+        np.minimum(run[:rows], mags[j], out=run[:rows])
+    np.copyto(outs[0], run)                 # slot 0 has no prefix
 
 
 @cache

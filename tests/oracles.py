@@ -1,12 +1,16 @@
-"""Reference implementations of the detector tests.
+"""Reference implementations of the detector and decoder tests.
 
 A depth-first Schnorr-Euchner sphere decoder: an exact maximum-likelihood
 search that shares no code with `mpnlsim.detect.ml_detect_batch`, so the
-two check each other.  And the list metric in the path-major layout it had
+two check each other.  The list metric in the path-major layout it had
 before it was formed antenna-major, which the kernel must match byte for
-byte.  Tests import them as ``from oracles import sphere_detect``; pytest
-puts this directory on ``sys.path``.
+byte.  And normalized min-sum written as loops over words, checks and
+variables, which `mpnlsim.fec.ldpc_decode` must match byte for byte.
+Tests import them as ``from oracles import sphere_detect``; pytest puts
+this directory on ``sys.path``.
 """
+
+import math
 
 import numpy as np
 
@@ -67,3 +71,48 @@ def path_metrics_bpm(h: np.ndarray, y: np.ndarray, labels: np.ndarray,
     np.subtract(y[:, None, :], resid, out=resid)
     dist = np.abs(resid)
     return np.square(dist, out=dist).sum(axis=2)
+
+
+def min_sum_decode(h: np.ndarray, llrs: np.ndarray, max_iter: int,
+                   normalization: float):
+    """Normalized min-sum on each (n,) word of (B, n) llrs under parity
+    checks h (m, n), one word, check and variable at a time, in Python
+    floats.  Flooding schedule: every check-to-variable message is
+    normalization * (the sign product and the minimum magnitude of the
+    check's other incoming messages); a variable's posterior is its
+    messages summed in ascending check order, then its LLR.  A word stops
+    at a zero syndrome of its hard decision, checked before the first
+    iteration and after each.  Returns (info bits (B, n - m), converged
+    (B,))."""
+    m, n = h.shape
+    checks = [np.flatnonzero(row).tolist() for row in h]
+    var_checks = [np.flatnonzero(col).tolist() for col in h.T]
+    info = np.zeros((len(llrs), n - m), dtype=np.uint8)
+    converged = np.zeros(len(llrs), dtype=bool)
+    for b, word in enumerate(np.asarray(llrs, dtype=np.float64).tolist()):
+        total = list(word)
+        # with no message yet, each edge's variable-to-check message is
+        # the channel LLR: x - 0.0 == x
+        m_cv = {(r, v): 0.0 for r in range(m) for v in checks[r]}
+        for it in range(max_iter + 1):
+            hard = [t < 0 for t in total]
+            if not any(sum(hard[v] for v in vs) % 2 for vs in checks):
+                converged[b] = True
+                break
+            if it == max_iter:
+                break
+            m_vc = {(r, v): total[v] - c for (r, v), c in m_cv.items()}
+            for r, vs in enumerate(checks):
+                for v in vs:
+                    others = [m_vc[r, u] for u in vs if u != v]
+                    negative = sum(x < 0 for x in others) % 2
+                    least = min((abs(x) for x in others), default=math.inf)
+                    m_cv[r, v] = (-normalization if negative
+                                  else normalization) * least
+            for v in range(n):
+                acc = 0.0
+                for r in var_checks[v]:
+                    acc += m_cv[r, v]
+                total[v] = acc + word[v]
+        info[b] = [t < 0 for t in total[:n - m]]
+    return info, converged

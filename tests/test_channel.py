@@ -200,6 +200,8 @@ def test_calibrate_noise_zero_jitter_deterministic():
     (0.0, 1e300, "for N = 1"),
     # finite for one stream, infinite for MAX_STREAMS
     (-3073.0, 1.0, "for N = 12"),
+    # finite for MAX_STREAMS, but its square overflows
+    (-1530.0, 1.0, "for N = 12"),
 ])
 def test_region_rejects_snr_without_finite_noise(target, jitter, message):
     with pytest.raises(ValueError, match=message):
@@ -208,12 +210,12 @@ def test_region_rejects_snr_without_finite_noise(target, jitter, message):
 
 def test_region_at_the_float_range_gives_finite_noise():
     """The extreme regions SnrRegion admits calibrate a finite, positive
-    noise variance for 1 and 12 streams."""
-    for target in (-3070.0, 3080.0):
+    noise variance for 1 and 12 streams, at most MAX_NOISE_VARIANCE."""
+    for target in (-1529.0, 3080.0):
         region = ch.SnrRegion("t", target, jitter_db=1.0)
         for n in (1, 12):
             nv = ch.calibrate_noise(region, zero_grid(1, n), seed=5)
-            assert math.isfinite(nv) and nv > 0
+            assert 0 < nv <= ch.MAX_NOISE_VARIANCE
 
 
 def test_region_defaults_follow_figure_captions():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import yaml
 
 from mpnlsim import channel as ch
 from mpnlsim import cli, linksim, search
+from mpnlsim import detect as det
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -497,6 +499,8 @@ def test_bench_workers_flag_overrides_config(tmp_path):
     (dict(snr_db=-1.0e300), "snr_db=-1e+300"),
     # finite for one stream, infinite for the four the bench draws
     (dict(snr_db=-3080.0, n_streams=4, m_antennas=4), "N = 4"),
+    # finite for four streams, but its square overflows
+    (dict(snr_db=-3069.0), "snr_db=-3069.0"),
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
                                   message):
@@ -509,6 +513,21 @@ def test_bench_rejects_bad_config(tmp_path, capsys, monkeypatch, bad,
     assert cli.main(["bench", "--config", cfgp, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("detector", sorted(det.DETECTORS))
+def test_bench_runs_clean_at_the_lowest_admitted_snr(tmp_path, detector):
+    """At the lowest SNR bench admits for four streams, about -1535 dB,
+    every detector runs with no floating-point warning."""
+    snr = math.ceil(10 * math.log10(4 / ch.MAX_NOISE_VARIANCE) * 1000) / 1000
+    cfgp = bench_config(tmp_path, detector=detector, snr_db=snr,
+                        n_instances=64, workers=[1])
+    out = tmp_path / "bench.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["bench", "--config", cfgp, "--out", str(out)]) == 0
+    with pytest.raises(ValueError, match="N = 4"):
+        ch.check_snr_range("x", snr - 0.01, snr - 0.01, 4)
 
 
 def required_settings(table):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mpnlsim import fec
+from oracles import min_sum_decode
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +147,9 @@ def test_any_leading_shape_equals_flattened_call(code):
 
 
 def _irregular_code():
-    """Small code whose checks have degrees 2 to 7, so the padded check
-    slots are used; the parity part is dual-diagonal, hence invertible."""
+    """Small code whose checks have degrees 2, 4, 5, 6, 7 and 7, so its
+    seven check slots hold 6, 6, 5, 5, 4, 3 and 2 checks; the parity part
+    is dual-diagonal, hence invertible."""
     rng = np.random.default_rng(11)
     m, k = 6, 10
     info_part = np.zeros((m, k), dtype=np.uint8)
@@ -155,6 +157,23 @@ def _irregular_code():
         info_part[r, rng.choice(k, deg, replace=False)] = 1
     parity_part = np.eye(m, dtype=np.uint8) + np.eye(m, k=-1, dtype=np.uint8)
     return fec.LdpcCode(np.hstack([info_part, parity_part]))
+
+
+def _regular_code():
+    """Small code whose checks all have degree 3: one info bit and two
+    parity bits, on a cyclic dual diagonal."""
+    m = 6
+    h = np.zeros((m, 2 * m), dtype=np.uint8)
+    for r in range(m):
+        h[r, [r, m + r, m + (r + 1) % m]] = 1
+    return fec.LdpcCode(h)
+
+
+def test_code_rejects_an_empty_check():
+    h = _irregular_code().parity_check.copy()
+    h[2] = 0
+    with pytest.raises(ValueError, match="every check"):
+        fec.LdpcCode(h)
 
 
 @pytest.mark.parametrize("which", ["default", "irregular"])
@@ -258,6 +277,47 @@ def test_reused_working_set_does_not_leak_between_calls(code):
         info, conv = fec.ldpc_decode(c, llr)
         assert np.array_equal(info, want_info)
         assert np.array_equal(conv, want_conv)
+
+
+@pytest.mark.parametrize("which", ["default", "irregular", "regular"])
+def test_decode_matches_loop_oracle(code, which):
+    """ldpc_decode gives the bytes of the loop oracle, (info, converged),
+    at max_iter 0, 1 and 10, on words that converge before the first
+    iteration, in the loop and never.  The small codes decode noisy
+    all-zero codewords."""
+    if which == "default":
+        c, llr = code, _mixed_batch(code)[:12]
+    else:
+        c = _irregular_code() if which == "irregular" else _regular_code()
+        sigma = 0.8
+        rng = np.random.default_rng(16)
+        llr = 2 * (1 + rng.normal(0, sigma, (40, c.n))) / sigma**2
+    slots = {"default": (648,) * 5 + (54,), "irregular": (6, 6, 5, 5, 4, 3, 2),
+             "regular": (6, 6, 6)}[which]
+    assert tuple(rows for _, rows in c._graph.slots) == slots
+    first = _first_converged(c, llr)
+    assert (first == 0).any() and ((first > 0) & (first < 10)).any()
+    assert not fec.ldpc_decode(c, llr)[1].all()
+    for max_iter in (0, 1, 10):
+        got = fec.ldpc_decode(c, llr, max_iter=max_iter)
+        want = min_sum_decode(c.parity_check, llr, max_iter,
+                              fec.MIN_SUM_NORMALIZATION)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_working_set_holds_two_edge_arrays(code):
+    """For the shipped code the decoder's working set holds two float
+    arrays of edge rows, m_vc and m_cv, of at most e + 1 rows each (no
+    padding), and at most 6 MB in all at DECODE_BLOCK words."""
+    e = int(code.parity_check.sum())
+    arrays = code._workspace._asdict()
+    assert {a.shape[-1] for a in arrays.values()} == {fec.DECODE_BLOCK}
+    edge_scale = {name for name, a in arrays.items()
+                  if a.dtype.kind == "f" and len(a) > code.n}
+    assert edge_scale == {"m_vc", "m_cv"}
+    assert max(len(arrays[name]) for name in edge_scale) <= e + 1 == 3295
+    assert sum(a.nbytes for a in arrays.values()) <= 6 * 10**6
 
 
 def test_decode_loop_allocates_no_working_arrays(code):
