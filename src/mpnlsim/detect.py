@@ -157,25 +157,18 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, c: Constellation):
 # fixed-complexity parallel-path detector
 # ---------------------------------------------------------------------------
 
-def allocate_expansions(n_layers: int, q: int, n_paths: int,
-                        n_forced: int = 0) -> tuple[np.ndarray, int]:
+def allocate_expansions(n_layers: int, q: int,
+                        n_paths: int) -> tuple[np.ndarray, int]:
     """Per-layer expansion counts, non-increasing from the top layer down.
 
     Returns (expansions indexed by tree position, realized path count).
-    Position n_layers-1 is the top (first-detected) layer.  The top
-    `n_forced` layers (the rank-deficient layers of an overloaded
-    channel) are fully expanded; a smaller budget than q^n_forced is a
-    ValueError.  Otherwise the largest multiple of q^n_forced up to
-    n_paths whose quotient is a product of factors <= q is realized.
+    Position n_layers-1 is the top (first-detected) layer.  The realized
+    count is the largest up to min(n_paths, q^n_layers) that is a product
+    of n_layers factors <= q.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_paths = min(n_paths, q ** n_layers)
-    forced = min(n_forced, n_layers)
-    step = q ** forced
-    if n_paths < step:
-        raise ValueError(f"n_paths={n_paths} < {q}^{forced}: cannot fully "
-                         "expand all rank-deficient layers")
 
     def factorize(budget: int, slots: int, cap: int):
         if budget == 1:
@@ -190,11 +183,11 @@ def allocate_expansions(n_layers: int, q: int, n_paths: int,
                 return [d] + rest
         return None
 
-    # step itself factorizes (rest = []), so the walk always returns
-    for target in range(n_paths - n_paths % step, 0, -step):
-        rest = factorize(target // step, n_layers - forced, q)
+    # 1 factorizes (rest = []), so the walk always returns
+    for target in range(n_paths, 0, -1):
+        rest = factorize(target, n_layers, q)
         if rest is not None:
-            e = [q] * forced + rest + [1] * (n_layers - forced - len(rest))
+            e = rest + [1] * (n_layers - len(rest))
             return np.array(sorted(e), dtype=np.int64), target
 
 
@@ -268,13 +261,12 @@ def mpnl_plan_batch(h: np.ndarray, noise_var, n_paths: int,
     scalar or one variance per row.
 
     Overloaded channels (N > M) are planned on the noise-augmented matrix
-    [H; sqrt(nv) I] so every layer has a positive diagonal; the N - M top
-    layers are then fully expanded.
+    [H; sqrt(nv) I], so every layer has a positive diagonal and the
+    budget's expansions are spread as on any other channel.
     """
     h = np.asarray(h, dtype=complex)
     b, m, n = h.shape
-    expansions, realized = allocate_expansions(
-        n, c.order, n_paths, n_forced=max(0, n - m))
+    expansions, realized = allocate_expansions(n, c.order, n_paths)
     if n > m:
         a = np.concatenate([h, np.broadcast_to(
             np.sqrt(np.reshape(noise_var, (-1, 1, 1))) * np.eye(n),
@@ -479,11 +471,10 @@ def _list_output(search, n_cands: int, c, noise_var, *rows):
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def _mpnl_min_antennas(n: int, q: int, n_paths: int) -> int:
-    """Smallest M whose N - M rank-deficient layers the budget expands."""
+def _check_paths(n_paths: int):
+    """ValueError unless MPNL's path budget is in [1, LIST_BLOCK]."""
     if not 1 <= n_paths <= LIST_BLOCK:
         raise ValueError(f"n_paths must be in [1, {LIST_BLOCK}]")
-    return next(m for m in range(1, n + 1) if q ** (n - m) <= n_paths)
 
 
 DETECTORS = {
@@ -500,8 +491,9 @@ DETECTORS = {
         min_antennas=lambda n, q, n_paths: _check_enumeration(n, q) or 1,
         apply=lambda _, h, y, nv, c: _list_output(
             ml_detect_batch, c.order ** h.shape[2], c, nv, h, y)),
+    # MPNL serves any M, but not past its path-budget guard
     "mpnl": Detector(
-        min_antennas=_mpnl_min_antennas,
+        min_antennas=lambda n, q, n_paths: _check_paths(n_paths) or 1,
         plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),
         apply=lambda plan, h, y, nv, c: _list_output(
             mpnl_detect_batch, plan.n_paths, c, nv, plan, h, y)),

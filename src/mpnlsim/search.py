@@ -74,7 +74,8 @@ class SearchCell:
     detector: str
     min_antennas: int            # UNSUPPORTED (0) if none up to 32 qualify
     measured_per: float
-    per_below: float             # recorded PER at min_antennas - 1 (nan at M=2)
+    per_below: float             # PER at min_antennas - 1: nan at M_MIN,
+                                 # 1.0 below ZF's floor of N > M_MIN
     frames: int
 
     @property

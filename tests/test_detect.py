@@ -285,13 +285,6 @@ def test_allocation_single_path():
     assert r == 1 and np.all(e == 1)
 
 
-def test_allocation_overloaded_forcing():
-    e, r = det.allocate_expansions(4, 4, 32, n_forced=2)
-    assert r == 32
-    assert e[3] == 4 and e[2] == 4 and e[1] * e[0] == 2
-    assert np.all(np.diff(e) >= 0)      # non-increasing from top down
-
-
 def test_allocation_rounds_down_unrepresentable():
     # 17 is prime and > Q: cannot be a product of factors <= 4
     e, r = det.allocate_expansions(3, 4, 17)
@@ -313,22 +306,18 @@ def test_allocation_doubling_dominates_layerwise():
 
 
 def test_allocation_matches_golden():
-    """Every admitted input (budget >= q^forced) hashes to the digest of
-    the allocator before its degraded-forcing branch was removed."""
+    """Every input hashes to the digest of the allocator before its
+    forced full expansion of overloaded layers was removed."""
     digest = hashlib.sha256()
     paths = list(range(1, 300)) + [512, 1000, 1024, 4096, 5000, 65536]
     for q in (4, 16, 64):
         for n_layers in range(1, 9):
-            for n_forced in range(n_layers + 1):
-                for n_paths in paths:
-                    if n_paths < q ** min(n_forced, n_layers):
-                        continue
-                    e, realized = det.allocate_expansions(
-                        n_layers, q, n_paths, n_forced=n_forced)
-                    digest.update(e.tobytes())
-                    digest.update(str(realized).encode())
-    assert digest.hexdigest() == ("9f91bd3980c1560ce8db81788045d597"
-                                  "0906122eb8ebaaedfd5addb621a15ace")
+            for n_paths in paths:
+                e, realized = det.allocate_expansions(n_layers, q, n_paths)
+                digest.update(e.tobytes())
+                digest.update(str(realized).encode())
+    assert digest.hexdigest() == ("5c6cd6bdcfd1d4026a9e95ad04027471"
+                                  "2473a38c76c260ae85d7c7e2d7be3468")
 
 
 def test_plan_invariants():
@@ -354,29 +343,41 @@ def test_plan_reconstructs_channel():
     assert np.allclose(plan.qh[0].conj().T @ plan.r[0], hp, atol=1e-10)
 
 
-def test_plan_rejects_budget_below_forced():
+def test_plan_overloaded_partial_expansion():
+    # QPSK, N=3, M=1: 8 paths cannot fully expand the two layers beyond
+    # the channel's rank, and the augmented plan spends them anyway
     rng = np.random.default_rng(23)
     h = rand_channel(rng, 1, 3)
-    with pytest.raises(ValueError, match="rank-deficient"):
-        det.mpnl_plan_batch(h[None], 0.1, 8, QPSK)
+    plan = det.mpnl_plan_batch(h[None], 0.1, 8, QPSK)
+    assert np.prod(plan.expansions) == plan.n_paths == 8
+    assert np.all(np.einsum("bii->bi", plan.r).real > 0)
 
 
 # ---------------------------------------------------------------------------
 # parallel-path detection
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_mpnl_full_enumeration_equals_ml(n):
-    rng = np.random.default_rng(31 + n)
-    for _ in range(100):
-        h, y, nv, _ = rand_instance(rng, n, n, QPSK, 10.0)
-        plan = det.mpnl_plan_batch(h, nv, 4 ** n, QPSK)
-        labels, _, best = det.mpnl_detect_batch(plan, h, y, QPSK)
-        ml_labels, ml_metrics, ml_best = det.ml_detect_batch(h, y, QPSK)
-        got = labels[0, best[0]]
-        assert np.array_equal(got, ml_labels[0, ml_best[0]])
-        assert (ml_metrics[0, table_index(got, QPSK)]
-                == ml_metrics[0, ml_best[0]])
+@pytest.mark.parametrize("nv", [1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("q, n, m", [
+    (q, n, m) for q in (4, 16) for n in range(1, 5)
+    for m in sorted({1, 2, n, n + 2})])
+def test_mpnl_full_enumeration_equals_ml(q, n, m, nv):
+    """At n_paths = Q^N the tree holds every label vector, so MPNL's
+    DETECTORS row gives ML's hard labels and LLRs byte for byte, also on
+    overloaded stacks (N > M)."""
+    c = constellation_for(q)
+    rng = np.random.default_rng([q, n, m, int(1 / nv)])
+    b = 4
+    h = _stack(rng, b, m, n)
+    x = c.points[rng.integers(0, q, (b, n))]
+    noise = np.sqrt(nv / 2) * (rng.standard_normal((b, m))
+                               + 1j * rng.standard_normal((b, m)))
+    y = np.einsum("bmn,bn->bm", h, x) + noise
+    got, want = (
+        d.apply(d.plan(h, nv, c, q ** n), h, y, nv, c)
+        for d in (det.DETECTORS["mpnl"], det.DETECTORS["ml"]))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_mpnl_single_path_equals_sic():
@@ -455,7 +456,7 @@ def test_mpnl_overloaded_runs():
     labels = rng.integers(0, 4, 3)
     y = h @ QPSK.points[labels]
     plan = det.mpnl_plan_batch(h[None], 1e-4, 32, QPSK)
-    assert plan.expansions[2] == 4       # rank-deficient top layer forced
+    assert plan.expansions[2] == 4       # 32 = 4 * 4 * 2 from the top
     got, _, best = det.mpnl_detect_batch(plan, h[None], y[None], QPSK)
     assert np.array_equal(got[0, best[0]], labels)
 
@@ -490,7 +491,7 @@ def _quiet(run):
 
 def _mpnl_golden_cases():
     """(name, thunk) pairs over N in {2, 4, 8} and QPSK/16/64-QAM: single
-    path, mixed and full trees, overloaded N > M with forced layers,
+    path, mixed and full trees, overloaded N > M,
     noiseless on-grid and midpoint observations (distance ties), an
     all-zero channel column (the 1e-300 diagonal floor), scalar and
     per-row noise_var, observations that overflow or are infinite or NaN,

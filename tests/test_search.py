@@ -56,14 +56,13 @@ def test_min_antennas_unsupported_sentinel():
     assert cell.frames == 0
 
 
-def test_min_antennas_skips_infeasible_overload():
-    # 16-QAM, N=4: at M=2 the path budget cannot cover the forced layers,
-    # so the sweep must start finding answers at larger M only
-    fx = small_fixtures()
-    cell = search.min_antennas(4, 10, "mpnl", fx, frames_per_channel=2,
-                               n_paths=16)
-    assert cell.supported
-    assert cell.min_antennas >= 3
+def test_min_antennas_measures_per_below_overloaded_mpnl():
+    # QPSK, N=6, 32 paths: the walk starts at M_MIN, so the PER one
+    # antenna below the answer is measured, not the 1.0 of a skipped M
+    cell = search.min_antennas(6, 2, "mpnl", small_fixtures(),
+                               frames_per_channel=2)
+    assert cell.min_antennas == 4
+    assert search.PER_THRESHOLD < cell.per_below < 1.0
 
 
 def test_min_antennas_zf_requires_full_rank():
