@@ -305,8 +305,21 @@ def tdl_generate(profile: ClusterProfile, mob: MobilityConfig, *, m: int,
     steer = np.exp(-2j * np.pi * f[:, None] * delays[None, :])  # (sc, cl)
     amp = np.sqrt(powers)
     # h[sym, sc, m, n] = sum_c amp_c g_c[m, n, sym] steer[sc, c]
-    h = np.einsum("c,cmnt,fc->tfmn", amp, g, steer, optimize=True)
+    h = np.einsum(_TDL_SPEC, amp, g, steer,
+                  optimize=_tdl_path(amp.shape, g.shape, steer.shape))
     return ChannelGrid(h=np.ascontiguousarray(h))
+
+
+_TDL_SPEC = "c,cmnt,fc->tfmn"
+
+
+@functools.cache
+def _tdl_path(*shapes) -> list:
+    """The contraction path that optimize=True picks for tdl_generate's
+    einsum on operands of these shapes; it depends on the shapes alone,
+    so it is searched once per shape, not once per channel."""
+    return np.einsum_path(_TDL_SPEC, *(np.broadcast_to(0j, s) for s in shapes),
+                          optimize=True)[0]
 
 
 def calibrate_noise(region: SnrRegion, grid: ChannelGrid, seed) -> float:

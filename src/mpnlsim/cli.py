@@ -248,7 +248,7 @@ def _bench_chunk(args):
                                + 1j * rng.standard_normal((chunk_size, m)))
     y = np.einsum("bmn,bn->bm", h, c.points[labels_true]) + noise
     detector = det.soft_detector(name)
-    return detector.apply(detector.plan(h, nv, c, n_paths), h, y, nv, c)[0]
+    return detector.hard(detector.plan(h, nv, c, n_paths), h, y, nv, c)
 
 
 def run_bench(name, n, m, order, n_paths, snr_db, seed, n_instances,

@@ -12,8 +12,9 @@ All detectors break metric ties lexicographically over candidate bit
 labels.  The kernels (trailing `_batch`) operate on stacks of instances
 and hold the math; a single instance is a stack of one.
 `DETECTORS` is the one table every caller dispatches through: per name,
-the batched channel-time plan and transmission-time apply, and the
-smallest antenna count the detector can serve.
+the batched channel-time plan, the transmission-time LLRs and hard
+labels, each computed alone, and the smallest antenna count the
+detector can serve.
 """
 
 from __future__ import annotations
@@ -120,21 +121,33 @@ def linear_plan_batch(h: np.ndarray, noise_var, mode: str) -> LinearPlan:
                       nv_eff=np.clip((1.0 - beta) / beta, 1e-15, None))
 
 
-def _linear_apply(plan: LinearPlan, y: np.ndarray, c: Constellation):
-    """Planned ZF/MMSE on observations y (B, M): (hard labels (B, N), llrs
-    (B, N, bps), raw soft estimates (B, N)).  MMSE's raw estimate is the
-    biased (H^H H + nv I)^-1 H^H y; slicing and LLRs use soft / beta."""
+def _linear_estimates(plan: LinearPlan, y: np.ndarray):
+    """Planned ZF/MMSE on observations y (B, M): (raw soft estimates
+    (B, N), the unbiased estimates (B, N) that slicing and LLRs use).
+    MMSE's raw estimate is the biased (H^H H + nv I)^-1 H^H y, and its
+    unbiased one soft / beta."""
     hy = np.einsum("bnm,bm->bn", plan.hh, y)
     soft = np.einsum("bij,bj->bi", plan.a_inv, hy)
-    est = soft if plan.beta is None else soft / plan.beta
-    return c.nearest(est), demap_llr(est, plan.nv_eff[..., None], c), soft
+    return soft, soft if plan.beta is None else soft / plan.beta
+
+
+def _linear_llrs(plan: LinearPlan, y: np.ndarray, c: Constellation):
+    """Planned ZF/MMSE LLRs (B, N, bps) of observations y (B, M)."""
+    return demap_llr(_linear_estimates(plan, y)[1], plan.nv_eff[..., None], c)
+
+
+def _linear_hard(plan: LinearPlan, y: np.ndarray, c: Constellation):
+    """Planned ZF/MMSE hard labels (B, N) of observations y (B, M)."""
+    return c.nearest(_linear_estimates(plan, y)[1])
 
 
 def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
                         c: Constellation, mode: str):
     """Batched ZF/MMSE, planned and applied once.  Returns (hard labels
     (B, N), llrs (B, N, bps))."""
-    return _linear_apply(linear_plan_batch(h, noise_var, mode), y, c)[:2]
+    plan = linear_plan_batch(h, noise_var, mode)
+    est = _linear_estimates(plan, y)[1]
+    return c.nearest(est), demap_llr(est, plan.nv_eff[..., None], c)
 
 
 # ---------------------------------------------------------------------------
@@ -437,38 +450,46 @@ def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
 @dataclass(frozen=True)
 class Detector:
     """One row of DETECTORS: min_antennas(n, q, n_paths), the smallest M
-    serving n streams; apply(plan, h, y, noise_var, c) -> (hard labels
-    (B, N), LLRs (B, N, bps)); plan(h, noise_var, c, n_paths),
-    channel-time work on a (B, M, N) stack.  Every entry takes noise_var
-    as a scalar or one variance per stack row, and looks kernels up as
-    module globals at call time, so a wrapper installed on one sees every
-    call.
+    serving n streams; plan(h, noise_var, c, n_paths), channel-time work
+    on a (B, M, N) stack; and two transmission-time entries on the plan,
+    each computing only its output: llrs(plan, h, y, noise_var, c) ->
+    LLRs (B, N, bps), which the link chain decodes, and hard(plan, h, y,
+    noise_var, c) -> hard labels (B, N), which bench scores.  Every entry
+    takes noise_var as a scalar or one variance per stack row, and looks
+    kernels up as module globals at call time, so a wrapper installed on
+    one sees every call.
     """
 
     min_antennas: Callable
-    apply: Callable
+    llrs: Callable
+    hard: Callable
     plan: Callable = lambda h, noise_var, c, n_paths: None
 
 
-def _list_output(search, n_cands: int, c, noise_var, *rows):
-    """Hard labels and max-log LLRs of a batched candidate-list search.
+def _list_output(search, output, n_cands: int, c, noise_var, *rows):
+    """One output of a batched candidate-list search, in row blocks.
 
     rows are the search's per-row inputs, ending with the observations y.
     search(*(x[s] for x in rows), c) scores n_cands candidates on each row
-    of block s, and the block's LLRs divide by its slice of noise_var (a
-    scalar or one variance per row).  Blocks hold at most
+    of block s, giving (labels, metrics, best), and output(labels,
+    metrics, best, nv, c) reduces them, nv being the block's slice of
+    noise_var (a scalar or one variance per row).  Blocks hold at most
     LIST_BLOCK // n_cands rows (one block when the stack fits); rows are
     independent, so the split changes no output.
     """
     nv = np.broadcast_to(noise_var, (len(rows[-1]),))
     step = max(1, LIST_BLOCK // n_cands)
-    parts = []
-    for i in range(0, max(len(nv), 1), step):
-        s = slice(i, i + step)
-        labels, metrics, best = search(*(x[s] for x in rows), c)
-        hard = np.take_along_axis(labels, best[:, None, None], axis=1)[:, 0]
-        parts.append((hard, _candidate_llrs_batch(labels, metrics, nv[s], c)))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    return np.concatenate([
+        output(*search(*(x[i:i + step] for x in rows), c), nv[i:i + step], c)
+        for i in range(0, max(len(nv), 1), step)])
+
+
+def _list_llrs(labels, metrics, best, nv, c):
+    return _candidate_llrs_batch(labels, metrics, nv, c)
+
+
+def _list_hard(labels, metrics, best, nv, c):
+    return np.take_along_axis(labels, best[:, None, None], axis=1)[:, 0]
 
 
 def _check_paths(n_paths: int):
@@ -481,22 +502,30 @@ DETECTORS = {
     "zf": Detector(
         min_antennas=lambda n, q, n_paths: n,
         plan=lambda h, nv, c, n_paths: linear_plan_batch(h, nv, "zf"),
-        apply=lambda plan, h, y, nv, c: _linear_apply(plan, y, c)[:2]),
+        llrs=lambda plan, h, y, nv, c: _linear_llrs(plan, y, c),
+        hard=lambda plan, h, y, nv, c: _linear_hard(plan, y, c)),
     "mmse": Detector(
         min_antennas=lambda n, q, n_paths: 1,
         plan=lambda h, nv, c, n_paths: linear_plan_batch(h, nv, "mmse"),
-        apply=lambda plan, h, y, nv, c: _linear_apply(plan, y, c)[:2]),
+        llrs=lambda plan, h, y, nv, c: _linear_llrs(plan, y, c),
+        hard=lambda plan, h, y, nv, c: _linear_hard(plan, y, c)),
     # ML serves any M, but not past its enumeration guard
     "ml": Detector(
         min_antennas=lambda n, q, n_paths: _check_enumeration(n, q) or 1,
-        apply=lambda _, h, y, nv, c: _list_output(
-            ml_detect_batch, c.order ** h.shape[2], c, nv, h, y)),
+        llrs=lambda _, h, y, nv, c: _list_output(
+            ml_detect_batch, _list_llrs, c.order ** h.shape[2], c, nv, h, y),
+        hard=lambda _, h, y, nv, c: _list_output(
+            ml_detect_batch, _list_hard, c.order ** h.shape[2], c, nv, h, y)),
     # MPNL serves any M, but not past its path-budget guard
     "mpnl": Detector(
         min_antennas=lambda n, q, n_paths: _check_paths(n_paths) or 1,
         plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),
-        apply=lambda plan, h, y, nv, c: _list_output(
-            mpnl_detect_batch, plan.n_paths, c, nv, plan, h, y)),
+        llrs=lambda plan, h, y, nv, c: _list_output(
+            mpnl_detect_batch, _list_llrs, plan.n_paths, c, nv,
+            plan, h, y),
+        hard=lambda plan, h, y, nv, c: _list_output(
+            mpnl_detect_batch, _list_hard, plan.n_paths, c, nv,
+            plan, h, y)),
 }
 
 

@@ -1,6 +1,8 @@
 """LDPC coding: quasi-cyclic rate-1/2 mother code, normalized min-sum
 decoding (max 10 iterations), and shortening/puncturing rate matching to
-hit MCS code rates.
+hit MCS code rates.  A rate-matched block is coded on the mother code's
+transmitted sub-code: the shortened info bits are left out of the
+encoder product and of the decoder's graph, not filled in as zeros.
 
 The shipped code lifts a 12x24 base matrix with circulant size 54
 (n = 1296, k = 648).  The base matrix was searched offline for girth >= 6
@@ -25,9 +27,6 @@ DEFAULT_MAX_ITER = 10
 # At 64 words the shipped code's working set is about 5.6 MB, and a
 # word-iteration costs less than at 128.
 DECODE_BLOCK = 64
-
-# LLR magnitude assigned to shortened (known-zero) bits at the decoder.
-SHORTENED_LLR = 1e7
 
 LIFT = 54
 # -1 marks an all-zero block; other entries are circulant right-shifts.
@@ -109,65 +108,111 @@ class LdpcCode:
 
     @cached_property
     def _encoder(self) -> np.ndarray:
-        # float32 sums of at most k ones are exact while k < 2**24
         return _gf2_parity_solver(self.parity_check).astype(np.float32)
 
     @cached_property
     def _graph(self) -> _EdgeGraph:
-        """Edge structures for vectorized min-sum, grouped by check degree.
-
-        The checks are ordered by degree, highest first (stably), so that
-        check slot s covers the first rows_s checks of that order: the
-        s-th variable of the check at position p is edge start_s + p, and
-        slots = ((start_s, rows_s), ...).  No edge is padding.  The s-th
-        edge of variable v, in its checks' original order, is
-        var_edges[s, v]; the pad is edge e, one past the last.  The check
-        at original row r has position check_pos[r].
-        """
-        h = self.parity_check
-        m, n = h.shape
-        rows, cols = np.nonzero(h)
-        dc = np.bincount(rows, minlength=m)
-        dv = np.bincount(cols, minlength=n)
-        order = np.argsort(-dc, kind="stable")
-        check_pos = np.empty(m, dtype=np.int64)
-        check_pos[order] = np.arange(m)
-        slot_rows = np.count_nonzero(dc[:, None] > np.arange(dc.max()),
-                                     axis=0)
-        starts = np.cumsum(slot_rows) - slot_rows
-        # edges come row-major: a check slot is the edge index minus that
-        # of its check's first edge
-        slot = np.arange(rows.size) - (np.cumsum(dc) - dc)[rows]
-        edge = starts[slot] + check_pos[rows]
-        edge_vars = np.empty(rows.size, dtype=np.int64)
-        edge_vars[edge] = cols
-        # var-centric view, padded with the edge one past the last
-        by_var = np.argsort(cols, kind="stable")
-        var_cols = cols[by_var]
-        var_slot = np.arange(cols.size) - (np.cumsum(dv) - dv)[var_cols]
-        var_edges = np.full((int(dv.max()), n), rows.size, dtype=np.int64)
-        var_edges[var_slot, var_cols] = edge[by_var]
-        return _EdgeGraph(edge_vars, tuple(zip(starts.tolist(),
-                                               slot_rows.tolist())),
-                          var_edges, check_pos)
+        return _edge_graph(*np.nonzero(self.parity_check),
+                           *self.parity_check.shape)
 
     @cached_property
     def _workspace(self) -> _MinSumArrays:
         """_min_sum's working set for DECODE_BLOCK words, reused by every
         block so that its loop allocates nothing (freed temporaries of
         this size cost a page fault per page on every iteration)."""
-        m, n, w = len(self._graph.check_pos), self.n, DECODE_BLOCK
-        e = len(self._graph.edge_vars)
-        # the message buffers swap roles, and m_vc doubles as an (n, W)
-        # gather, so each holds e + 1 rows (m_cv's pad) and at least n
-        rows = max(e + 1, n)
-        return _MinSumArrays(
-            llrs=np.empty((n, w)), total=np.empty((n, w)),
-            hard=np.empty((n, w), dtype=bool),
-            m_vc=np.empty((rows, w)), m_cv=np.empty((rows, w)),
-            run=np.empty((m, w)), flip=np.empty((e, w), dtype=bool),
-            parity=np.empty((m, w), dtype=bool),
-            checks=np.empty((e + m, w), dtype=np.uint8))
+        return _min_sum_arrays(self._graph, self.n)
+
+    @cached_property
+    def _sub_codes(self) -> dict:
+        """_transmitted's sub-codes by k_tb; at most k of them."""
+        return {}
+
+    def _transmitted(self, k_tb: int) -> _SubCode:
+        """The sub-code of a block that shortens every info bit from k_tb
+        on: H without those columns, so k_tb info bits and all n - k parity
+        bits, 1 <= k_tb <= k.  It is built once per k_tb, holds its edge
+        graph but no dense H, and decodes in prefix views of this code's
+        working set, so decode on one of this code's sub-codes at a time.
+
+        On the shipped code, min-sum on it gives the bytes that min-sum on
+        the mother code gives with the shortened bits at LLR S = 1e7, for
+        |LLR| <= L = 2e4 on the other bits and up to DEFAULT_MAX_ITER
+        iterations:
+        - The parity part is dual-diagonal, so every check keeps at least
+          2 edges whatever k_tb is.
+        - Every variable has at most 3 checks, and a check message is at
+          most K = MIN_SUM_NORMALIZATION times its check's other incoming
+          magnitudes.  So a kept bit's messages at iteration t are at most
+          A_t = L + 2K A_(t-1), A_0 = L, which gives A_9 < 204 L.  A
+          shortened bit's message is at least S - 2K A_(t-1) > A_t, and
+          its total at least S - 3K A_9 > S - 497 L > 0.
+        - Hence a shortened message is never the minimum over a check's
+          other edges, since a smaller kept edge is among them, and never
+          flips a sign.  Every message to a kept bit is the same float,
+          every kept bit's total sums the same checks in the same order,
+          shortened bits decide 0 and both syndromes agree.
+        The detectors clip LLRs at 20.  Beyond L the sub-code still gives
+        the exact known-zero decode (shortened LLR +inf), which S only
+        approximated.
+        """
+        if k_tb not in self._sub_codes:
+            rows, cols = np.nonzero(self.parity_check)
+            keep = (cols < k_tb) | (cols >= self.k)
+            cols = np.where(cols < k_tb, cols, cols - (self.k - k_tb))
+            m = len(self.parity_check)
+            graph = _edge_graph(rows[keep], cols[keep], m, k_tb + m)
+            self._sub_codes[k_tb] = _SubCode(
+                n=k_tb + m, k=k_tb, _graph=graph,
+                _workspace=_min_sum_arrays(graph, k_tb + m,
+                                           base=self._workspace))
+        return self._sub_codes[k_tb]
+
+
+def _edge_graph(rows: np.ndarray, cols: np.ndarray, m: int,
+                n: int) -> _EdgeGraph:
+    """Edge structures for vectorized min-sum, grouped by check degree,
+    from the (row, column) of each one of an m x n H in row-major order.
+
+    The checks are ordered by degree, highest first (stably), so that
+    check slot s covers the first rows_s checks of that order: the s-th
+    variable of the check at position p is edge start_s + p, and slots =
+    ((start_s, rows_s), ...).  No edge is padding.  The s-th edge of
+    variable v, in its checks' original order, is var_edges[s, v]; the
+    pad is edge e, one past the last.  The check at original row r has
+    position check_pos[r].
+    """
+    dc = np.bincount(rows, minlength=m)
+    dv = np.bincount(cols, minlength=n)
+    order = np.argsort(-dc, kind="stable")
+    check_pos = np.empty(m, dtype=np.int64)
+    check_pos[order] = np.arange(m)
+    slot_rows = np.count_nonzero(dc[:, None] > np.arange(dc.max()), axis=0)
+    starts = np.cumsum(slot_rows) - slot_rows
+    # edges come row-major: a check slot is the edge index minus that of
+    # its check's first edge
+    slot = np.arange(rows.size) - (np.cumsum(dc) - dc)[rows]
+    edge = starts[slot] + check_pos[rows]
+    edge_vars = np.empty(rows.size, dtype=np.int64)
+    edge_vars[edge] = cols
+    # var-centric view, padded with the edge one past the last
+    by_var = np.argsort(cols, kind="stable")
+    var_cols = cols[by_var]
+    var_slot = np.arange(cols.size) - (np.cumsum(dv) - dv)[var_cols]
+    var_edges = np.full((int(dv.max()), n), rows.size, dtype=np.int64)
+    var_edges[var_slot, var_cols] = edge[by_var]
+    return _EdgeGraph(edge_vars, tuple(zip(starts.tolist(),
+                                           slot_rows.tolist())),
+                      var_edges, check_pos)
+
+
+@dataclass(frozen=True, eq=False)
+class _SubCode:
+    """LdpcCode._transmitted(k_tb): what ldpc_decode reads of a code."""
+
+    n: int
+    k: int
+    _graph: _EdgeGraph
+    _workspace: _MinSumArrays
 
 
 class _EdgeGraph(NamedTuple):
@@ -202,6 +247,27 @@ class _MinSumArrays(NamedTuple):
         return _MinSumArrays(*(_prefix(a, a.shape[:-1] + (b,)) for a in self))
 
 
+def _min_sum_arrays(graph: _EdgeGraph, n: int,
+                    base: _MinSumArrays | None = None) -> _MinSumArrays:
+    """_min_sum's working set for DECODE_BLOCK words of a code with graph's
+    edges and n variables: fresh arrays, or views of the first elements of
+    base's, a larger code's set, so that codes sharing base share memory.
+    The message buffers swap roles, and m_vc doubles as an (n, W) gather,
+    so each holds e + 1 rows (m_cv's pad) and at least n."""
+    m, e = len(graph.check_pos), len(graph.edge_vars)
+    rows = max(e + 1, n)
+    specs = _MinSumArrays(
+        llrs=(n, np.float64), total=(n, np.float64), hard=(n, bool),
+        m_vc=(rows, np.float64), m_cv=(rows, np.float64),
+        run=(m, np.float64), flip=(e, bool), parity=(m, bool),
+        checks=(e + m, np.uint8))
+    if base is None:
+        return _MinSumArrays(*(np.empty((r, DECODE_BLOCK), dtype=d)
+                               for r, d in specs))
+    return _MinSumArrays(*(_prefix(a, (r, DECODE_BLOCK))
+                           for a, (r, _) in zip(base, specs)))
+
+
 def _prefix(a: np.ndarray, shape: tuple) -> np.ndarray:
     """The first elements of contiguous a, as a contiguous array of shape."""
     return a.reshape(-1)[:math.prod(shape)].reshape(shape)
@@ -212,7 +278,14 @@ def ldpc_encode(code: LdpcCode, info: np.ndarray) -> np.ndarray:
     info = np.asarray(info, dtype=np.uint8)
     if info.shape[-1] != code.k:
         raise ValueError(f"info length {info.shape[-1]} != k = {code.k}")
-    parity = (info.astype(np.float32) @ code._encoder.T).astype(np.uint32)
+    return _systematic(info, code._encoder)
+
+
+def _systematic(info: np.ndarray, encoder: np.ndarray) -> np.ndarray:
+    """uint8 info bits (..., k') followed by their parity bits, encoder @
+    info mod 2 for a (p, k') float32 encoder: sums of at most k' ones,
+    exact while k' < 2**24."""
+    parity = (info.astype(np.float32) @ encoder.T).astype(np.uint32)
     return np.concatenate([info, (parity & 1).astype(np.uint8)], axis=-1)
 
 
@@ -255,9 +328,11 @@ def ldpc_decode(code: LdpcCode, llrs: np.ndarray,
     decision.  Words are decoded DECODE_BLOCK at a time; each word's
     result does not depend on the others.
 
-    The working arrays belong to `code` and are reused by every call, so
-    do not decode on one LdpcCode from two threads at once (the library
-    parallelizes with processes only).
+    code is an LdpcCode or one of its sub-codes (LdpcCode._transmitted).
+    The working arrays belong to `code`, a sub-code's to its mother code,
+    and are reused by every call, so do not decode on one LdpcCode or its
+    sub-codes from two threads at once (the library parallelizes with
+    processes only).
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
@@ -390,14 +465,34 @@ def default_code() -> LdpcCode:
 @dataclass(frozen=True)
 class RateMatch:
     """Shortening/puncturing pattern fitting the mother code to a target
-    rate and transmitted block length."""
+    rate and transmitted block length: the first k_tb info bits and the
+    first n_tx - k_tb parity bits are sent."""
 
     n_tx: int
     k_tb: int
 
+    def __post_init__(self):
+        if self.k_tb < 1:
+            raise ValueError(f"k_tb must be >= 1, got {self.k_tb}")
+        if self.n_tx - self.k_tb < 1:
+            raise ValueError(f"n_tx = {self.n_tx} leaves no parity bits "
+                             f"after k_tb = {self.k_tb}")
+
     @property
     def effective_rate(self) -> float:
         return self.k_tb / self.n_tx
+
+
+def _check_fit(code: LdpcCode, rm: RateMatch):
+    """ValueError unless code has rm's k_tb info and n_tx - k_tb parity
+    bits."""
+    if rm.k_tb > code.k:
+        raise ValueError(f"k_tb: needs {rm.k_tb} info bits; mother code "
+                         f"has {code.k}")
+    p = rm.n_tx - rm.k_tb
+    if p > code.n - code.k:
+        raise ValueError(f"n_tx - k_tb: needs {p} parity bits; mother code "
+                         f"has {code.n - code.k}")
 
 
 def design_rate_match(code: LdpcCode, target_rate, n_tx: int) -> RateMatch:
@@ -409,16 +504,8 @@ def design_rate_match(code: LdpcCode, target_rate, n_tx: int) -> RateMatch:
     target = Fraction(target_rate)
     if not 0 < target < 1:
         raise ValueError("target rate must be in (0, 1)")
-    k_tb = max(1, round(n_tx * target))
-    p = n_tx - k_tb
-    if k_tb > code.k:
-        raise ValueError(f"needs {k_tb} info bits; mother code has {code.k}")
-    if p > code.n - code.k:
-        raise ValueError(f"needs {p} parity bits; mother code has "
-                         f"{code.n - code.k}")
-    if p < 1:
-        raise ValueError("allocation leaves no parity bits")
-    rm = RateMatch(n_tx=n_tx, k_tb=k_tb)
+    rm = RateMatch(n_tx=n_tx, k_tb=max(1, round(n_tx * target)))
+    _check_fit(code, rm)
     if abs(rm.effective_rate - float(target)) > 0.02 * float(target):
         raise ValueError(
             f"effective rate {rm.effective_rate:.4f} misses target "
@@ -428,29 +515,24 @@ def design_rate_match(code: LdpcCode, target_rate, n_tx: int) -> RateMatch:
 
 def encode_rate_matched(code: LdpcCode, rm: RateMatch,
                         info: np.ndarray) -> np.ndarray:
-    """Encode (B, k_tb) info bits into (B, n_tx) transmitted bits."""
+    """Encode (B, k_tb) info bits into (B, n_tx) transmitted bits: the
+    info bits, then parity from the encoder's first n_tx - k_tb rows and
+    first k_tb columns (the shortened zeros add nothing to the exact
+    float32 sums)."""
+    _check_fit(code, rm)
     info = np.asarray(info, dtype=np.uint8)
     if info.ndim != 2 or info.shape[1] != rm.k_tb:
         raise ValueError(f"info shape {info.shape} != (B, k_tb = {rm.k_tb})")
-    full = np.zeros((info.shape[0], code.k), dtype=np.uint8)
-    full[:, :rm.k_tb] = info
-    cw = ldpc_encode(code, full)
-    p = rm.n_tx - rm.k_tb
-    return np.concatenate([cw[:, :rm.k_tb], cw[:, code.k:code.k + p]],
-                          axis=-1)
+    return _systematic(info, code._encoder[:rm.n_tx - rm.k_tb, :rm.k_tb])
 
 
 def decode_rate_matched(code: LdpcCode, rm: RateMatch, llrs_tx: np.ndarray):
     """Decode (B, n_tx) transmitted-bit LLRs back to (B, k_tb) info bits
-    and a (B,) converged flag."""
+    and a (B,) converged flag, on the sub-code without the shortened bits
+    (LdpcCode._transmitted); punctured parity bits enter at LLR 0."""
+    _check_fit(code, rm)
     llrs_tx = np.asarray(llrs_tx, dtype=np.float64)
     if llrs_tx.ndim != 2 or llrs_tx.shape[1] != rm.n_tx:
         raise ValueError(f"LLR shape {llrs_tx.shape} != (B, n_tx = {rm.n_tx})")
-    b = llrs_tx.shape[0]
-    p = rm.n_tx - rm.k_tb
-    full = np.zeros((b, code.n))
-    full[:, :rm.k_tb] = llrs_tx[:, :rm.k_tb]
-    full[:, rm.k_tb:code.k] = SHORTENED_LLR          # known zeros
-    full[:, code.k:code.k + p] = llrs_tx[:, rm.k_tb:]
-    info, conv = ldpc_decode(code, full)
-    return info[:, :rm.k_tb], conv
+    sub = code._transmitted(rm.k_tb)
+    return ldpc_decode(sub, np.pad(llrs_tx, ((0, 0), (0, sub.n - rm.n_tx))))

@@ -195,8 +195,8 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     h_known = h_known.reshape(-1, m, n)
     plan = detector.plan(h_known, noise_var, c, cfg.n_paths)
     for obs, out in zip(obs_sets, llr_sets):
-        out[...] = detector.apply(plan, h_known, obs.reshape(-1, m),
-                                  noise_var, c)[1].reshape(out.shape)
+        out[...] = detector.llrs(plan, h_known, obs.reshape(-1, m),
+                                 noise_var, c).reshape(out.shape)
 
     # per-vehicle LLR concatenation in RE order -> decode
     llrs_v = llrs.transpose(0, 3, 1, 2, 4).reshape(f * n, -1)

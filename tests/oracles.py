@@ -6,6 +6,9 @@ two check each other.  The list metric in the path-major layout it had
 before it was formed antenna-major, which the kernel must match byte for
 byte.  And normalized min-sum written as loops over words, checks and
 variables, which `mpnlsim.fec.ldpc_decode` must match byte for byte.
+Rate matching on the mother code, with the shortened info bits filled
+in as zeros (LLR SHORTENED_LLR at the decoder), which coding on the
+transmitted sub-code must match byte for byte.
 Tests import them as ``from oracles import sphere_detect``; pytest puts
 this directory on ``sys.path``.
 """
@@ -14,6 +17,7 @@ import math
 
 import numpy as np
 
+from mpnlsim import fec
 from mpnlsim.core import Constellation
 from mpnlsim.detect import SingularChannelError
 
@@ -116,3 +120,32 @@ def min_sum_decode(h: np.ndarray, llrs: np.ndarray, max_iter: int,
                 total[v] = acc + word[v]
         info[b] = [t < 0 for t in total[:n - m]]
     return info, converged
+
+
+# LLR magnitude of a shortened (known-zero) bit at the mother-code decoder
+SHORTENED_LLR = 1e7
+
+
+def rate_matched_encode(code, rm, info: np.ndarray) -> np.ndarray:
+    """(B, k_tb) info bits zero-filled to k, encoded on the mother code,
+    and sent as the first k_tb info and first n_tx - k_tb parity bits."""
+    full = np.zeros((info.shape[0], code.k), dtype=np.uint8)
+    full[:, :rm.k_tb] = info
+    cw = fec.ldpc_encode(code, full)
+    p = rm.n_tx - rm.k_tb
+    return np.concatenate([cw[:, :rm.k_tb], cw[:, code.k:code.k + p]],
+                          axis=-1)
+
+
+def rate_matched_decode(code, rm, llrs_tx: np.ndarray,
+                        max_iter: int = fec.DEFAULT_MAX_ITER):
+    """(B, n_tx) transmitted-bit LLRs decoded on the mother code: the
+    shortened info bits at SHORTENED_LLR, the punctured parity bits at 0.
+    Returns ((B, k_tb) info bits, (B,) converged)."""
+    p = rm.n_tx - rm.k_tb
+    full = np.zeros((len(llrs_tx), code.n))
+    full[:, :rm.k_tb] = llrs_tx[:, :rm.k_tb]
+    full[:, rm.k_tb:code.k] = SHORTENED_LLR
+    full[:, code.k:code.k + p] = llrs_tx[:, rm.k_tb:]
+    info, conv = fec.ldpc_decode(code, full, max_iter)
+    return info[:, :rm.k_tb], conv

@@ -89,8 +89,8 @@ def test_criterion_03_mmse_matches_direct_solve():
              + 1j * rng.standard_normal((8, 8))) / np.sqrt(2)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         nv = float(rng.uniform(0.01, 2.0))
-        got = det._linear_apply(det.linear_plan_batch(h[None], nv, "mmse"),
-                                y[None], QPSK)[2][0]
+        got = det._linear_estimates(
+            det.linear_plan_batch(h[None], nv, "mmse"), y[None])[0][0]
         ref = np.linalg.solve(h.conj().T @ h + nv * np.eye(8), h.conj().T @ y)
         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
     report(3, worst <= 1e-10,

@@ -29,6 +29,11 @@ def rand_instance(rng, m, n, c, snr_db):
     return h[None], (h @ x + noise)[None], nv, labels
 
 
+def _both(d, plan, h, y, nv, c):
+    """A DETECTORS row's (hard labels, LLRs), one from each entry."""
+    return d.hard(plan, h, y, nv, c), d.llrs(plan, h, y, nv, c)
+
+
 def table_index(labels, c):
     """Row of a label vector in ML's lexicographic table."""
     return np.ravel_multi_index(tuple(labels), (c.order,) * len(labels))
@@ -87,7 +92,7 @@ def test_mmse_identity_closed_form():
     for nv in (0.1, 1.0, 3.0):
         plan = det.linear_plan_batch(np.eye(2, dtype=complex)[None], nv,
                                      "mmse")
-        soft = det._linear_apply(plan, y[None], QPSK)[2]
+        soft = det._linear_estimates(plan, y[None])[0]
         assert np.allclose(soft[0], y / (1 + nv))
 
 
@@ -107,8 +112,8 @@ def test_mmse_matches_direct_solve():
         y = (rng.standard_normal(4) + 1j * rng.standard_normal(4))
         nv = float(rng.uniform(0.01, 2.0))
         ref = np.linalg.solve(h.conj().T @ h + nv * np.eye(4), h.conj().T @ y)
-        got = det._linear_apply(det.linear_plan_batch(h[None], nv, "mmse"),
-                                y[None], QPSK)[2][0]
+        got = det._linear_estimates(
+            det.linear_plan_batch(h[None], nv, "mmse"), y[None])[0][0]
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -140,7 +145,7 @@ def test_linear_batch_matches_scalar():
 
 def test_linear_detect_batch_is_the_table_plan_then_apply():
     """linear_detect_batch gives the bytes of its DETECTORS row's plan and
-    apply, for a scalar and a per-row noise variance, and one plan serves
+    hard and llrs entries, for a scalar and a per-row noise variance, and one plan serves
     several observation sets with the bytes of a fresh plan for each."""
     rng = np.random.default_rng(191)
     h = _stack(rng, 12, 4, 3)
@@ -150,7 +155,7 @@ def test_linear_detect_batch_is_the_table_plan_then_apply():
         for nv in (0.3, 0.3 * rng.uniform(0.5, 2.0, 12)):
             plan = d.plan(h, nv, QAM16, 32)
             for y in ys:
-                for got, want in zip(d.apply(plan, h, y, nv, QAM16),
+                for got, want in zip(_both(d, plan, h, y, nv, QAM16),
                                      det.linear_detect_batch(h, y, nv, QAM16,
                                                              mode)):
                     assert got.dtype == want.dtype
@@ -374,7 +379,7 @@ def test_mpnl_full_enumeration_equals_ml(q, n, m, nv):
                                + 1j * rng.standard_normal((b, m)))
     y = np.einsum("bmn,bn->bm", h, x) + noise
     got, want = (
-        d.apply(d.plan(h, nv, c, q ** n), h, y, nv, c)
+        _both(d, d.plan(h, nv, c, q ** n), h, y, nv, c)
         for d in (det.DETECTORS["mpnl"], det.DETECTORS["ml"]))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -735,9 +740,9 @@ def _observed_stack(rng, b, m, n, c):
 @pytest.mark.parametrize("name, kernel", [("ml", "ml_detect_batch"),
                                           ("mpnl", "mpnl_detect_batch")])
 def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
-    """A list detector's apply gives the same bytes in one kernel call and
-    in row blocks of 3, 3, 3 and 1 REs (16-QAM, N = 2: 256 ML candidates
-    and 32 MPNL paths per RE)."""
+    """A list detector's hard and llrs entries give the same bytes in one
+    kernel call each and in row blocks of 3, 3, 3 and 1 REs (16-QAM,
+    N = 2: 256 ML candidates and 32 MPNL paths per RE)."""
     c = QAM16
     h, y, nv = _observed_stack(np.random.default_rng(185), 10, 3, 2, c)
     d = det.DETECTORS[name]
@@ -746,11 +751,11 @@ def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
     search = getattr(det, kernel)
     monkeypatch.setattr(det, kernel, lambda *a: rows.append(len(a[-2]))
                         or search(*a))
-    whole = d.apply(plan, h, y, nv, c)
+    whole = _both(d, plan, h, y, nv, c)
     monkeypatch.setattr(det, "LIST_BLOCK", 3 * (256 if name == "ml" else 32))
-    for got, want in zip(d.apply(plan, h, y, nv, c), whole):
+    for got, want in zip(_both(d, plan, h, y, nv, c), whole):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert rows == [10, 3, 3, 3, 1]
+    assert rows == [10, 10] + [3, 3, 3, 1] * 2
 
 
 @pytest.mark.parametrize("name, m", [("zf", 3), ("mmse", 3), ("ml", 3),
@@ -758,18 +763,18 @@ def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
                          ids=["zf", "mmse", "ml", "mpnl", "mpnl-overloaded"])
 def test_detectors_row_independent_under_per_row_noise_variance(
         monkeypatch, name, m):
-    """plan + apply on a 10-RE stack with one noise variance per RE gives
-    the bytes of the per-RE calls with that RE's scalar variance, also
-    when the list detectors run in row blocks of 3 (16-QAM, N = 2: 256 ML
-    candidates and 32 MPNL paths per RE)."""
+    """plan, hard and llrs on a 10-RE stack with one noise variance per RE
+    give the bytes of the per-RE calls with that RE's scalar variance,
+    also when the list detectors run in row blocks of 3 (16-QAM, N = 2:
+    256 ML candidates and 32 MPNL paths per RE)."""
     c = QAM16
     rng = np.random.default_rng(187)
     h, y, nv = _observed_stack(rng, 10, m, 2, c)
     nvs = nv * rng.uniform(0.5, 2.0, 10)
     d = det.DETECTORS[name]
     monkeypatch.setattr(det, "LIST_BLOCK", 3 * (256 if name == "ml" else 32))
-    whole = d.apply(d.plan(h, nvs, c, 32), h, y, nvs, c)
-    rows = [d.apply(d.plan(h[i:i + 1], nvs[i], c, 32), h[i:i + 1],
+    whole = _both(d, d.plan(h, nvs, c, 32), h, y, nvs, c)
+    rows = [_both(d, d.plan(h[i:i + 1], nvs[i], c, 32), h[i:i + 1],
                     y[i:i + 1], nvs[i], c) for i in range(10)]
     for got, *pieces in zip(whole, *rows):
         want = np.concatenate(pieces)
@@ -781,22 +786,22 @@ def test_detectors_row_independent_under_per_row_noise_variance(
                                               ("mpnl", 1 << 16, 8)])
 def test_list_apply_memory_stays_within_row_blocks(name, n_paths, b):
     """At N = M = 8 QPSK, ML and a 65536-path MPNL score 2^16 candidates
-    per RE, about 30 MB of working arrays each.  An apply on B REs equals
-    its per-RE applies, and its traced peak stays under 64 MB, where one
-    call on the whole stack peaks near 270 (ML) and 200 MB (MPNL)."""
+    per RE, about 30 MB of working arrays each.  Each entry on B REs
+    equals its per-RE calls, and its traced peak stays under 64 MB, where
+    one call on the whole stack peaks near 270 (ML) and 200 MB (MPNL)."""
     h, y, nv = _observed_stack(np.random.default_rng(186), b, 8, 8, QPSK)
     d = det.DETECTORS[name]
     plan = d.plan(h, nv, QPSK, n_paths)
     tracemalloc.start()
     try:
-        got = d.apply(plan, h, y, nv, QPSK)
+        got = _both(d, plan, h, y, nv, QPSK)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
     rows = [slice(i, i + 1) for i in range(b)]
     for got_part, *pieces in zip(got, *(
-            d.apply(d.plan(h[s], nv, QPSK, n_paths), h[s], y[s], nv, QPSK)
+            _both(d, d.plan(h[s], nv, QPSK, n_paths), h[s], y[s], nv, QPSK)
             for s in rows)):
         assert got_part.tobytes() == np.concatenate(pieces).tobytes()
 
@@ -804,8 +809,8 @@ def test_list_apply_memory_stays_within_row_blocks(name, n_paths, b):
 def _table_golden_cases():
     """(name, thunk) pairs over QPSK N x M 1x1, 2x2, 3x2, 4x4 and 8x8,
     16-QAM 2x2, 3x4 and 4x3 and 64-QAM 2x2: ml_detect_batch's (labels,
-    metrics, best) and each DETECTORS row's (hard, LLRs), MPNL at 32
-    paths.  Every stack holds a zero channel, a zero column, an identity
+    metrics, best) and each DETECTORS row's (hard, LLRs), read through its
+    hard and llrs entries, MPNL at 32 paths.  Every stack holds a zero channel, a zero column, an identity
     channel and a y = 0 row, whose metrics tie.  ZF runs on the rows from
     the identity channel on, and gives its error message where M < N."""
     rng = np.random.default_rng(187)
@@ -821,18 +826,19 @@ def _table_golden_cases():
         yield f"{tag}_ml_kernel", lambda h=h, y=y, c=c: det.ml_detect_batch(
             h, y, c)
         for name, d in det.DETECTORS.items():
-            def apply(d=d, s=slice(2 if name == "zf" else 0, None), h=h,
-                      y=y, nv=nv, c=c):
+            def both(d=d, s=slice(2 if name == "zf" else 0, None), h=h,
+                     y=y, nv=nv, c=c):
                 try:
-                    return d.apply(d.plan(h[s], nv, c, 32), h[s], y[s], nv, c)
+                    return _both(d, d.plan(h[s], nv, c, 32), h[s], y[s], nv, c)
                 except det.SingularChannelError as e:
                     return (str(e),)
-            yield f"{tag}_{name}", apply
+            yield f"{tag}_{name}", both
 
 
 # SHA-256 of each _table_golden_cases output, taken before ML and MPNL
-# shared one path metric and the linear LLRs were scaled inside the
-# demapper; both must leave every byte as it was.
+# shared one path metric, the linear LLRs were scaled inside the demapper
+# and each row's apply was split into hard and llrs; all three must leave
+# every byte as it was.
 GOLDEN_TABLE = {
     "q4_n1m1_ml_kernel": "7974f2ea32b306e459043c6774b387408be11e5bda87a764686905a51c17ec29",
     "q4_n1m1_zf": "8c22b25d987992e103d147eccd7bb070d5ba8843bfd52f97910cb5a9d4bad89e",
@@ -1081,7 +1087,7 @@ def test_single_stream_detectors_agree_with_mrc():
     hard = {}
     for name, d in det.DETECTORS.items():
         plan = d.plan(h, nv, QPSK, 32)
-        hard[name] = d.apply(plan, h, y, nv, QPSK)[0]
+        hard[name] = d.hard(plan, h, y, nv, QPSK)
     for name in hard:
         assert np.array_equal(hard[name], hard["mmse"]), name
     assert_ber(hard["mmse"], labels, mrc_ber(1 / (2 * nv), 4))

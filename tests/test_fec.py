@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mpnlsim import fec
-from oracles import min_sum_decode
+from mpnlsim.core import LLR_CLIP
+from oracles import min_sum_decode, rate_matched_decode, rate_matched_encode
 
 
 @pytest.fixture(scope="module")
@@ -477,3 +478,57 @@ def test_rate_matched_rejects_1d_input(code):
         fec.encode_rate_matched(code, rm, np.zeros(rm.k_tb, dtype=np.uint8))
     with pytest.raises(ValueError, match="n_tx"):
         fec.decode_rate_matched(code, rm, np.ones(rm.n_tx))
+
+
+def test_rate_match_rejects_what_the_code_cannot_carry(code):
+    """No info bit, no parity bit, more info bits than k or more parity
+    bits than n - k: a ValueError naming the field, never a block of the
+    wrong length."""
+    for n_tx, k_tb, field in ((10, 0, "k_tb"), (5, 5, "n_tx"),
+                              (3, 7, "n_tx")):
+        with pytest.raises(ValueError, match=field):
+            fec.RateMatch(n_tx=n_tx, k_tb=k_tb)
+    for rm, field in ((fec.RateMatch(n_tx=2000, k_tb=10), "n_tx - k_tb"),
+                      (fec.RateMatch(n_tx=800, k_tb=700), "k_tb")):
+        with pytest.raises(ValueError, match=f"^{field}: needs"):
+            fec.encode_rate_matched(
+                code, rm, np.zeros((2, rm.k_tb), dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"^{field}: needs"):
+            fec.decode_rate_matched(code, rm, np.ones((2, rm.n_tx)))
+
+
+def test_sub_code_matches_mother_code_oracle(code):
+    """Encode and decode on the transmitted sub-code give the bytes of the
+    mother code with zero-filled shortened bits (tests/oracles.py), for
+    k_tb from 1 to k, unpunctured and punctured, on words with LLRs up
+    to +/-LLR_CLIP that converge at once, in the loop and never, at
+    max_iter 0, 1 and 10 (decode_rate_matched's default)."""
+    rng = np.random.default_rng(17)
+    sigma = np.repeat([0.3, 0.8, 1.2, 2.5], 2)[:, None]
+    seen = []
+    for k_tb in sorted({1, 2, 244, 296, 647, 648, *range(1, 649, 54)}):
+        for p in (code.n - code.k, 1 + (37 * k_tb) % (code.n - code.k - 1)):
+            rm = fec.RateMatch(n_tx=k_tb + p, k_tb=k_tb)
+            info = rng.integers(0, 2, (len(sigma), k_tb), dtype=np.uint8)
+            tx = fec.encode_rate_matched(code, rm, info)
+            assert tx.tobytes() == rate_matched_encode(code, rm,
+                                                       info).tobytes()
+            sign = 1 - 2 * tx.astype(np.float64)
+            llr = 2 * (sign + sigma * rng.standard_normal(tx.shape))
+            llr = np.clip(llr / sigma**2, -LLR_CLIP, LLR_CLIP)
+            sub = code._transmitted(k_tb)
+            padded = np.pad(llr, ((0, 0), (0, sub.n - rm.n_tx)))
+            for max_iter in (0, 1, 10):
+                want = rate_matched_decode(code, rm, llr, max_iter)
+                got = (fec.decode_rate_matched(code, rm, llr)
+                       if max_iter == fec.DEFAULT_MAX_ITER
+                       else fec.ldpc_decode(sub, padded, max_iter))
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                seen.append((max_iter, *want[1]))
+    seen = np.array(seen)
+    assert (np.abs(llr) == LLR_CLIP).any()
+    for max_iter in (0, 10):
+        conv = seen[seen[:, 0] == max_iter, 1:]
+        assert conv.any() and not conv.all()
+    assert (seen[seen[:, 0] == 10, 1:] > seen[seen[:, 0] == 0, 1:]).any()

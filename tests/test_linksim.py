@@ -3,7 +3,7 @@ import pytest
 
 from mpnlsim import channel as ch
 from mpnlsim import detect, fec, linksim
-from mpnlsim.core import mcs_entry
+from mpnlsim.core import Constellation, mcs_entry
 
 MCS_QPSK = mcs_entry(7)      # QPSK, mid rate
 
@@ -203,6 +203,29 @@ def test_one_plan_per_batch_on_its_distinct_channels(monkeypatch, detector,
     linksim.simulate_frames(cfg, make_grid(cfg), 0.1, 0, range(n_frames))
     per_sc = {"genie": len(linksim.DATA_SYMBOLS), "ls_dmrs": n_frames}[csi]
     assert planned == [per_sc * cfg.n_subcarriers]
+
+
+@pytest.mark.parametrize("csi", linksim.CSI_MODES)
+@pytest.mark.parametrize("detector", ["zf", "mmse"])
+def test_linear_chain_slices_no_symbol(monkeypatch, detector, csi):
+    # the chain decodes LLRs only, so ZF and MMSE never call the slicer;
+    # MPNL's single-child tree layers still do, so it is not counted
+    calls = []
+    nearest = Constellation.nearest
+
+    def counted(self, y):
+        calls.append(y.shape)
+        return nearest(self, y)
+
+    monkeypatch.setattr(Constellation, "nearest", counted)
+    cfg = make_cfg(detector=detector, csi=csi)
+    ok = linksim.simulate_frames(cfg, make_grid(cfg), 0.1, 0, range(3))
+    assert ok.shape == (3, 2) and not calls
+    # the counter sees the slicer where a caller does read hard labels
+    detect.linear_detect_batch(np.eye(2, dtype=complex)[None],
+                               np.ones((1, 2)), 0.1, MCS_QPSK.constellation,
+                               detector)
+    assert calls == [(1, 2)]
 
 
 def test_frames_differ_across_channel_index():
