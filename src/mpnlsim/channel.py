@@ -119,7 +119,6 @@ class SnrRegion:
     """An SNR target whose fixtures draw their SNR uniformly within
     +- jitter_db of it."""
 
-    name: str
     target_snr_db: float
     jitter_db: float = 1.0
 
@@ -167,8 +166,8 @@ def check_snr_range(what: str, lo_db: float, hi_db: float,
 
 
 # Figure-caption assignment: the nearer region gets the higher SNR.
-REGION_R1 = SnrRegion("R1", 20.0)
-REGION_R2 = SnrRegion("R2", 15.0)
+REGION_R1 = SnrRegion(20.0)
+REGION_R2 = SnrRegion(15.0)
 REGIONS = {"R1": REGION_R1, "R2": REGION_R2}
 
 
@@ -181,18 +180,6 @@ class ChannelGrid:
     def __post_init__(self):
         if self.h.ndim != 4:
             raise ValueError("grid must be (symbols, subcarriers, M, N)")
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def m_antennas(self) -> int:
-        return self.h.shape[2]
-
-    @property
-    def n_streams(self) -> int:
-        return self.h.shape[3]
 
 
 # Cephes j0 coefficients.  x <= 5: J0 = (z - DR1)(z - DR2) RP(z) / RQ(z),
@@ -333,4 +320,4 @@ def calibrate_noise(region: SnrRegion, grid: ChannelGrid, seed) -> float:
     rng = np.random.default_rng(seed)
     snr_db = region.target_snr_db + rng.uniform(-region.jitter_db,
                                                 region.jitter_db)
-    return noise_variance(grid.n_streams, snr_db)
+    return noise_variance(grid.h.shape[3], snr_db)

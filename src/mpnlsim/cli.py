@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import hashlib
 import json
@@ -119,12 +118,6 @@ def _use_cases(key, value):
              Above(0.0))
 
 
-def _write_csv(path, manifest, header, rows):
-    with open(path, "w", newline="") as f:
-        f.writelines(f"# {k}: {v}\n" for k, v in manifest.items())
-        csv.writer(f).writerows([header, *rows])
-
-
 def _fixture_config(cfg: dict, seed: int, **kw) -> search.FixtureConfig:
     profile = cfg["profile"]
     return search.FixtureConfig(
@@ -151,13 +144,9 @@ def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
     mcs = mcs_entry(cfg["mcs"])
     fx = _fixture_config(cfg, seed)
     # every config and SNR point is checked before the first point runs
-    configs = [linksim.LinkConfig(
-        n_streams=n, m_antennas=m, mcs=mcs, detector=name,
-        n_paths=cfg["n_paths"], seed=seed, csi=cfg["csi"],
-        rb_per_vehicle=fx.rb_per_vehicle(mcs))
-        for name in cfg["detectors"]]
-    regions = [ch.SnrRegion(name=f"{snr}dB", target_snr_db=float(snr),
-                            jitter_db=cfg["snr_jitter_db"])
+    configs = [fx.link(n, m, mcs, name, cfg["n_paths"], cfg["csi"])
+               for name in cfg["detectors"]]
+    regions = [ch.SnrRegion(float(snr), jitter_db=cfg["snr_jitter_db"])
                for snr in cfg["snr_db"]]
     rows = []
     for snr, region in zip(cfg["snr_db"], regions):
@@ -169,8 +158,8 @@ def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
                 lc, grids, nvs, frames_per_channel=cfg["frames_per_channel"])
             rows.append([snr, lc.detector, f"{res.per:.6g}",
                          f"{res.ci95_halfwidth:.6g}", res.frames])
-    _write_csv(out, manifest, ["snr_db", "detector", "per", "ci95", "frames"],
-               rows)
+    search.write_csv(out, manifest,
+                     ["snr_db", "detector", "per", "ci95", "frames"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +176,8 @@ def cmd_search(cfg: dict, manifest: dict, out, seed: int):
         progress=lambda c: print(
             f"  {c.detector} N={c.n_streams} mcs={c.mcs_index} -> "
             f"{c.min_antennas or 'unsupported'}", file=sys.stderr))
-    search.write_heatmap_csv(
-        cells, out, manifest_lines=[f"{k}: {v}" for k, v in manifest.items()])
+    search.write_csv(out, manifest, search.HEATMAP_HEADER,
+                     search.heatmap_rows(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +207,12 @@ def cmd_connectivity(cfg: dict, manifest: dict, out, seed: int):
         json.dump({"manifest": manifest, "spectral_efficiency": se,
                    "mcs": mcs_index, "rows": rows},
                   f, indent=2, default=str, allow_nan=False)
-    _write_csv(str(out) + ".csv", manifest,
-               ["use_case", "antenna_budget", "vehicles_mmse",
-                "vehicles_mpnl", "gain_ratio"],
-               [[r["use_case"], r["antenna_budget"], r["vehicles"]["mmse"],
-                 r["vehicles"]["mpnl"], r["gain_ratio"]] for r in rows])
+    search.write_csv(str(out) + ".csv", manifest,
+                     ["use_case", "antenna_budget", "vehicles_mmse",
+                      "vehicles_mpnl", "gain_ratio"],
+                     [[r["use_case"], r["antenna_budget"],
+                       r["vehicles"]["mmse"], r["vehicles"]["mpnl"],
+                       r["gain_ratio"]] for r in rows])
 
 
 def shipped_heatmap_path():
@@ -300,10 +290,10 @@ def cmd_bench(cfg: dict, manifest: dict, out, seed: int):
         identical = bool(np.array_equal(hard, ref_hard))
         rows.append([name, n, m, order, n_paths, w, f"{med:.4f}",
                      f"{rate:.1f}", f"{rate / baseline:.3f}", identical])
-    _write_csv(out, manifest,
-               ["detector", "n", "m", "order", "n_paths", "workers",
-                "median_s", "detections_per_s", "speedup", "bit_identical"],
-               rows)
+    search.write_csv(out, manifest,
+                     ["detector", "n", "m", "order", "n_paths", "workers",
+                      "median_s", "detections_per_s", "speedup",
+                      "bit_identical"], rows)
 
 
 # ---------------------------------------------------------------------------

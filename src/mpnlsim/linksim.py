@@ -30,6 +30,7 @@ from .core import (DATA_SYMBOLS, DEFAULT_NUMEROLOGY, DMRS_COMBS,
 
 MAX_ANTENNAS = 32
 MIN_FRAMES = 400   # blocks measured before an early stop may fire
+FRAME_BATCH = 25   # frames per simulate_frames call in measure_per
 CSI_MODES = ("genie", "ls_dmrs")
 
 
@@ -147,7 +148,7 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     num = cfg.numerology
     n_sc = cfg.n_subcarriers
     n, m = cfg.n_streams, cfg.m_antennas
-    if grid.m_antennas < m or grid.n_streams < n or grid.n_subcarriers < n_sc:
+    if any(np.less(grid.h.shape[1:], (n_sc, m, n))):
         raise ValueError("channel grid is smaller than the configuration")
     h = grid.h[:, :n_sc, :m, :n]
     c = cfg.mcs.constellation
@@ -223,16 +224,13 @@ def measure_per(cfg: LinkConfig, channels, noise_vars,
                          f"channels, {len(noise_vars)} noise variances)")
     frames = 0
     errors = 0
-    batch = 25
     for chan_idx, (grid, nv) in enumerate(zip(channels, noise_vars)):
-        done = 0
-        while done < frames_per_channel:
-            take = min(batch, frames_per_channel - done)
-            ok = simulate_frames(cfg, grid, nv, chan_idx,
-                                 range(done, done + take))
+        for start in range(0, frames_per_channel, FRAME_BATCH):
+            ok = simulate_frames(
+                cfg, grid, nv, chan_idx,
+                range(start, min(start + FRAME_BATCH, frames_per_channel)))
             errors += int((~ok).sum())
             frames += ok.size
-            done += take
             if stop_threshold is not None and frames >= MIN_FRAMES:
                 res = PerResult(frames=frames, errors=errors)
                 lo = res.per - res.ci95_halfwidth

@@ -3,8 +3,8 @@
 and assemble the result grid for heatmap emission.
 
 Channel fixtures are deterministic functions of (base seed, N, M, index),
-so both detectors are evaluated on identical channel sets (paired
-comparison).
+so both detectors draw from the same channel group; the early stop may
+end them on different prefixes of it.
 """
 
 from __future__ import annotations
@@ -61,10 +61,15 @@ class FixtureConfig:
             nvs.append(ch.calibrate_noise(self.region, g, jitter))
         return grids, nvs
 
-    def rb_per_vehicle(self, mcs) -> int:
-        """The RB allocation for `mcs`, clamped to this fixture's width."""
-        return min(linksim.default_rb_allocation(mcs),
-                   self.n_subcarriers // self.numerology.sc_per_rb)
+    def link(self, n: int, m: int, mcs, detector: str, n_paths: int,
+             csi: str = "genie") -> linksim.LinkConfig:
+        """A cell's link on this fixture: the RB allocation for `mcs`
+        clamped to its width, payloads and noise seeded by base_seed."""
+        rb = min(linksim.default_rb_allocation(mcs),
+                 self.n_subcarriers // self.numerology.sc_per_rb)
+        return linksim.LinkConfig(
+            n_streams=n, m_antennas=m, mcs=mcs, detector=detector,
+            n_paths=n_paths, csi=csi, seed=self.base_seed, rb_per_vehicle=rb)
 
 
 @dataclass(frozen=True)
@@ -91,13 +96,11 @@ def min_antennas(n: int, mcs_index: int, detector: str,
     mcs = mcs_entry(mcs_index)
     m_needed = detect.soft_detector(detector).min_antennas(
         n, mcs.constellation.order, n_paths)
-    rb = fixtures.rb_per_vehicle(mcs)
     # too few antennas for the detector counts as failing
     prev_per = 1.0 if M_MIN < m_needed else float("nan")
+    frames = 0
     for m in range(max(M_MIN, m_needed), M_MAX + 1):
-        cfg = linksim.LinkConfig(n_streams=n, m_antennas=m, mcs=mcs,
-                                 detector=detector, n_paths=n_paths,
-                                 seed=fixtures.base_seed, rb_per_vehicle=rb)
+        cfg = fixtures.link(n, m, mcs, detector, n_paths)
         grids, nvs = fixtures.channels(n, m)
         res = linksim.measure_per(cfg, grids, nvs,
                                   frames_per_channel=frames_per_channel,
@@ -107,10 +110,11 @@ def min_antennas(n: int, mcs_index: int, detector: str,
                               detector=detector, min_antennas=m,
                               measured_per=res.per, per_below=prev_per,
                               frames=res.frames)
-        prev_per = res.per
+        prev_per, frames = res.per, res.frames
+    # the blocks behind measured_per: those measured at M_MAX
     return SearchCell(n_streams=n, mcs_index=mcs_index, detector=detector,
                       min_antennas=UNSUPPORTED, measured_per=prev_per,
-                      per_below=prev_per, frames=0)
+                      per_below=prev_per, frames=frames)
 
 
 def heatmap(streams, mcs_list, detectors, fixtures: FixtureConfig,
@@ -120,10 +124,7 @@ def heatmap(streams, mcs_list, detectors, fixtures: FixtureConfig,
     grid = list(itertools.product(streams, mcs_list, detectors))
     # every cell's link settings fail before any cell runs
     for n, mi, name in grid:
-        mcs = mcs_entry(mi)
-        linksim.LinkConfig(n_streams=n, m_antennas=M_MAX, mcs=mcs,
-                           detector=name, n_paths=n_paths,
-                           rb_per_vehicle=fixtures.rb_per_vehicle(mcs))
+        fixtures.link(n, M_MAX, mcs_entry(mi), name, n_paths)
     cells = []
     for n, mi, name in grid:
         cell = min_antennas(n, mi, name, fixtures,
@@ -135,21 +136,25 @@ def heatmap(streams, mcs_list, detectors, fixtures: FixtureConfig,
     return cells
 
 
-def write_heatmap_csv(cells, path, manifest_lines=()) -> None:
+def write_csv(path, manifest: dict, header, rows) -> None:
+    """A table: one `# key: value` line per manifest entry, then the
+    header and the rows."""
     with open(path, "w", newline="") as f:
-        for line in manifest_lines:
-            f.write(f"# {line}\n")
-        w = csv.writer(f)
-        w.writerow(HEATMAP_HEADER)
-        for c in cells:
-            w.writerow([c.n_streams, c.mcs_index, c.detector,
-                        c.min_antennas if c.supported else "unsupported",
-                        f"{c.measured_per:.6g}", f"{c.per_below:.6g}",
-                        c.frames])
+        f.writelines(f"# {k}: {v}\n" for k, v in manifest.items())
+        csv.writer(f).writerows([header, *rows])
+
+
+def heatmap_rows(cells) -> list[list]:
+    """The HEATMAP_HEADER rows of `cells`."""
+    return [[c.n_streams, c.mcs_index, c.detector,
+             c.min_antennas if c.supported else "unsupported",
+             f"{c.measured_per:.6g}", f"{c.per_below:.6g}", c.frames]
+            for c in cells]
 
 
 def read_heatmap_csv(path) -> list[SearchCell]:
-    """Read back a grid written by write_heatmap_csv; ValueError unless its
+    """Read back a grid written by write_csv with HEATMAP_HEADER and
+    heatmap_rows, skipping its manifest lines; ValueError unless its
     first row is HEATMAP_HEADER, each row has a field per column, a stream
     count in [1, linksim.MAX_STREAMS], a min_antennas of "unsupported" or
     in [M_MIN, M_MAX], and a (streams, mcs, detector) no other row has."""

@@ -167,21 +167,21 @@ def test_tdl_seeds_independent():
 
 def test_calibrate_noise_definition():
     g = zero_grid(1, 1)
-    region = ch.SnrRegion("t", 20.0, jitter_db=1.0)
+    region = ch.SnrRegion(20.0, jitter_db=1.0)
     nv = ch.calibrate_noise(region, g, seed=5)
     assert 10 ** -2.1 <= nv <= 10 ** -1.9
 
 
 def test_calibrate_noise_scales_with_streams():
     g = zero_grid(4, 4)
-    region = ch.SnrRegion("t", 15.0, jitter_db=1.0)
+    region = ch.SnrRegion(15.0, jitter_db=1.0)
     nv = ch.calibrate_noise(region, g, seed=5)
     assert 4 * 10 ** -1.6 <= nv <= 4 * 10 ** -1.4
 
 
 def test_calibrate_noise_zero_jitter_deterministic():
     g = zero_grid(2, 2)
-    region = ch.SnrRegion("t", 10.0, jitter_db=0.0)
+    region = ch.SnrRegion(10.0, jitter_db=0.0)
     assert ch.calibrate_noise(region, g, 1) == ch.calibrate_noise(region, g, 2)
     assert ch.calibrate_noise(region, g, 1) == pytest.approx(2 / 10.0)
 
@@ -205,14 +205,14 @@ def test_calibrate_noise_zero_jitter_deterministic():
 ])
 def test_region_rejects_snr_without_finite_noise(target, jitter, message):
     with pytest.raises(ValueError, match=message):
-        ch.SnrRegion("t", target, jitter_db=jitter)
+        ch.SnrRegion(target, jitter_db=jitter)
 
 
 def test_region_at_the_float_range_gives_finite_noise():
     """The extreme regions SnrRegion admits calibrate a finite, positive
     noise variance for 1 and 12 streams, at most MAX_NOISE_VARIANCE."""
     for target in (-1529.0, 3080.0):
-        region = ch.SnrRegion("t", target, jitter_db=1.0)
+        region = ch.SnrRegion(target, jitter_db=1.0)
         for n in (1, 12):
             nv = ch.calibrate_noise(region, zero_grid(1, n), seed=5)
             assert 0 < nv <= ch.MAX_NOISE_VARIANCE

@@ -328,7 +328,8 @@ def test_connectivity_custom_use_cases_and_table(tmp_path):
     cells = [search.SearchCell(2, 12, "mmse", 3, 0.0, 0.5, 400),
              search.SearchCell(2, 12, "mpnl", 2, 0.0, 0.5, 400)]
     table = tmp_path / "table.csv"
-    search.write_heatmap_csv(cells, table)
+    search.write_csv(table, {}, search.HEATMAP_HEADER,
+                     search.heatmap_rows(cells))
     cfgp = write_config(tmp_path, dict(
         table_csv=str(table), antenna_budgets=[2],
         use_cases=[{"name": "custom", "rate_mbps": 1.0}]))

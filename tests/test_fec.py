@@ -40,12 +40,22 @@ def test_parity_matrix_full_rank(code):
     assert r == code.n - code.k
 
 
+def _max_shared_variables(h) -> float:
+    """The most variables two distinct checks of `h` share: more than 1
+    is a 4-cycle.  A float64 product counts them exactly (at most n)."""
+    f = h.astype(np.float64)
+    shared = f @ f.T
+    np.fill_diagonal(shared, 0)
+    return shared.max()
+
+
 def test_girth_at_least_six(code):
-    h = code.parity_check
-    m = h.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            assert np.sum(h[i] & h[j]) <= 1
+    assert _max_shared_variables(code.parity_check) <= 1
+    # two checks sharing two variables: a 4-cycle the check must see
+    planted = code.parity_check.copy()
+    planted[1] = 0
+    planted[1, np.flatnonzero(planted[0])[:2]] = 1
+    assert _max_shared_variables(planted) == 2
 
 
 def test_encode_satisfies_parity(code):

@@ -1,7 +1,8 @@
 import numpy as np
 
 from mpnlsim import channel as ch
-from mpnlsim import search
+from mpnlsim import linksim, search
+from mpnlsim.core import mcs_entry
 
 
 def small_fixtures(**kw):
@@ -39,6 +40,20 @@ def test_fixture_generate_leaves_its_seeds_as_found():
     assert nv1 == nv2
 
 
+def test_fixture_link_clamps_rb_to_width_and_seeds_with_base_seed():
+    # MCS 7 fits 4 RB of the slot, but a 24-subcarrier fixture holds 2
+    mcs = mcs_entry(7)
+    assert linksim.default_rb_allocation(mcs) == 4
+    fx = small_fixtures(n_subcarriers=24, base_seed=5)
+    cfg = fx.link(4, 6, mcs, "mmse", 16, csi="ls_dmrs")
+    assert cfg == linksim.LinkConfig(
+        n_streams=4, m_antennas=6, mcs=mcs, detector="mmse", n_paths=16,
+        csi="ls_dmrs", seed=5, rb_per_vehicle=2)
+    # an allocation narrower than the fixture is kept
+    assert small_fixtures(n_subcarriers=24).link(
+        2, 2, mcs_entry(12), "mmse", 32).rb_per_vehicle == 1
+
+
 def test_min_antennas_easy_case():
     fx = small_fixtures()
     cell = search.min_antennas(2, 0, "mmse", fx, frames_per_channel=2)
@@ -49,11 +64,13 @@ def test_min_antennas_easy_case():
 
 
 def test_min_antennas_unsupported_sentinel():
-    fx = small_fixtures(region=ch.SnrRegion("dead", -20.0, jitter_db=0.0))
+    fx = small_fixtures(region=ch.SnrRegion(-20.0, jitter_db=0.0))
     cell = search.min_antennas(2, 12, "mmse", fx, frames_per_channel=2)
     assert not cell.supported
     assert cell.min_antennas == search.UNSUPPORTED
-    assert cell.frames == 0
+    # the blocks behind measured_per, those at M_MAX: 2 channels x 2
+    # frames x 2 streams
+    assert cell.frames == 8
 
 
 def test_min_antennas_measures_per_below_overloaded_mpnl():
@@ -86,14 +103,15 @@ def test_csv_roundtrip(tmp_path):
         search.SearchCell(4, 12, "mpnl", search.UNSUPPORTED, 0.9, 0.9, 0),
     ]
     path = tmp_path / "grid.csv"
-    search.write_heatmap_csv(cells, path, manifest_lines=["seed: 1"])
+    search.write_csv(path, {"seed": 1}, search.HEATMAP_HEADER,
+                     search.heatmap_rows(cells))
     text = path.read_text()
     assert text.startswith("# seed: 1\n")
     assert "unsupported" in text
     back = search.read_heatmap_csv(path)
     assert back == cells
     # a header-only table is a table with no cells
-    search.write_heatmap_csv([], path)
+    search.write_csv(path, {}, search.HEATMAP_HEADER, search.heatmap_rows([]))
     assert search.read_heatmap_csv(path) == []
 
 
