@@ -27,10 +27,15 @@ import numpy as np
 
 from .core import LLR_CLIP, Constellation, demap_llr
 
-# candidates a list detector scores in one kernel call, and the bound on
-# ML's enumeration and MPNL's n_paths; a larger stack is applied in row
-# blocks, so its candidate arrays stay within tens of MB
+# the bound on ML's enumeration and on MPNL's n_paths
 LIST_BLOCK = 1 << 16
+
+# candidates a list detector scores in one kernel call.  A stack runs as the
+# fewest row blocks within it, sized within one row of each other (a row
+# alone may exceed it): at 32 paths, a 600-RE LS stack runs as two 300-RE
+# calls.  Whole, each such QPSK stack took about 10,400 minor page faults
+# on every link_slots pass; in blocks, a steady pass takes under 10
+SEARCH_BLOCK = 1 << 14
 
 
 class SingularChannelError(ValueError):
@@ -59,16 +64,42 @@ def _path_metrics(h: np.ndarray, y: np.ndarray, labels: np.ndarray,
     The residuals are formed antenna-major, (B, M, P), the layout numpy's
     non-BLAS einsum writes fastest here; it still sums each output over n
     in ascending order from zero with the same complex product, so the
-    layout changes no bit.  The squared magnitudes go back to a contiguous
-    (B, P, M) array before the sum, so each metric stays numpy's pairwise
-    sum over M contiguous terms, whose order differs from a sum down axis
-    1 once M >= 8.
+    layout changes no bit.  The squared magnitudes are summed over M in
+    place by `_antenna_sum`, in the order numpy's pairwise sum takes over M
+    contiguous terms.
     """
     resid = np.einsum("bmn,bpn->bmp", h, c.points[labels])
     np.subtract(y[:, :, None], resid, out=resid)
     dist = np.abs(resid)
-    np.square(dist, out=dist)
-    return np.ascontiguousarray(dist.transpose(0, 2, 1)).sum(axis=2)
+    return _antenna_sum(np.square(dist, out=dist))
+
+
+def _antenna_sum(d: np.ndarray) -> np.ndarray:
+    """Sum d (B, M, P) over M into a new (B, P) array, overwriting d.
+
+    Adds the (B, P) slabs in numpy's pairwise order for a contiguous run
+    of M terms, so each sum has the bytes of `d.transpose(0, 2, 1)`'s
+    `.sum(axis=2)`: one by one below 8 terms; from 8 to 128, eight running
+    sums r0..r7 over the multiples of 8, combined as ((r0 + r1) + (r2 +
+    r3)) + ((r4 + r5) + (r6 + r7)), then the rest one by one; above 128,
+    the two halves split at a multiple of 8, each summed alike.
+    """
+    m = d.shape[1]
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _antenna_sum(d[:, :half]) + _antenna_sum(d[:, half:])
+    if m < 8:
+        total, rest = d[:, 0].copy(), 1
+    else:
+        rest = m - m % 8
+        runs = d[:, :8]
+        for i in range(8, rest, 8):
+            runs += d[:, i:i + 8]
+        pairs = runs[:, 0::2] + runs[:, 1::2]
+        total = (pairs[:, 0] + pairs[:, 1]) + (pairs[:, 2] + pairs[:, 3])
+    for i in range(rest, m):
+        total += d[:, i]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +504,20 @@ def _list_output(search, output, n_cands: int, c, noise_var, *rows):
     search(*(x[s] for x in rows), c) scores n_cands candidates on each row
     of block s, giving (labels, metrics, best), and output(labels,
     metrics, best, nv, c) reduces them, nv being the block's slice of
-    noise_var (a scalar or one variance per row).  Blocks hold at most
-    LIST_BLOCK // n_cands rows (one block when the stack fits); rows are
-    independent, so the split changes no output.
+    noise_var (a scalar or one variance per row).  The stack runs as the
+    fewest blocks of at most SEARCH_BLOCK candidates (of one row where a
+    row alone exceeds it), sized within one row of each other; a stack of
+    no rows is one empty block.  Rows are independent, so the split
+    changes no output.
     """
     nv = np.broadcast_to(noise_var, (len(rows[-1]),))
-    step = max(1, LIST_BLOCK // n_cands)
+    b = len(nv)
+    per_block = max(1, SEARCH_BLOCK // n_cands)
+    blocks = max(1, -(-b // per_block))
+    cuts = [k * b // blocks for k in range(blocks + 1)]
     return np.concatenate([
-        output(*search(*(x[i:i + step] for x in rows), c), nv[i:i + step], c)
-        for i in range(0, max(len(nv), 1), step)])
+        output(*search(*(x[i:j] for x in rows), c), nv[i:j], c)
+        for i, j in zip(cuts, cuts[1:])])
 
 
 def _list_llrs(labels, metrics, best, nv, c):

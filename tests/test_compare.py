@@ -1,6 +1,9 @@
-"""The verdict rule of tools/compare.py on synthetic pairs."""
+"""The verdict rule of tools/compare.py on synthetic pairs, and the source
+export each side runs from."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -114,3 +117,44 @@ def test_source_digest_covers_every_listed_file(tmp_path):
     assert compare.source_sha256(tmp_path, ["a.py"]) != base
     (tmp_path / "b.py").write_bytes(b"y = 2\n")
     assert compare.source_sha256(tmp_path, ["a.py", "b.py"]) != base
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_export_copies_sources_without_caches(tmp_path):
+    """Both sides are fresh copies of SOURCES: a revision as committed, and
+    the working tree with its edits and untracked files but without
+    ignored bytecode caches, deleted files or files outside SOURCES."""
+    repo = tmp_path / "repo"
+    for path, text in (("src/pkg/a.py", "a = 1\n"),
+                       ("perfbench/b.py", "b = 1\n"),
+                       ("perfbench/gone.py", "c = 1\n"),
+                       ("tools/t.py", "t = 1\n"),
+                       (".gitignore", "__pycache__/\n")):
+        (repo / path).parent.mkdir(parents=True, exist_ok=True)
+        (repo / path).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "src/pkg/a.py").write_text("a = 2\n")
+    (repo / "src/pkg/new.py").write_text("n = 1\n")
+    (repo / "src/pkg/__pycache__").mkdir()
+    (repo / "src/pkg/__pycache__/a.cpython-311.pyc").write_bytes(b"stale")
+    (repo / "perfbench/gone.py").unlink()
+
+    listed = {}
+    for side, rev in (("parent", "HEAD"), ("change", None)):
+        dest = tmp_path / side
+        dest.mkdir()
+        listed[side] = sorted(compare.export(repo, dest, rev))
+        assert listed[side] == sorted(f.relative_to(dest).as_posix()
+                                      for f in dest.rglob("*") if f.is_file())
+    assert listed["parent"] == ["perfbench/b.py", "perfbench/gone.py",
+                                "src/pkg/a.py"]
+    assert listed["change"] == ["perfbench/b.py", "src/pkg/a.py",
+                                "src/pkg/new.py"]
+    assert (tmp_path / "parent/src/pkg/a.py").read_text() == "a = 1\n"
+    assert (tmp_path / "change/src/pkg/a.py").read_text() == "a = 2\n"

@@ -7,7 +7,7 @@ import pytest
 
 from mpnlsim import channel as ch
 from mpnlsim import detect as det
-from mpnlsim import search
+from mpnlsim import linksim, search
 from mpnlsim.core import QAM16, QAM64, QPSK, constellation_for, demap_llr
 from oracles import path_metrics_bpm, sphere_detect
 
@@ -162,18 +162,24 @@ def test_linear_detect_batch_is_the_table_plan_then_apply():
                     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 16, 32])
+@pytest.mark.parametrize("m", [*range(1, linksim.MAX_ANTENNAS + 1), 129,
+                               256])
 def test_path_metrics_match_path_major_oracle(m):
     """_path_metrics gives the bytes of the path-major formula it replaced
-    (tests/oracles.py): on random label stacks for N up to 12, on ML's
-    broadcast enumeration, and on stacks holding zero, inf and NaN channel
-    or observation entries."""
+    (tests/oracles.py), whose sum is numpy's own over M contiguous terms:
+    at every antenna count the link chain takes and past numpy's 128-term
+    block, on random label stacks for N up to 12 with antenna gains from
+    1e-4 to 1e3, on ML's broadcast enumeration, and on stacks holding
+    zero, inf and NaN channel or observation entries.  A numpy release
+    that changes its reduction order fails here before it moves a
+    golden."""
     rng = np.random.default_rng(193 + m)
     cases = []
     for n, c in ((1, QAM64), (2, QAM16), (3, QPSK), (4, QAM16), (8, QPSK),
                  (12, QAM64)):
-        h = _stack(rng, 9, m, n)
-        y = _stack(rng, 9, m, 1)[..., 0]
+        gain = 10.0 ** rng.integers(-4, 4, (9, m, 1))
+        h = _stack(rng, 9, m, n) * gain
+        y = _stack(rng, 9, m, 1)[..., 0] * gain[..., 0]
         h[0] = 0
         h[1, 0, -1] = np.inf
         h[2, -1, 0] = complex(np.nan, 1.0)
@@ -737,25 +743,84 @@ def _observed_stack(rng, b, m, n, c):
     return h, y + np.sqrt(nv) * _stack(rng, b, m, 1)[..., 0], nv
 
 
-@pytest.mark.parametrize("name, kernel", [("ml", "ml_detect_batch"),
-                                          ("mpnl", "mpnl_detect_batch")])
-def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
-    """A list detector's hard and llrs entries give the same bytes in one
-    kernel call each and in row blocks of 3, 3, 3 and 1 REs (16-QAM,
-    N = 2: 256 ML candidates and 32 MPNL paths per RE)."""
-    c = QAM16
-    h, y, nv = _observed_stack(np.random.default_rng(185), 10, 3, 2, c)
-    d = det.DETECTORS[name]
-    plan = d.plan(h, nv, c, 32)
+def _record_rows(monkeypatch, kernel):
+    """Wrap detect's list kernel `kernel`; returns the list that gets the
+    row count of every call."""
     rows = []
     search = getattr(det, kernel)
     monkeypatch.setattr(det, kernel, lambda *a: rows.append(len(a[-2]))
                         or search(*a))
+    return rows
+
+
+def _check_row_blocks(rows, b, n_cands):
+    """rows are the row blocks of a b-row stack: no block holds more than
+    SEARCH_BLOCK candidates unless it is one row, they cover the stack in
+    the fewest such blocks, and their sizes differ by at most one row."""
+    assert sum(rows) == b
+    assert all(r * n_cands <= det.SEARCH_BLOCK or r == 1 for r in rows)
+    assert len(rows) == -(-b // max(1, det.SEARCH_BLOCK // n_cands))
+    assert max(rows) - min(rows) <= 1
+
+
+@pytest.mark.parametrize("name, kernel", [("ml", "ml_detect_batch"),
+                                          ("mpnl", "mpnl_detect_batch")])
+def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
+    """A list detector's hard and llrs entries give the same bytes in one
+    kernel call each and in the fewest even row blocks of at most
+    SEARCH_BLOCK candidates (16-QAM, N = 2: 256 ML candidates and 32 MPNL
+    paths per RE): 10 REs in blocks of at most 3 rows run as 2, 3, 2 and
+    3 rows, and a block smaller than one RE's candidates takes one RE."""
+    c = QAM16
+    n_cands = 256 if name == "ml" else 32
+    h, y, nv = _observed_stack(np.random.default_rng(185), 10, 3, 2, c)
+    d = det.DETECTORS[name]
+    plan = d.plan(h, nv, c, 32)
+    rows = _record_rows(monkeypatch, kernel)
     whole = _both(d, plan, h, y, nv, c)
-    monkeypatch.setattr(det, "LIST_BLOCK", 3 * (256 if name == "ml" else 32))
-    for got, want in zip(_both(d, plan, h, y, nv, c), whole):
+    assert rows == [10, 10]
+    for block_rows, calls in ((3, [2, 3, 2, 3]), (4, [3, 3, 4]),
+                              (5, [5, 5]), (10, [10]), (0.5, [1] * 10)):
+        monkeypatch.setattr(det, "SEARCH_BLOCK", int(block_rows * n_cands))
+        rows.clear()
+        for got, want in zip(_both(d, plan, h, y, nv, c), whole):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert rows == calls * 2
+        _check_row_blocks(calls, 10, n_cands)
+
+
+@pytest.mark.parametrize("b, calls", [(288, [288]), (600, [300, 300]),
+                                      (1025, [341, 342, 342])])
+def test_mpnl_row_blocks_at_the_shipped_block(monkeypatch, b, calls):
+    """At SEARCH_BLOCK, 32-path MPNL (QPSK, N = M = 4) runs a 288-RE genie
+    stack in one call, a 600-RE LS stack in two 300-RE calls and 1025 REs
+    in three, and each entry gives the bytes of one call on the whole
+    stack."""
+    h, y, nv = _observed_stack(np.random.default_rng(184), b, 4, 4, QPSK)
+    d = det.DETECTORS["mpnl"]
+    plan = d.plan(h, nv, QPSK, 32)
+    rows = _record_rows(monkeypatch, "mpnl_detect_batch")
+    blocked = _both(d, plan, h, y, nv, QPSK)
+    assert rows == calls * 2
+    _check_row_blocks(calls, b, 32)
+    monkeypatch.setattr(det, "SEARCH_BLOCK", b * 32)
+    for got, want in zip(blocked, _both(d, plan, h, y, nv, QPSK)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert rows == [10, 10] + [3, 3, 3, 1] * 2
+
+
+@pytest.mark.parametrize("name", sorted(det.DETECTORS))
+def test_detectors_on_a_stack_of_no_rows(name):
+    """Every DETECTORS row plans and applies a zero-row stack, with a
+    scalar or a per-row (empty) noise variance: (0, N) int64 hard labels
+    and (0, N, bps) float64 LLRs."""
+    h, y = np.zeros((0, 3, 2), dtype=complex), np.zeros((0, 3), dtype=complex)
+    d = det.DETECTORS[name]
+    for nv in (0.1, np.zeros(0)):
+        hard, llrs = _both(d, d.plan(h, nv, QAM16, 32), h, y, nv, QAM16)
+        assert hard.shape == (0, 2) and hard.dtype == np.int64
+        assert llrs.shape == (0, 2, QAM16.bits_per_symbol)
+        assert llrs.dtype == np.float64
 
 
 @pytest.mark.parametrize("name, m", [("zf", 3), ("mmse", 3), ("ml", 3),
@@ -765,15 +830,20 @@ def test_detectors_row_independent_under_per_row_noise_variance(
         monkeypatch, name, m):
     """plan, hard and llrs on a 10-RE stack with one noise variance per RE
     give the bytes of the per-RE calls with that RE's scalar variance,
-    also when the list detectors run in row blocks of 3 (16-QAM, N = 2:
-    256 ML candidates and 32 MPNL paths per RE)."""
+    also when the list detectors run in row blocks of at most 3 (16-QAM,
+    N = 2: 256 ML candidates and 32 MPNL paths per RE)."""
     c = QAM16
     rng = np.random.default_rng(187)
     h, y, nv = _observed_stack(rng, 10, m, 2, c)
     nvs = nv * rng.uniform(0.5, 2.0, 10)
     d = det.DETECTORS[name]
-    monkeypatch.setattr(det, "LIST_BLOCK", 3 * (256 if name == "ml" else 32))
+    monkeypatch.setattr(det, "SEARCH_BLOCK", 3 * (256 if name == "ml" else 32))
+    listed = name in ("ml", "mpnl")
+    if listed:
+        calls = _record_rows(monkeypatch, f"{name}_detect_batch")
     whole = _both(d, d.plan(h, nvs, c, 32), h, y, nvs, c)
+    if listed:
+        assert calls == [2, 3, 2, 3] * 2
     rows = [_both(d, d.plan(h[i:i + 1], nvs[i], c, 32), h[i:i + 1],
                     y[i:i + 1], nvs[i], c) for i in range(10)]
     for got, *pieces in zip(whole, *rows):

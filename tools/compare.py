@@ -4,13 +4,16 @@ Run from the repository root:
 
     python3 tools/compare.py PARENT_REV --out BENCH_<n>.json [--pairs 10]
 
-The parent's committed files are exported with ``git archive`` into a
-temporary directory.  For every workload of ``BENCHMARK.json`` and each
-pair k = 1..pairs, each side runs its own, unchanged ``perfbench/run.py --workload W --seed k
---seconds S`` in a fresh process, S being ``run_seconds`` from
-``BENCHMARK.json``; odd pairs run the parent first, even pairs the change.
-Every pair must give equal ``exact_digest`` values and the change no
-failed operation.
+Each side runs from a fresh copy of the files under ``SOURCES`` in a
+temporary directory, written by ``export``: the parent's as committed, the
+change's as the working tree has them, uncommitted edits and untracked
+files included and ignored files (bytecode caches) left out, so the two
+sides differ in code only.  For every workload of ``BENCHMARK.json`` and
+each pair k = 1..pairs, each side runs its own, unchanged
+``perfbench/run.py --workload W --seed k --seconds S`` in a fresh process,
+S being ``run_seconds`` from ``BENCHMARK.json``; odd pairs run the parent
+first, even pairs the change.  Every pair must give equal
+``exact_digest`` values and the change no failed operation.
 
 For every end-to-end metric of ``BENCHMARK.json`` the file written holds
 the per-pair values, each side's median and quartiles, the change's pair
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -145,9 +149,30 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "environment": record["environment"]}
 
 
-def git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+def git(*args, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def export(root: Path, dest: Path, rev: str | None = None) -> list[str]:
+    """Copy the files under SOURCES of the repository at `root` into the
+    directory `dest`: at revision `rev`, or with `rev` None as the working
+    tree has them, untracked files included and ignored ones left out.
+    Returns the paths written, relative to `dest`."""
+    if rev is not None:
+        archive = subprocess.run(["git", "archive", rev, "--", *SOURCES],
+                                 cwd=root, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                       check=True)
+        return git("ls-tree", "-r", "--name-only", rev, "--", *SOURCES,
+                   cwd=root).splitlines()
+    files = [f for f in git("ls-files", "--cached", "--others",
+                            "--exclude-standard", "--", *SOURCES,
+                            cwd=root).splitlines() if (root / f).is_file()]
+    for f in files:
+        (dest / f).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(root / f, dest / f)
+    return files
 
 
 def source_sha256(root: Path, paths) -> str:
@@ -170,27 +195,20 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    parent_rev = git("rev-parse", args.parent)
-    parent_files = git("ls-tree", "-r", "--name-only", parent_rev, "--",
-                       *SOURCES).splitlines()
-    change_files = git("ls-files", "--cached", "--others",
-                       "--exclude-standard", "--", *SOURCES).splitlines()
     report = {
-        "parent": {"rev": parent_rev},
+        "parent": {"rev": git("rev-parse", args.parent)},
         "change": {"rev": git("rev-parse", "HEAD"),
-                   "dirty": bool(git("status", "--porcelain")),
-                   "source_sha256": source_sha256(ROOT, change_files)},
+                   "dirty": bool(git("status", "--porcelain"))},
         "run_seconds": seconds, "pairs_planned": args.pairs,
         "host": None, "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="compare-parent-") as tmp:
-        archive = subprocess.run(["git", "archive", report["parent"]["rev"]],
-                                 cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
-                       check=True)
-        report["parent"]["source_sha256"] = source_sha256(Path(tmp),
-                                                          parent_files)
-        roots = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
+        revs = {"parent": report["parent"]["rev"], "change": None}
+        roots = {side: Path(tmp) / side for side in revs}
+        for side, rev in revs.items():
+            roots[side].mkdir()
+            files = export(ROOT, roots[side], rev)
+            report[side]["source_sha256"] = source_sha256(roots[side], files)
         for w in (w["name"] for w in bench["workloads"]):
             pairs = []
             entry = report["workloads"][w] = {"pairs": pairs}
