@@ -111,9 +111,11 @@ def _path(key, value):
 def _use_cases(key, value):
     if not (isinstance(value, list) and value and all(
             isinstance(u, dict) and set(u) == {"name", "rate_mbps"}
-            and type(u["name"]) is str for u in value)):
+            and type(u["name"]) is str for u in value)
+            and len({u["name"] for u in value}) == len(value)):
         raise ConfigError(f"{key} must be a non-empty list of {{name, "
-                          f"rate_mbps}} mappings (got {value!r})")
+                          f"rate_mbps}} mappings with distinct names "
+                          f"(got {value!r})")
     _setting(f"{key} rate_mbps", [u["rate_mbps"] for u in value], [],
              Above(0.0))
 
@@ -237,7 +239,7 @@ def _bench_chunk(args):
     noise = np.sqrt(nv / 2) * (rng.standard_normal((chunk_size, m))
                                + 1j * rng.standard_normal((chunk_size, m)))
     y = np.einsum("bmn,bn->bm", h, c.points[labels_true]) + noise
-    detector = det.soft_detector(name)
+    detector = det.DETECTORS[name]      # cmd_bench admitted the name
     return detector.hard(detector.plan(h, nv, c, n_paths), h, y, nv, c)
 
 
@@ -304,7 +306,7 @@ def cmd_bench(cfg: dict, manifest: dict, out, seed: int):
 _FIXTURE_SETTINGS = {
     "profile": ("tdl-b-like", _profile), "speed_kmh": (30.0, 0.0),
     "carrier_hz": (3.5e9, Above(0.0)),
-    "n_subcarriers": (24, search.FixtureConfig.numerology.sc_per_rb)}
+    "n_subcarriers": (24, linksim.DEFAULT_NUMEROLOGY.sc_per_rb)}
 
 # command -> (function, {config key: (default, rule)}), the one declaration
 # of what a command reads besides `seed`; a rule is a table of names, an
@@ -362,7 +364,11 @@ def main(argv=None) -> int:
         for key, value in cfg.items():
             if key not in table:
                 raise ConfigError(f"{args.command} does not read {key!r}")
-            _setting(key, value, *table[key])
+            default, rule = table[key]
+            _setting(key, value, default, rule)
+            # a list setting is a set: its values name grid points or runs
+            if isinstance(default, list) and len(set(value)) < len(value):
+                raise ConfigError(f"{key} repeats a value (got {value!r})")
         for key, (default, _) in table.items():
             if isinstance(default, Required) and key not in cfg:
                 raise ConfigError(f"{args.command} needs {key!r}")

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-# Default max-log LLR clipping magnitude.
+# The one max-log LLR clip, which fec.LdpcCode._transmitted's proof needs.
 LLR_CLIP = 20.0
 
 # Relative margin an observation must keep from every decision boundary
@@ -246,9 +246,8 @@ def modulate(bits, c: Constellation) -> np.ndarray:
     return c.points[groups @ weights]
 
 
-def demap_llr(y_eq, noise_var, c: Constellation,
-              clip: float = LLR_CLIP) -> np.ndarray:
-    """Max-log per-bit LLRs; positive means bit 0 more likely.
+def demap_llr(y_eq, noise_var, c: Constellation) -> np.ndarray:
+    """Max-log per-bit LLRs, clipped at LLR_CLIP; positive favours bit 0.
 
     y_eq may be scalar or an array; output gains a trailing
     bits_per_symbol axis, against which noise_var broadcasts.
@@ -260,7 +259,7 @@ def demap_llr(y_eq, noise_var, c: Constellation,
     # points on the leading axis, so the minimum runs over whole rows
     near = np.take(np.moveaxis(d, -1, 0), c.bit_sets, axis=0).min(axis=0)
     llr = np.moveaxis(near[0] - near[1], 0, -1) / noise_var   # (..., bps)
-    return np.clip(llr, -clip, clip)
+    return np.clip(llr, -LLR_CLIP, LLR_CLIP)
 
 
 def bits_from_labels(labels: np.ndarray, c: Constellation) -> np.ndarray:

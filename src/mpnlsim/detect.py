@@ -415,8 +415,7 @@ def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
 
 
 def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
-                          noise_var, c: Constellation,
-                          clip: float = LLR_CLIP) -> np.ndarray:
+                          noise_var, c: Constellation) -> np.ndarray:
     """Max-log LLRs over candidate lists: labels (B, P, N), metrics (B, P).
 
     On every bit, the side holding the first minimum-metric path has the
@@ -442,7 +441,7 @@ def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
     min0 = np.where(top_bits, other, low)
     with np.errstate(invalid="ignore"):
         llr = (min1 - min0) / np.reshape(noise_var, (-1, 1, 1))
-    return np.clip(llr, -clip, clip)
+    return np.clip(llr, -LLR_CLIP, LLR_CLIP)
 
 
 def _select_best(labels: np.ndarray, metrics: np.ndarray):
@@ -565,16 +564,13 @@ DETECTORS = {
 }
 
 
-def soft_detector(name: str) -> Detector:
-    """The table entry of a detector."""
+def check_antenna_floor(name: str, n: int, m: int, q: int, n_paths: int):
+    """The admission rule: detector `name`'s antenna floor for n streams,
+    or ValueError for an unknown name or for m below that floor."""
     if name not in DETECTORS:
         raise ValueError(f"unknown detector {name!r}")
-    return DETECTORS[name]
-
-
-def check_antenna_floor(name: str, n: int, m: int, q: int, n_paths: int):
-    """ValueError unless m antennas meet detector `name`'s floor for n."""
-    need = soft_detector(name).min_antennas(n, q, n_paths)
+    need = DETECTORS[name].min_antennas(n, q, n_paths)
     if m < need:
         raise ValueError(f"detector {name!r} needs at least {need} "
                          f"antennas for {n} streams")
+    return need

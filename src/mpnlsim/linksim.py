@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import detect as det
 from . import fec
 from .channel import ChannelGrid
 from .core import (DATA_SYMBOLS, DEFAULT_NUMEROLOGY, DMRS_COMBS,
-                   DMRS_SYMBOLS, MAX_STREAMS, McsEntry, Numerology, modulate)
+                   DMRS_SYMBOLS, MAX_STREAMS, McsEntry, modulate)
 
 MAX_ANTENNAS = 32
 MIN_FRAMES = 400   # blocks measured before an early stop may fire
@@ -44,8 +43,6 @@ class LinkConfig:
     rb_per_vehicle: int | None = None
     csi: str = "genie"
     seed: int = 0
-    # the one NR slot the chain is built for
-    numerology: ClassVar[Numerology] = DEFAULT_NUMEROLOGY
 
     def __post_init__(self):
         if not 1 <= self.n_streams <= MAX_STREAMS:
@@ -59,33 +56,35 @@ class LinkConfig:
         if self.rb_per_vehicle is None:
             object.__setattr__(self, "rb_per_vehicle",
                                default_rb_allocation(self.mcs))
-        if not 1 <= self.rb_per_vehicle <= self.numerology.n_rb:
+        if not 1 <= self.rb_per_vehicle <= DEFAULT_NUMEROLOGY.n_rb:
             raise ValueError("rb_per_vehicle out of range")
         self.rate_match         # a block the code cannot fit fails here
 
     @property
     def n_subcarriers(self) -> int:
-        return self.rb_per_vehicle * self.numerology.sc_per_rb
+        return self.rb_per_vehicle * DEFAULT_NUMEROLOGY.sc_per_rb
 
-    @functools.cached_property
+    @property
     def rate_match(self) -> fec.RateMatch:
-        """The transport block's fit to the mother code, designed once."""
-        bits = self.n_subcarriers * len(DATA_SYMBOLS) * \
-            self.mcs.constellation.bits_per_symbol
-        return fec.design_rate_match(fec.default_code(), self.mcs.code_rate,
-                                     bits)
+        """The transport block's fit to the mother code."""
+        return design_block(self.mcs, self.rb_per_vehicle)
+
+
+@functools.cache
+def design_block(mcs: McsEntry, rb: int) -> fec.RateMatch:
+    """The one block-size rule: the mother code fit by fec.design_rate_match
+    to the data bits of rb RBs at `mcs`, or its ValueError."""
+    bits = rb * DEFAULT_NUMEROLOGY.sc_per_rb * len(DATA_SYMBOLS) * \
+        mcs.constellation.bits_per_symbol
+    return fec.design_rate_match(fec.default_code(), mcs.code_rate, bits)
 
 
 @functools.cache
 def default_rb_allocation(mcs: McsEntry) -> int:
-    """Largest RB count, up to n_rb, whose transport block the mother code
-    fits; fec.design_rate_match is the one statement of that rule."""
-    bits_per_rb = DEFAULT_NUMEROLOGY.sc_per_rb * len(DATA_SYMBOLS) * \
-        mcs.constellation.bits_per_symbol
+    """Largest RB count, up to n_rb, that design_block accepts."""
     for rb in range(DEFAULT_NUMEROLOGY.n_rb, 0, -1):
         try:
-            fec.design_rate_match(fec.default_code(), mcs.code_rate,
-                                  rb * bits_per_rb)
+            design_block(mcs, rb)
             return rb
         except ValueError as e:
             reason = e
@@ -145,7 +144,7 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     Returns a boolean array (n_frames, n_streams): True = transport block
     decoded correctly (converged and bit-exact).
     """
-    num = cfg.numerology
+    n_sym = DEFAULT_NUMEROLOGY.symbols_per_slot
     n_sc = cfg.n_subcarriers
     n, m = cfg.n_streams, cfg.m_antennas
     if any(np.less(grid.h.shape[1:], (n_sc, m, n))):
@@ -161,19 +160,19 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
 
     # per-frame payloads and noise, drawn from per-frame streams
     info = np.empty((f, n, rm.k_tb), dtype=np.uint8)
-    noise = np.empty((f, num.symbols_per_slot, n_sc, m), dtype=complex)
+    noise = np.empty((f, n_sym, n_sc, m), dtype=complex)
     for i, fi in enumerate(frame_indices):
         rng = _frame_rng(cfg.seed, chan_idx, fi)
         info[i] = rng.integers(0, 2, (n, rm.k_tb))
         noise[i] = np.sqrt(noise_var / 2) * (
-            rng.standard_normal((num.symbols_per_slot, n_sc, m))
-            + 1j * rng.standard_normal((num.symbols_per_slot, n_sc, m)))
+            rng.standard_normal((n_sym, n_sc, m))
+            + 1j * rng.standard_normal((n_sym, n_sc, m)))
 
     tx_bits = fec.encode_rate_matched(code, rm, info.reshape(f * n, rm.k_tb))
     symbols = modulate(tx_bits.reshape(-1), c).reshape(f, n, n_data, n_sc)
 
     # transmit grid: (F, symbols, subcarriers, N), unit pilots
-    x = np.zeros((f, num.symbols_per_slot, n_sc, n), dtype=complex)
+    x = np.zeros((f, n_sym, n_sc, n), dtype=complex)
     x[:, DATA_SYMBOLS] = symbols.transpose(0, 2, 3, 1)
     sym, sc = _pilots(n, n_sc)
     x[:, sym[:, None], sc, np.arange(n)[:, None]] = 1
@@ -206,8 +205,7 @@ def simulate_frames(cfg: LinkConfig, grid: ChannelGrid, noise_var: float,
     return ok.reshape(f, n)
 
 
-def measure_per(cfg: LinkConfig, channels, noise_vars,
-                frames_per_channel: int = 200,
+def measure_per(cfg: LinkConfig, channels, noise_vars, frames_per_channel: int,
                 stop_threshold: float | None = None) -> PerResult:
     """Average transport-block error rate over a channel fixture set.
 

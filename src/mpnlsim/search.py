@@ -37,6 +37,7 @@ class FixtureConfig:
     channels_per_group: int = 50
     base_seed: int = 20240
     n_subcarriers: int = 24
+    # the link chain's slot, read only by perfbench/workloads.py
     numerology: ClassVar[Numerology] = DEFAULT_NUMEROLOGY
 
     def seeds(self, n: int, m: int):
@@ -66,7 +67,7 @@ class FixtureConfig:
         """A cell's link on this fixture: the RB allocation for `mcs`
         clamped to its width, payloads and noise seeded by base_seed."""
         rb = min(linksim.default_rb_allocation(mcs),
-                 self.n_subcarriers // self.numerology.sc_per_rb)
+                 self.n_subcarriers // DEFAULT_NUMEROLOGY.sc_per_rb)
         return linksim.LinkConfig(
             n_streams=n, m_antennas=m, mcs=mcs, detector=detector,
             n_paths=n_paths, csi=csi, seed=self.base_seed, rb_per_vehicle=rb)
@@ -89,13 +90,12 @@ class SearchCell:
 
 
 def min_antennas(n: int, mcs_index: int, detector: str,
-                 fixtures: FixtureConfig,
-                 frames_per_channel: int = 8,
-                 n_paths: int = 32) -> SearchCell:
+                 fixtures: FixtureConfig, frames_per_channel: int,
+                 n_paths: int) -> SearchCell:
     """Smallest antenna count meeting the PER threshold (first hit)."""
     mcs = mcs_entry(mcs_index)
-    m_needed = detect.soft_detector(detector).min_antennas(
-        n, mcs.constellation.order, n_paths)
+    m_needed = detect.check_antenna_floor(
+        detector, n, M_MAX, mcs.constellation.order, n_paths)
     # too few antennas for the detector counts as failing
     prev_per = 1.0 if M_MIN < m_needed else float("nan")
     frames = 0
@@ -118,7 +118,7 @@ def min_antennas(n: int, mcs_index: int, detector: str,
 
 
 def heatmap(streams, mcs_list, detectors, fixtures: FixtureConfig,
-            frames_per_channel: int = 8, n_paths: int = 32,
+            frames_per_channel: int, n_paths: int,
             progress=None) -> list[SearchCell]:
     """Full (streams x MCS x detector) minimum-antenna grid."""
     grid = list(itertools.product(streams, mcs_list, detectors))

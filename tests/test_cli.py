@@ -238,6 +238,19 @@ def search_config(tmp_path, **kw):
      "target_snr_db=-1e+300"),
     ("per-sweep", sweep_config, dict(snr_jitter_db=1.0e300),
      "jitter_db=1e+300"),
+    # a repeated value would run its cell or pass twice and write its row
+    # twice, a table that connectivity then refuses
+    ("search", search_config, dict(streams=[2, 2]), "streams repeats"),
+    ("search", search_config, dict(mcs=[0, 7, 0]), "mcs repeats"),
+    ("search", search_config, dict(detectors=["mmse", "mmse"]),
+     "detectors repeats"),
+    ("per-sweep", sweep_config, dict(snr_db=[20, 20.0]), "snr_db repeats"),
+    ("connectivity", bare_config, dict(antenna_budgets=[4, 4]),
+     "antenna_budgets repeats"),
+    ("connectivity", bare_config, dict(use_cases=[
+        {"name": "a", "rate_mbps": 1.0}, {"name": "a", "rate_mbps": 2.0}]),
+     "distinct names"),
+    ("bench", bare_config, dict(workers=[1, 1]), "workers repeats"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):

@@ -149,37 +149,44 @@ def test_roundtrip_all_points(order, nv):
     assert np.array_equal(bits, c.labels)
 
 
+def _unclipped_llrs(y, nv, c):
+    """Each bit's nearest 1-labelled point's distance minus its nearest
+    0-labelled point's, over nv, computed point by point."""
+    d = np.abs(np.asarray(y, dtype=complex)[..., None] - c.points) ** 2
+    want = np.empty(np.shape(y) + (c.bits_per_symbol,))
+    with np.errstate(invalid="ignore"):
+        for idx in np.ndindex(np.shape(y)):
+            for k in range(c.bits_per_symbol):
+                one = c.labels[:, k] == 1
+                want[idx + (k,)] = (np.min(d[idx][one])
+                                    - np.min(d[idx][~one])) / nv
+    return want
+
+
 @given(st.integers(0, 63),
        st.floats(0.05, 4.0, allow_nan=False))
 def test_demap_scaling_before_clip(label, nv):
+    # the 1 / nv scaling comes first, so a small nv saturates at the clip
     c = core.QAM64
     y = c.points[label] + 0.1 + 0.05j
-    a = core.demap_llr(y, nv, c, clip=np.inf)
-    b = core.demap_llr(y, 1.0, c, clip=np.inf) / nv
-    assert np.allclose(a, b, rtol=1e-10)
+    want = np.clip(_unclipped_llrs(y, nv, c), -core.LLR_CLIP, core.LLR_CLIP)
+    assert np.array_equal(core.demap_llr(y, nv, c), want)
 
 
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_demap_matches_direct_formula(order):
-    """Each bit's LLR is the nearest 1-labelled point's distance minus the
-    nearest 0-labelled point's, over noise_var, for scalar, 1-D and 2-D
-    inputs, NaN and infinite observations included."""
+    """demap_llr gives the direct formula clipped at LLR_CLIP, for scalar,
+    1-D and 2-D inputs, NaN and infinite observations included."""
     c = core.constellation_for(order)
     rng = np.random.default_rng(order)
     y = 1.5 * (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7)))
     y[0, :4] = [np.nan, np.inf, c.points[1], (c.points[0] + c.points[1]) / 2]
     for inp in (y[1, 2], 0.0, y[0], y):
-        d = np.abs(np.asarray(inp, dtype=complex)[..., None] - c.points) ** 2
-        for nv, clip in ((0.3, core.LLR_CLIP), (1.0, np.inf)):
-            want = np.empty(np.shape(inp) + (c.bits_per_symbol,))
+        for nv in (0.01, 0.3, 1.0):
+            want = np.clip(_unclipped_llrs(inp, nv, c), -core.LLR_CLIP,
+                           core.LLR_CLIP)
             with np.errstate(invalid="ignore"):
-                for idx in np.ndindex(np.shape(inp)):
-                    for k in range(c.bits_per_symbol):
-                        one = c.labels[:, k] == 1
-                        want[idx + (k,)] = (np.min(d[idx][one])
-                                            - np.min(d[idx][~one])) / nv
-                got = core.demap_llr(inp, nv, c, clip=clip)
-            want = np.clip(want, -clip, clip)
+                got = core.demap_llr(inp, nv, c)
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
 

@@ -3,7 +3,7 @@ import pytest
 
 from mpnlsim import channel as ch
 from mpnlsim import detect, fec, linksim
-from mpnlsim.core import Constellation, mcs_entry
+from mpnlsim.core import DEFAULT_NUMEROLOGY, Constellation, mcs_entry
 
 MCS_QPSK = mcs_entry(7)      # QPSK, mid rate
 
@@ -22,7 +22,7 @@ def make_grid(cfg, seed=0):
     h0 = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
     h0 /= np.sqrt(2.0)
     return ch.ChannelGrid(h=np.broadcast_to(h0, (
-        cfg.numerology.symbols_per_slot, cfg.n_subcarriers, m, n)).copy())
+        DEFAULT_NUMEROLOGY.symbols_per_slot, cfg.n_subcarriers, m, n)).copy())
 
 
 def test_config_validation():
@@ -39,7 +39,7 @@ def test_config_validation():
     # unknown detectors (the sphere oracle is not in the table) and
     # detectors with too few antennas
     with pytest.raises(ValueError, match="unknown detector 'turbo'"):
-        detect.soft_detector("turbo")
+        detect.check_antenna_floor("turbo", 2, 4, 4, 32)
     with pytest.raises(ValueError, match="sphere"):
         make_cfg(detector="sphere")
     with pytest.raises(ValueError, match="'zf' needs at least 4"):
@@ -96,7 +96,7 @@ def test_default_rb_allocation_always_rate_matchable(idx):
 
 def test_dmrs_combs_disjoint():
     assert sorted(linksim.DATA_SYMBOLS + linksim.DMRS_SYMBOLS) == list(
-        range(linksim.LinkConfig.numerology.symbols_per_slot))
+        range(DEFAULT_NUMEROLOGY.symbols_per_slot))
     sym, sc = linksim._pilots(linksim.MAX_STREAMS, 24)
     assert sc.shape == (12, 4)
     pilots = {(s, k) for s, row in zip(sym, sc) for k in row}
@@ -110,7 +110,7 @@ def test_ls_estimate_exact_on_constant_channel():
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     n_sc = cfg.n_subcarriers
     sym, sc = linksim._pilots(2, n_sc)
-    obs = np.zeros((1, cfg.numerology.symbols_per_slot, n_sc, 3),
+    obs = np.zeros((1, DEFAULT_NUMEROLOGY.symbols_per_slot, n_sc, 3),
                    dtype=complex)
     for v in range(2):
         obs[0, sym[v], sc[v], :] += h[:, v]
@@ -128,7 +128,7 @@ def test_ls_estimate_takes_nearest_pilot(n, rb):
                    csi="ls_dmrs")
     n_sc, comb = cfg.n_subcarriers, linksim.DMRS_COMBS
     rng = np.random.default_rng(n * 10 + rb)
-    shape = (3, cfg.numerology.symbols_per_slot, n_sc, cfg.m_antennas)
+    shape = (3, DEFAULT_NUMEROLOGY.symbols_per_slot, n_sc, cfg.m_antennas)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     est = linksim.estimate_channel_ls(y, cfg)
     ref = np.empty_like(est)

@@ -56,7 +56,8 @@ def test_fixture_link_clamps_rb_to_width_and_seeds_with_base_seed():
 
 def test_min_antennas_easy_case():
     fx = small_fixtures()
-    cell = search.min_antennas(2, 0, "mmse", fx, frames_per_channel=2)
+    cell = search.min_antennas(2, 0, "mmse", fx, frames_per_channel=2,
+                                n_paths=32)
     assert cell.supported
     assert cell.min_antennas >= 2
     assert cell.measured_per <= search.PER_THRESHOLD
@@ -65,7 +66,8 @@ def test_min_antennas_easy_case():
 
 def test_min_antennas_unsupported_sentinel():
     fx = small_fixtures(region=ch.SnrRegion(-20.0, jitter_db=0.0))
-    cell = search.min_antennas(2, 12, "mmse", fx, frames_per_channel=2)
+    cell = search.min_antennas(2, 12, "mmse", fx, frames_per_channel=2,
+                                n_paths=32)
     assert not cell.supported
     assert cell.min_antennas == search.UNSUPPORTED
     # the blocks behind measured_per, those at M_MAX: 2 channels x 2
@@ -77,14 +79,15 @@ def test_min_antennas_measures_per_below_overloaded_mpnl():
     # QPSK, N=6, 32 paths: the walk starts at M_MIN, so the PER one
     # antenna below the answer is measured, not the 1.0 of a skipped M
     cell = search.min_antennas(6, 2, "mpnl", small_fixtures(),
-                               frames_per_channel=2)
+                               frames_per_channel=2, n_paths=32)
     assert cell.min_antennas == 4
     assert search.PER_THRESHOLD < cell.per_below < 1.0
 
 
 def test_min_antennas_zf_requires_full_rank():
     fx = small_fixtures()
-    cell = search.min_antennas(3, 0, "zf", fx, frames_per_channel=2)
+    cell = search.min_antennas(3, 0, "zf", fx, frames_per_channel=2,
+                                n_paths=32)
     assert cell.min_antennas >= 3
 
 
@@ -92,7 +95,8 @@ def test_heatmap_runs_and_reports_progress():
     fx = small_fixtures()
     seen = []
     cells = search.heatmap([2], [0], ["mmse", "mpnl"], fx,
-                           frames_per_channel=2, progress=seen.append)
+                           frames_per_channel=2, n_paths=32,
+                           progress=seen.append)
     assert len(cells) == len(seen) == 2
     assert {c.detector for c in cells} == {"mmse", "mpnl"}
 
