@@ -25,6 +25,14 @@ LLR_CLIP = 20.0
 # before Constellation.nearest slices it per axis (see nearest).
 SLICE_GUARD = 1e-9
 
+# candidates a kernel scores in one block: the one working-set budget of
+# every kernel whose arrays grow with rows x candidates (demap_llr's Q
+# points per symbol, the list detectors' paths per RE).  At 32 paths a
+# 600-RE LS stack runs as two 300-RE calls.  Whole, each such QPSK stack
+# took about 10,400 minor page faults on every link_slots pass; in
+# blocks, a steady pass takes under 10
+SEARCH_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -246,15 +254,63 @@ def modulate(bits, c: Constellation) -> np.ndarray:
     return c.points[groups @ weights]
 
 
+def row_blocks(rows: int, per_row: int, budget: int) -> list[slice]:
+    """The fewest row blocks of `rows` rows holding at most `budget` of
+    `per_row` candidates each (one row where a row alone exceeds it),
+    sized within one row of each other; no rows is one empty block."""
+    per_block = max(1, budget // per_row)
+    blocks = max(1, -(-rows // per_block))
+    cuts = [k * rows // blocks for k in range(blocks + 1)]
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+
+
+def blockwise(kernel, per_row: int, budget: int, *rows):
+    """kernel(*rows) run on the row_blocks of `budget` candidates, per_row
+    to a row, written into one preallocated array per output.
+
+    rows are the kernel's per-row inputs, the last an array; it returns an
+    array or a tuple of arrays, each with one entry per row on its first
+    axis.  A stack that fits in one block is one call on the inputs as
+    given.  The blocks give the bytes of that call when the kernel is
+    row-independent.
+    """
+    n = len(rows[-1])
+    blocks = row_blocks(n, per_row, budget)
+    if len(blocks) == 1:
+        return kernel(*rows)
+    outs = None
+    for s in blocks:
+        part = kernel(*(x[s] for x in rows))
+        parts = part if isinstance(part, tuple) else (part,)
+        if outs is None:
+            outs = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in parts)
+        for out, p in zip(outs, parts):
+            out[s] = p
+    return outs if isinstance(part, tuple) else outs[0]
+
+
 def demap_llr(y_eq, noise_var, c: Constellation) -> np.ndarray:
     """Max-log per-bit LLRs, clipped at LLR_CLIP; positive favours bit 0.
 
     y_eq may be scalar or an array; output gains a trailing
-    bits_per_symbol axis, against which noise_var broadcasts.
+    bits_per_symbol axis, against which noise_var broadcasts.  Symbols run
+    in row blocks of at most SEARCH_BLOCK point distances.
     """
     if np.any(np.asarray(noise_var) <= 0):
         raise ValueError("noise_var must be positive")
     y = np.asarray(y_eq, dtype=complex)
+    if len(row_blocks(y.size, c.order, SEARCH_BLOCK)) == 1:
+        return _demap_rows(y, noise_var, c)
+    shape = np.broadcast_shapes(y.shape + (c.bits_per_symbol,),
+                                np.shape(noise_var))
+    rows = (np.broadcast_to(y, shape[:-1]).reshape(-1),
+            np.broadcast_to(noise_var, shape).reshape(-1, shape[-1]))
+    return blockwise(lambda y, nv: _demap_rows(y, nv, c), c.order,
+                     SEARCH_BLOCK, *rows).reshape(shape)
+
+
+def _demap_rows(y: np.ndarray, noise_var, c: Constellation) -> np.ndarray:
+    """demap_llr of complex observations y in one block."""
     d = np.abs(y[..., None] - c.points) ** 2      # (..., Q)
     # points on the leading axis, so the minimum runs over whole rows
     near = np.take(np.moveaxis(d, -1, 0), c.bit_sets, axis=0).min(axis=0)

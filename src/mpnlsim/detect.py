@@ -25,17 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LLR_CLIP, Constellation, demap_llr
+from .core import (LLR_CLIP, SEARCH_BLOCK, Constellation, blockwise,
+                   demap_llr)
 
 # the bound on ML's enumeration and on MPNL's n_paths
 LIST_BLOCK = 1 << 16
-
-# candidates a list detector scores in one kernel call.  A stack runs as the
-# fewest row blocks within it, sized within one row of each other (a row
-# alone may exceed it): at 32 paths, a 600-RE LS stack runs as two 300-RE
-# calls.  Whole, each such QPSK stack took about 10,400 minor page faults
-# on every link_slots pass; in blocks, a steady pass takes under 10
-SEARCH_BLOCK = 1 << 14
 
 
 class SingularChannelError(ValueError):
@@ -188,12 +182,15 @@ def linear_detect_batch(h: np.ndarray, y: np.ndarray, noise_var,
 def ml_detect_batch(h: np.ndarray, y: np.ndarray, c: Constellation):
     """Exhaustive search over a (B, M, N) / (B, M) stack.  Returns (labels
     (B, Q^N, N), metrics (B, Q^N), best (B,)); best is the first minimum,
-    so ties break lexicographically."""
+    so ties break lexicographically.  The labels are one table broadcast
+    over the stack; the metrics are scored in row blocks of at most
+    SEARCH_BLOCK candidates."""
     b, m, n = h.shape
     _check_enumeration(n, c.order)
     labels = _enumerate_labels(n, c.order)
     labels = np.broadcast_to(labels, (b,) + labels.shape)
-    metrics = _path_metrics(h, y, labels, c)
+    metrics = blockwise(lambda h, y, x: _path_metrics(h, y, x, c),
+                        labels.shape[1], SEARCH_BLOCK, h, y, labels)
     return labels, metrics, np.argmin(metrics, axis=1)
 
 
@@ -416,7 +413,17 @@ def _tree_labels(z: np.ndarray, r: np.ndarray, expansions: np.ndarray,
 
 def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
                           noise_var, c: Constellation) -> np.ndarray:
-    """Max-log LLRs over candidate lists: labels (B, P, N), metrics (B, P).
+    """Max-log LLRs over candidate lists: labels (B, P, N), metrics (B, P);
+    noise_var is a scalar or one variance per row.  Rows run in blocks of
+    at most SEARCH_BLOCK paths."""
+    nv = np.broadcast_to(np.reshape(noise_var, -1), (len(labels),))
+    return blockwise(lambda x, m, v: _candidate_llrs_rows(x, m, v, c),
+                     labels.shape[1], SEARCH_BLOCK, labels, metrics, nv)
+
+
+def _candidate_llrs_rows(labels: np.ndarray, metrics: np.ndarray,
+                         noise_var, c: Constellation) -> np.ndarray:
+    """_candidate_llrs_batch in one block.
 
     On every bit, the side holding the first minimum-metric path has the
     list's minimum (NaN if any metric is NaN), so only the other side is
@@ -465,8 +472,16 @@ def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
 
     Returns (labels (B, P, N), metrics (B, P), best index (B,)).  Metrics
     are the true residuals ||y - H x||^2 regardless of any augmentation
-    used during planning.
+    used during planning.  Rows run in blocks of at most SEARCH_BLOCK
+    paths.
     """
+    return blockwise(lambda p, h, y: _mpnl_rows(p, h, y, c), plan.n_paths,
+                     SEARCH_BLOCK, plan, h, y)
+
+
+def _mpnl_rows(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
+               c: Constellation):
+    """mpnl_detect_batch in one block."""
     z = np.einsum("bnm,bm->bn", plan.qh, y)
     labels = _tree_labels(z, plan.r, plan.expansions, c, plan.perm)
     metrics = _path_metrics(h, y, labels, c)
@@ -503,20 +518,14 @@ def _list_output(search, output, n_cands: int, c, noise_var, *rows):
     search(*(x[s] for x in rows), c) scores n_cands candidates on each row
     of block s, giving (labels, metrics, best), and output(labels,
     metrics, best, nv, c) reduces them, nv being the block's slice of
-    noise_var (a scalar or one variance per row).  The stack runs as the
-    fewest blocks of at most SEARCH_BLOCK candidates (of one row where a
-    row alone exceeds it), sized within one row of each other; a stack of
-    no rows is one empty block.  Rows are independent, so the split
-    changes no output.
+    noise_var (a scalar or one variance per row).  The blocks are
+    core.blockwise's at SEARCH_BLOCK candidates, so each search and output
+    call fits in one block; rows are independent, so the split changes no
+    output.
     """
     nv = np.broadcast_to(noise_var, (len(rows[-1]),))
-    b = len(nv)
-    per_block = max(1, SEARCH_BLOCK // n_cands)
-    blocks = max(1, -(-b // per_block))
-    cuts = [k * b // blocks for k in range(blocks + 1)]
-    return np.concatenate([
-        output(*search(*(x[i:j] for x in rows), c), nv[i:j], c)
-        for i, j in zip(cuts, cuts[1:])])
+    return blockwise(lambda *x: output(*search(*x[:-1], c), x[-1], c),
+                     n_cands, SEARCH_BLOCK, *rows, nv)
 
 
 def _list_llrs(labels, metrics, best, nv, c):

@@ -119,32 +119,67 @@ def test_source_digest_covers_every_listed_file(tmp_path):
     assert compare.source_sha256(tmp_path, ["a.py", "b.py"]) != base
 
 
+def test_run_order_is_drawn_from_the_seed():
+    """Over 10 pairs each side runs first in 5, in no fixed alternation,
+    and a seed always gives the same order."""
+    orders = [compare.run_order(k) for k in range(1, 11)]
+    assert all(sorted(o) == ["change", "parent"] for o in orders)
+    firsts = [o[0] for o in orders]
+    assert firsts.count("parent") == 5
+    assert firsts[0::2] != ["parent"] * 5 and firsts[0::2] != ["change"] * 5
+    assert [compare.run_order(k) for k in range(1, 11)] == orders
+
+
+def _git_repo(root, files):
+    """A repository at `root` with `files` ({path: text}) committed."""
+    for path, text in files.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=root, check=True, capture_output=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_export_is_one_routine_for_both_sides(tmp_path):
+    """A revision exported twice, and a clean working tree, give the same
+    files and source_sha256."""
+    repo = tmp_path / "repo"
+    _git_repo(repo, {"src/pkg/a.py": "a = 1\n", "perfbench/b.py": "b = 1\n"})
+    digests = []
+    for k, rev in enumerate(("HEAD", "HEAD", None)):
+        dest = tmp_path / f"side{k}"
+        dest.mkdir()
+        files = compare.export(repo, dest, rev)
+        assert sorted(files) == ["perfbench/b.py", "src/pkg/a.py"]
+        digests.append(compare.source_sha256(dest, files))
+    assert len(set(digests)) == 1
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_export_copies_sources_without_caches(tmp_path):
     """Both sides are fresh copies of SOURCES: a revision as committed, and
     the working tree with its edits and untracked files but without
-    ignored bytecode caches, deleted files or files outside SOURCES."""
+    ignored bytecode caches, deleted files or files outside SOURCES.  The
+    working tree's export leaves the repository's status as it was."""
     repo = tmp_path / "repo"
-    for path, text in (("src/pkg/a.py", "a = 1\n"),
-                       ("perfbench/b.py", "b = 1\n"),
-                       ("perfbench/gone.py", "c = 1\n"),
-                       ("tools/t.py", "t = 1\n"),
-                       (".gitignore", "__pycache__/\n")):
-        (repo / path).parent.mkdir(parents=True, exist_ok=True)
-        (repo / path).write_text(text)
-
-    def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
-                        *args], cwd=repo, check=True, capture_output=True)
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "base")
+    _git_repo(repo, {"src/pkg/a.py": "a = 1\n", "perfbench/b.py": "b = 1\n",
+                     "perfbench/gone.py": "c = 1\n", "tools/t.py": "t = 1\n",
+                     ".gitignore": "__pycache__/\n"})
     (repo / "src/pkg/a.py").write_text("a = 2\n")
     (repo / "src/pkg/new.py").write_text("n = 1\n")
     (repo / "src/pkg/__pycache__").mkdir()
     (repo / "src/pkg/__pycache__/a.cpython-311.pyc").write_bytes(b"stale")
     (repo / "perfbench/gone.py").unlink()
 
+    def status():
+        return subprocess.run(["git", "status", "--porcelain"], cwd=repo,
+                              check=True, capture_output=True).stdout
+    before = status()
     listed = {}
     for side, rev in (("parent", "HEAD"), ("change", None)):
         dest = tmp_path / side
@@ -158,3 +193,4 @@ def test_export_copies_sources_without_caches(tmp_path):
                                 "src/pkg/new.py"]
     assert (tmp_path / "parent/src/pkg/a.py").read_text() == "a = 1\n"
     assert (tmp_path / "change/src/pkg/a.py").read_text() == "a = 2\n"
+    assert status() == before           # the repository's index untouched

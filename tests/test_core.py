@@ -122,6 +122,52 @@ def test_demap_array_noise_matches_scalar_calls():
             core.demap_llr(y, np.array([[0.5], [0.0], [1.0]]), c)
 
 
+@pytest.mark.parametrize("rows, per_row", [(0, 4), (1, 64), (7, 3),
+                                           (35, 4), (100, 7), (9, 40)])
+@pytest.mark.parametrize("budget", [1, 5, 16, 39, 1 << 14])
+def test_row_blocks_are_the_fewest_even_blocks_within_budget(rows, per_row,
+                                                             budget):
+    """row_blocks covers the rows in order with the fewest blocks of at
+    most `budget` candidates (one row where a row alone exceeds it),
+    sized within one row of each other; no rows is one empty block."""
+    blocks = core.row_blocks(rows, per_row, budget)
+    sizes = [s.stop - s.start for s in blocks]
+    assert [s.start for s in blocks] == [0] + [s.stop for s in blocks[:-1]]
+    assert blocks[-1].stop == rows
+    assert all(n * per_row <= budget or n == 1 for n in sizes)
+    assert len(blocks) == max(1, -(-rows // max(1, budget // per_row)))
+    assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_demap_row_blocks_change_no_output(monkeypatch, order):
+    """demap_llr gives the same bytes, shape and dtype in one block and in
+    row blocks of 1, 3, 8 and 34 symbols' point distances: a (5, 7) input
+    with a scalar, a per-symbol (..., 1), a per-bit (..., bps) and a
+    per-row (5, 1, 1) noise variance, and an empty input."""
+    c = core.constellation_for(order)
+    bps = c.bits_per_symbol
+    rng = np.random.default_rng(order + 1)
+    y = 1.5 * (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)))
+    cases = [(y, 0.3)] + [(y, rng.uniform(0.05, 2.0, shape)) for shape in
+                          ((5, 7, 1), (5, 7, bps), (5, 1, 1))]
+    cases.append((np.zeros((0, 3), dtype=complex), 0.3))
+    whole = [core.demap_llr(y, nv, c) for y, nv in cases]
+    sizes = []
+    block = core._demap_rows
+    monkeypatch.setattr(core, "_demap_rows",
+                        lambda y, *a: sizes.append(y.size) or block(y, *a))
+    for symbols in (1, 3, 8, 34):
+        monkeypatch.setattr(core, "SEARCH_BLOCK", symbols * order)
+        for (y, nv), want in zip(cases, whole):
+            sizes.clear()
+            got = core.demap_llr(y, nv, c)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert len(sizes) == max(1, -(-y.size // symbols))
+            assert max(sizes) <= symbols
+
+
 def test_demap_saturates_far_from_boundary():
     y = 10 * (1 + 1j) / np.sqrt(2)
     llr = core.demap_llr(y, 1.0, core.QPSK)

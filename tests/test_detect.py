@@ -751,6 +751,16 @@ def _record_rows(monkeypatch, kernel):
     return rows
 
 
+def _direct(kernel, plan, h, y, nv, c):
+    """List kernel `kernel` called directly on the stack: its (labels,
+    metrics, best), and the candidate LLRs of those lists at noise
+    variance nv."""
+    args = (h, y, c) if kernel == "ml_detect_batch" else (plan, h, y, c)
+    labels, metrics, best = getattr(det, kernel)(*args)
+    return (labels, metrics, best,
+            det._candidate_llrs_batch(labels, metrics, nv, c))
+
+
 def _check_row_blocks(rows, b, n_cands):
     """rows are the row blocks of a b-row stack: no block holds more than
     SEARCH_BLOCK candidates unless it is one row, they cover the stack in
@@ -768,15 +778,21 @@ def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
     kernel call each and in the fewest even row blocks of at most
     SEARCH_BLOCK candidates (16-QAM, N = 2: 256 ML candidates and 32 MPNL
     paths per RE): 10 REs in blocks of at most 3 rows run as 2, 3, 2 and
-    3 rows, and a block smaller than one RE's candidates takes one RE."""
+    3 rows, and a block smaller than one RE's candidates takes one RE.
+    So do the kernel and the candidate LLRs called directly, at a scalar
+    and a per-row noise variance, each a single call of the kernel's
+    module global however many blocks it runs."""
     c = QAM16
     n_cands = 256 if name == "ml" else 32
-    h, y, nv = _observed_stack(np.random.default_rng(185), 10, 3, 2, c)
+    rng = np.random.default_rng(185)
+    h, y, nv = _observed_stack(rng, 10, 3, 2, c)
+    nvs = nv * rng.uniform(0.5, 2.0, 10)
     d = det.DETECTORS[name]
     plan = d.plan(h, nv, c, 32)
     rows = _record_rows(monkeypatch, kernel)
     whole = _both(d, plan, h, y, nv, c)
     assert rows == [10, 10]
+    direct = [_direct(kernel, plan, h, y, v, c) for v in (nv, nvs)]
     for block_rows, calls in ((3, [2, 3, 2, 3]), (4, [3, 3, 4]),
                               (5, [5, 5]), (10, [10]), (0.5, [1] * 10)):
         monkeypatch.setattr(det, "SEARCH_BLOCK", int(block_rows * n_cands))
@@ -786,6 +802,11 @@ def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
             assert got.tobytes() == want.tobytes()
         assert rows == calls * 2
         _check_row_blocks(calls, 10, n_cands)
+        for v, outs in zip((nv, nvs), direct):
+            for got, want in zip(_direct(kernel, plan, h, y, v, c), outs):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert rows == calls * 2 + [10, 10]
 
 
 @pytest.mark.parametrize("b, calls", [(288, [288]), (600, [300, 300]),
@@ -794,7 +815,9 @@ def test_mpnl_row_blocks_at_the_shipped_block(monkeypatch, b, calls):
     """At SEARCH_BLOCK, 32-path MPNL (QPSK, N = M = 4) runs a 288-RE genie
     stack in one call, a 600-RE LS stack in two 300-RE calls and 1025 REs
     in three, and each entry gives the bytes of one call on the whole
-    stack."""
+    stack.  So do mpnl_detect_batch, ml_detect_batch (256 candidates per
+    RE) and their candidate LLRs called directly, each one call of the
+    kernel's module global."""
     h, y, nv = _observed_stack(np.random.default_rng(184), b, 4, 4, QPSK)
     d = det.DETECTORS["mpnl"]
     plan = d.plan(h, nv, QPSK, 32)
@@ -802,9 +825,16 @@ def test_mpnl_row_blocks_at_the_shipped_block(monkeypatch, b, calls):
     blocked = _both(d, plan, h, y, nv, QPSK)
     assert rows == calls * 2
     _check_row_blocks(calls, b, 32)
-    monkeypatch.setattr(det, "SEARCH_BLOCK", b * 32)
+    kernels = ("mpnl_detect_batch", "ml_detect_batch")
+    direct = [_direct(k, plan, h, y, nv, QPSK) for k in kernels]
+    assert rows == calls * 2 + [b]
+    monkeypatch.setattr(det, "SEARCH_BLOCK", b * 256)
     for got, want in zip(blocked, _both(d, plan, h, y, nv, QPSK)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for k, outs in zip(kernels, direct):
+        for got, want in zip(outs, _direct(k, plan, h, y, nv, QPSK)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(det.DETECTORS))
@@ -872,6 +902,47 @@ def test_list_apply_memory_stays_within_row_blocks(name, n_paths, b):
             _both(d, d.plan(h[s], nv, QPSK, n_paths), h[s], y[s], nv, QPSK)
             for s in rows)):
         assert got_part.tobytes() == np.concatenate(pieces).tobytes()
+
+
+def _traced(call):
+    """call()'s traced peak and the traced bytes still held after it, the
+    result's own included."""
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak, kept
+
+
+@pytest.mark.parametrize("kernel, per_row", [
+    ("demap_llr", 4), ("ml_detect_batch", 256), ("mpnl_detect_batch", 32),
+    ("_candidate_llrs_batch", 32)])
+def test_kernel_memory_stays_within_row_blocks(kernel, per_row):
+    """Called directly on a stack of 8 SEARCH_BLOCK row blocks (QPSK,
+    N = M = 4: 4 points per demapped symbol, 256 ML candidates and 32
+    MPNL paths per RE), a kernel's traced peak above what it returns stays
+    under twice its peak on one block; scoring the whole stack at once
+    peaks near 8 times that."""
+    rows = det.SEARCH_BLOCK // per_row
+    rng = np.random.default_rng(188)
+    h, y, nv = _observed_stack(rng, 8 * rows, 4, 4, QPSK)
+    plan = det.mpnl_plan_batch(h, nv, 32, QPSK)
+    labels, metrics, _ = det.mpnl_detect_batch(plan, h, y, QPSK)
+    calls = {
+        "demap_llr": lambda s: demap_llr(y[s, 0], nv, QPSK),
+        "ml_detect_batch": lambda s: det.ml_detect_batch(h[s], y[s], QPSK),
+        "mpnl_detect_batch": lambda s: det.mpnl_detect_batch(
+            plan[s], h[s], y[s], QPSK),
+        "_candidate_llrs_batch": lambda s: det._candidate_llrs_batch(
+            labels[s], metrics[s], nv, QPSK),
+    }
+    call = calls[kernel]
+    one, _ = _traced(lambda: call(slice(0, rows)))
+    peak, kept = _traced(lambda: call(slice(None)))
+    assert peak - kept < 2 * one
 
 
 def _table_golden_cases():

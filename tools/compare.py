@@ -5,15 +5,15 @@ Run from the repository root:
     python3 tools/compare.py PARENT_REV --out BENCH_<n>.json [--pairs 10]
 
 Each side runs from a fresh copy of the files under ``SOURCES`` in a
-temporary directory, written by ``export``: the parent's as committed, the
-change's as the working tree has them, uncommitted edits and untracked
-files included and ignored files (bytecode caches) left out, so the two
-sides differ in code only.  For every workload of ``BENCHMARK.json`` and
-each pair k = 1..pairs, each side runs its own, unchanged
-``perfbench/run.py --workload W --seed k --seconds S`` in a fresh process,
-S being ``run_seconds`` from ``BENCHMARK.json``; odd pairs run the parent
-first, even pairs the change.  Every pair must give equal
-``exact_digest`` values and the change no failed operation.
+temporary directory, written by ``export`` with ``git archive`` for both
+sides: the parent's as committed, the change's as the working tree has
+them, uncommitted edits and untracked files included and ignored files
+(bytecode caches) left out, so the two sides differ in code only.  For
+every workload of ``BENCHMARK.json`` and each pair k = 1..pairs, each side
+runs its own, unchanged ``perfbench/run.py --workload W --seed k
+--seconds S`` in a fresh process, S being ``run_seconds`` from
+``BENCHMARK.json``, in the order ``run_order(k)`` draws.  Every pair must
+give equal ``exact_digest`` values and the change no failed operation.
 
 For every end-to-end metric of ``BENCHMARK.json`` the file written holds
 the per-pair values, each side's median and quartiles, the change's pair
@@ -29,7 +29,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import shutil
+import os
+import random
 import statistics
 import subprocess
 import sys
@@ -154,25 +155,38 @@ def git(*args, cwd: Path = ROOT) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def run_order(seed: int) -> tuple[str, str]:
+    """The sides of pair `seed` in the order they run.  Pairs 2j - 1 and
+    2j run in opposite orders, the first of them drawn from j, so each
+    side runs first in half of any even number of pairs, and no fixed
+    period of the host's load lines up with one side."""
+    flip = random.Random(-(-seed // 2)).random() < 0.5
+    return ("parent", "change") if flip == (seed % 2 == 1) else ("change",
+                                                             "parent")
+
+
 def export(root: Path, dest: Path, rev: str | None = None) -> list[str]:
-    """Copy the files under SOURCES of the repository at `root` into the
-    directory `dest`: at revision `rev`, or with `rev` None as the working
-    tree has them, untracked files included and ignored ones left out.
-    Returns the paths written, relative to `dest`."""
-    if rev is not None:
-        archive = subprocess.run(["git", "archive", rev, "--", *SOURCES],
-                                 cwd=root, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
-                       check=True)
-        return git("ls-tree", "-r", "--name-only", rev, "--", *SOURCES,
-                   cwd=root).splitlines()
-    files = [f for f in git("ls-files", "--cached", "--others",
-                            "--exclude-standard", "--", *SOURCES,
-                            cwd=root).splitlines() if (root / f).is_file()]
-    for f in files:
-        (dest / f).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(root / f, dest / f)
-    return files
+    """Write the files under SOURCES of the repository at `root` into the
+    directory `dest` with `git archive`: at revision `rev`, or with `rev`
+    None as the working tree has them, untracked files included and
+    ignored ones left out.  The working tree is archived as a tree object
+    staged in a temporary index, so its blobs enter the repository's
+    object store but its index stays as it is.  Returns the paths
+    written, relative to `dest`."""
+    if rev is None:
+        with tempfile.TemporaryDirectory(prefix="compare-index-") as tmp:
+            env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+            subprocess.run(["git", "add", "-A", "--", *SOURCES], cwd=root,
+                           env=env, capture_output=True, check=True)
+            rev = subprocess.run(["git", "write-tree"], cwd=root, env=env,
+                                 capture_output=True, text=True,
+                                 check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", rev, "--", *SOURCES],
+                             cwd=root, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                   check=True)
+    return git("ls-tree", "-r", "--name-only", rev, "--", *SOURCES,
+               cwd=root).splitlines()
 
 
 def source_sha256(root: Path, paths) -> str:
@@ -213,8 +227,7 @@ def main(argv=None) -> int:
             pairs = []
             entry = report["workloads"][w] = {"pairs": pairs}
             for k in range(1, args.pairs + 1):
-                order = ("parent", "change") if k % 2 else ("change",
-                                                            "parent")
+                order = run_order(k)
                 pair = {"seed": k, "first": order[0]}
                 for side in order:
                     run = run_side(roots[side], w, k, seconds)
