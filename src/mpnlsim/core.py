@@ -294,7 +294,8 @@ def demap_llr(y_eq, noise_var, c: Constellation) -> np.ndarray:
 
     y_eq may be scalar or an array; output gains a trailing
     bits_per_symbol axis, against which noise_var broadcasts.  Symbols run
-    in row blocks of at most SEARCH_BLOCK point distances.
+    in row blocks of at most SEARCH_BLOCK point distances, each through
+    _demap_rows, so a wrapper installed on demap_llr sees one call.
     """
     if np.any(np.asarray(noise_var) <= 0):
         raise ValueError("noise_var must be positive")

@@ -10,7 +10,10 @@ results.
 
 All detectors break metric ties lexicographically over candidate bit
 labels.  The kernels (trailing `_batch`) operate on stacks of instances
-and hold the math; a single instance is a stack of one.
+and hold the math; a single instance is a stack of one.  A kernel's row
+blocks run through its one-block helper (trailing `_rows`), never back
+through the module global, so a wrapper installed on a kernel sees one
+call per call into it.
 `DETECTORS` is the one table every caller dispatches through: per name,
 the batched channel-time plan, the transmission-time LLRs and hard
 labels, each computed alone, and the smallest antenna count the
@@ -134,11 +137,13 @@ def linear_plan_batch(h: np.ndarray, noise_var, mode: str) -> LinearPlan:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise SingularChannelError("rank-deficient channel") from None
-    # a NaN or infinite condition number fails the comparison too
-    if zf and not np.all(np.linalg.cond(gram) <= 1e12):
-        raise SingularChannelError("rank-deficient channel")
     diag = np.real(np.einsum("bii->bi", a_inv))
     if zf:
+        # cond(gram) = lam_max / lam_min for a Hermitian Gram, compared
+        # without a division: a NaN, zero or negative lam_min fails
+        lam = np.linalg.eigvalsh(gram)
+        if not np.all((lam[:, 0] > 0) & (lam[:, -1] <= 1e12 * lam[:, 0])):
+            raise SingularChannelError("rank-deficient channel")
         return LinearPlan(hh=hh, a_inv=a_inv, beta=None,
                           nv_eff=nv[:, None] * diag)
     beta = np.clip(1.0 - nv[:, None] * diag, 1e-12, None)

@@ -35,6 +35,15 @@ CSI_MODES = ("genie", "ls_dmrs")
 
 @dataclass(frozen=True)
 class LinkConfig:
+    """One link on the fixed slot, checked when it is built.
+
+    n_streams is in [1, MAX_STREAMS] and m_antennas in [1, MAX_ANTENNAS],
+    at or above the detector's floor (det.check_antenna_floor).
+    rb_per_vehicle defaults to default_rb_allocation(mcs), and the block
+    of the RBs given or defaulted is fit to the mother code here
+    (rate_match), so every config admitted can be simulated.
+    """
+
     n_streams: int
     m_antennas: int
     mcs: McsEntry

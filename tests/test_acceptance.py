@@ -115,15 +115,8 @@ def _ser_batched(detector, snr_db, trials, rng, n, m, c, n_paths=32,
     while done < trials:
         take = min(batch, trials - done)
         h, y, labels, _ = rand_instances(rng, take, m, n, c, snr_db)
-        if detector == "mpnl":
-            plan = det.mpnl_plan_batch(h, nv, n_paths, c)
-            cand, _, best = det.mpnl_detect_batch(plan, h, y, c)
-            hard = np.take_along_axis(cand, best[:, None, None], axis=1)[:, 0]
-        elif detector == "ml":
-            cand, _, best = det.ml_detect_batch(h, y, c)
-            hard = cand[np.arange(take), best]
-        else:
-            hard, _ = det.linear_detect_batch(h, y, nv, c, detector)
+        d = det.DETECTORS[detector]
+        hard = d.hard(d.plan(h, nv, c, n_paths), h, y, nv, c)
         errors += int((hard != labels).sum())
         symbols += take * n
         done += take

@@ -77,6 +77,30 @@ def test_zf_rejects_singular_channel():
         det.linear_detect_batch(stack, y, 0.1, QPSK, "zf")
     with pytest.raises(det.SingularChannelError):
         det.linear_detect_batch(stack[:, :1], y[:, :1], 0.1, QPSK, "zf")
+    # numerically rank-1 Grams that inv accepts, one with a negative
+    # lam_min, and two either side of cond = 1e12: each stack and each row
+    # gets np.linalg.cond's decision
+    r = np.random.default_rng(1)
+    a, b = (r.standard_normal(s) + 1j * r.standard_normal(s)
+            for s in ((3, 2, 1), (3, 1, 2)))
+    rank1 = a @ b
+    q = np.linalg.qr(rand_channel(r, 2, 2))[0]
+    edge = np.stack([q @ np.diag([1.0, (1e12 * (1 + d)) ** -0.5])
+                     for d in (1e-6, -1e-6)])
+    gram = rank1.conj().transpose(0, 2, 1) @ rank1
+    np.linalg.inv(gram)
+    assert np.linalg.eigvalsh(gram)[:, 0].min() < 0
+    decisions = []
+    for h in (rank1, *rank1[:, None], edge, *edge[:, None]):
+        gram = h.conj().transpose(0, 2, 1) @ h
+        try:
+            det.linear_plan_batch(h, 0.1, "zf")
+            accepted = True
+        except det.SingularChannelError:
+            accepted = False
+        assert accepted == np.all(np.linalg.cond(gram) <= 1e12)
+        decisions.append(accepted)
+    assert decisions == [False] * 6 + [True]
 
 
 def test_zf_rejects_zero_noise_variance():
