@@ -150,10 +150,14 @@ def cmd_per_sweep(cfg: dict, manifest: dict, out, seed: int):
                for name in cfg["detectors"]]
     regions = [ch.SnrRegion(float(snr), jitter_db=cfg["snr_jitter_db"])
                for snr in cfg["snr_db"]]
+    points = {}     # entropy -> SNR, in config order
+    for snr in cfg["snr_db"]:
+        if (other := points.setdefault(_sweep_entropy(seed, snr), snr)) != snr:
+            raise ConfigError(f"snr_db {other!r} and {snr!r} share a fixture "
+                              "seed, which keys each point by 0.001 dB")
     rows = []
-    for snr, region in zip(cfg["snr_db"], regions):
-        seeds = np.random.SeedSequence(
-            entropy=_sweep_entropy(seed, snr)).spawn(cfg["channels"])
+    for (entropy, snr), region in zip(points.items(), regions):
+        seeds = np.random.SeedSequence(entropy=entropy).spawn(cfg["channels"])
         grids, nvs = replace(fx, region=region).generate(n, m, seeds)
         for lc in configs:
             res = linksim.measure_per(

@@ -264,9 +264,9 @@ def row_blocks(rows: int, per_row: int, budget: int) -> list[slice]:
     return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
 
 
-def blockwise(kernel, per_row: int, budget: int, *rows):
-    """kernel(*rows) run on the row_blocks of `budget` candidates, per_row
-    to a row, written into one preallocated array per output.
+def blockwise(kernel, per_row: int, *rows):
+    """kernel(*rows) run on the row_blocks of SEARCH_BLOCK (read at each
+    call) candidates, per_row to a row, into one array per output.
 
     rows are the kernel's per-row inputs, the last an array; it returns an
     array or a tuple of arrays, each with one entry per row on its first
@@ -275,7 +275,7 @@ def blockwise(kernel, per_row: int, budget: int, *rows):
     row-independent.
     """
     n = len(rows[-1])
-    blocks = row_blocks(n, per_row, budget)
+    blocks = row_blocks(n, per_row, SEARCH_BLOCK)
     if len(blocks) == 1:
         return kernel(*rows)
     outs = None
@@ -307,7 +307,7 @@ def demap_llr(y_eq, noise_var, c: Constellation) -> np.ndarray:
     rows = (np.broadcast_to(y, shape[:-1]).reshape(-1),
             np.broadcast_to(noise_var, shape).reshape(-1, shape[-1]))
     return blockwise(lambda y, nv: _demap_rows(y, nv, c), c.order,
-                     SEARCH_BLOCK, *rows).reshape(shape)
+                     *rows).reshape(shape)
 
 
 def _demap_rows(y: np.ndarray, noise_var, c: Constellation) -> np.ndarray:

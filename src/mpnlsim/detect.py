@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (LLR_CLIP, SEARCH_BLOCK, Constellation, blockwise,
-                   demap_llr)
+from .core import LLR_CLIP, Constellation, blockwise, demap_llr
 
 # the bound on ML's enumeration and on MPNL's n_paths
 LIST_BLOCK = 1 << 16
@@ -189,13 +188,13 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, c: Constellation):
     (B, Q^N, N), metrics (B, Q^N), best (B,)); best is the first minimum,
     so ties break lexicographically.  The labels are one table broadcast
     over the stack; the metrics are scored in row blocks of at most
-    SEARCH_BLOCK candidates."""
+    core.SEARCH_BLOCK candidates."""
     b, m, n = h.shape
     _check_enumeration(n, c.order)
     labels = _enumerate_labels(n, c.order)
     labels = np.broadcast_to(labels, (b,) + labels.shape)
     metrics = blockwise(lambda h, y, x: _path_metrics(h, y, x, c),
-                        labels.shape[1], SEARCH_BLOCK, h, y, labels)
+                        labels.shape[1], h, y, labels)
     return labels, metrics, np.argmin(metrics, axis=1)
 
 
@@ -420,10 +419,10 @@ def _candidate_llrs_batch(labels: np.ndarray, metrics: np.ndarray,
                           noise_var, c: Constellation) -> np.ndarray:
     """Max-log LLRs over candidate lists: labels (B, P, N), metrics (B, P);
     noise_var is a scalar or one variance per row.  Rows run in blocks of
-    at most SEARCH_BLOCK paths."""
+    at most core.SEARCH_BLOCK paths."""
     nv = np.broadcast_to(np.reshape(noise_var, -1), (len(labels),))
     return blockwise(lambda x, m, v: _candidate_llrs_rows(x, m, v, c),
-                     labels.shape[1], SEARCH_BLOCK, labels, metrics, nv)
+                     labels.shape[1], labels, metrics, nv)
 
 
 def _candidate_llrs_rows(labels: np.ndarray, metrics: np.ndarray,
@@ -477,11 +476,11 @@ def mpnl_detect_batch(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
 
     Returns (labels (B, P, N), metrics (B, P), best index (B,)).  Metrics
     are the true residuals ||y - H x||^2 regardless of any augmentation
-    used during planning.  Rows run in blocks of at most SEARCH_BLOCK
-    paths.
+    used during planning.  Rows run in blocks of at most
+    core.SEARCH_BLOCK paths.
     """
     return blockwise(lambda p, h, y: _mpnl_rows(p, h, y, c), plan.n_paths,
-                     SEARCH_BLOCK, plan, h, y)
+                     plan, h, y)
 
 
 def _mpnl_rows(plan: BatchPathPlan, h: np.ndarray, y: np.ndarray,
@@ -524,13 +523,12 @@ def _list_output(search, output, n_cands: int, c, noise_var, *rows):
     of block s, giving (labels, metrics, best), and output(labels,
     metrics, best, nv, c) reduces them, nv being the block's slice of
     noise_var (a scalar or one variance per row).  The blocks are
-    core.blockwise's at SEARCH_BLOCK candidates, so each search and output
-    call fits in one block; rows are independent, so the split changes no
-    output.
+    core.blockwise's, so each search and output call fits in one block;
+    rows are independent, so the split changes no output.
     """
     nv = np.broadcast_to(noise_var, (len(rows[-1]),))
     return blockwise(lambda *x: output(*search(*x[:-1], c), x[-1], c),
-                     n_cands, SEARCH_BLOCK, *rows, nv)
+                     n_cands, *rows, nv)
 
 
 def _list_llrs(labels, metrics, best, nv, c):
@@ -570,11 +568,9 @@ DETECTORS = {
         min_antennas=lambda n, q, n_paths: _check_paths(n_paths) or 1,
         plan=lambda h, nv, c, n_paths: mpnl_plan_batch(h, nv, n_paths, c),
         llrs=lambda plan, h, y, nv, c: _list_output(
-            mpnl_detect_batch, _list_llrs, plan.n_paths, c, nv,
-            plan, h, y),
+            mpnl_detect_batch, _list_llrs, plan.n_paths, c, nv, plan, h, y),
         hard=lambda plan, h, y, nv, c: _list_output(
-            mpnl_detect_batch, _list_hard, plan.n_paths, c, nv,
-            plan, h, y)),
+            mpnl_detect_batch, _list_hard, plan.n_paths, c, nv, plan, h, y)),
 }
 
 

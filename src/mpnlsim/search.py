@@ -22,7 +22,7 @@ from .core import DEFAULT_NUMEROLOGY, Numerology, mcs_entry
 
 PER_THRESHOLD = 0.10
 M_MIN, M_MAX = 2, linksim.MAX_ANTENNAS
-UNSUPPORTED = 0   # sentinel for "no antenna count up to 32 qualifies"
+UNSUPPORTED = 0   # sentinel for "no antenna count up to M_MAX qualifies"
 HEATMAP_HEADER = ("streams", "mcs", "detector", "min_antennas", "per",
                   "per_below", "frames")
 
@@ -78,7 +78,7 @@ class SearchCell:
     n_streams: int
     mcs_index: int
     detector: str
-    min_antennas: int            # UNSUPPORTED (0) if none up to 32 qualify
+    min_antennas: int            # UNSUPPORTED (0) if none up to M_MAX qualify
     measured_per: float
     per_below: float             # PER at min_antennas - 1: nan at M_MIN,
                                  # 1.0 below ZF's floor of N > M_MIN

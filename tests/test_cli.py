@@ -143,6 +143,16 @@ def test_per_sweep_negative_snr(tmp_path):
         assert not np.array_equal(*states)
 
 
+def test_per_sweep_points_one_key_step_apart_run(tmp_path):
+    # 0.001 dB apart, the points key distinct fixture seeds
+    cfgp = sweep_config(tmp_path, snr_db=[10, 10.001])
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["per-sweep", "--config", cfgp, "--out", str(out),
+                     "--seed", "3"]) == 0
+    assert [r[0] for r in read_rows(out)[1][1:]] == ["10", "10.001"]
+    assert cli._sweep_entropy(3, 10.001) == (3, 10001)
+
+
 def test_per_sweep_rejects_zero_channels(tmp_path, capsys):
     cfgp = sweep_config(tmp_path, channels=0)
     out = tmp_path / "sweep.csv"
@@ -251,6 +261,12 @@ def search_config(tmp_path, **kw):
         {"name": "a", "rate_mbps": 1.0}, {"name": "a", "rate_mbps": 2.0}]),
      "distinct names"),
     ("bench", bare_config, dict(workers=[1, 1]), "workers repeats"),
+    # a point's fixture seed keys its SNR to 0.001 dB, so these would draw
+    # the same channels and noise and write the same rows
+    ("per-sweep", sweep_config, dict(snr_db=[10, 10.0004]),
+     "snr_db 10 and 10.0004 share a fixture seed"),
+    ("per-sweep", sweep_config, dict(snr_db=[0.0, -0.0004]),
+     "snr_db 0.0 and -0.0004 share a fixture seed"),
 ])
 def test_rejects_bad_integer_setting_before_any_cell(
         tmp_path, capsys, monkeypatch, command, config, bad, key):

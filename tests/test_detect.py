@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from mpnlsim import channel as ch
+from mpnlsim import core
 from mpnlsim import detect as det
 from mpnlsim import linksim, search
 from mpnlsim.core import QAM16, QAM64, QPSK, constellation_for, demap_llr
@@ -790,8 +792,8 @@ def _check_row_blocks(rows, b, n_cands):
     SEARCH_BLOCK candidates unless it is one row, they cover the stack in
     the fewest such blocks, and their sizes differ by at most one row."""
     assert sum(rows) == b
-    assert all(r * n_cands <= det.SEARCH_BLOCK or r == 1 for r in rows)
-    assert len(rows) == -(-b // max(1, det.SEARCH_BLOCK // n_cands))
+    assert all(r * n_cands <= core.SEARCH_BLOCK or r == 1 for r in rows)
+    assert len(rows) == -(-b // max(1, core.SEARCH_BLOCK // n_cands))
     assert max(rows) - min(rows) <= 1
 
 
@@ -819,7 +821,7 @@ def test_list_row_blocks_change_no_output(monkeypatch, name, kernel):
     direct = [_direct(kernel, plan, h, y, v, c) for v in (nv, nvs)]
     for block_rows, calls in ((3, [2, 3, 2, 3]), (4, [3, 3, 4]),
                               (5, [5, 5]), (10, [10]), (0.5, [1] * 10)):
-        monkeypatch.setattr(det, "SEARCH_BLOCK", int(block_rows * n_cands))
+        monkeypatch.setattr(core, "SEARCH_BLOCK", int(block_rows * n_cands))
         rows.clear()
         for got, want in zip(_both(d, plan, h, y, nv, c), whole):
             assert got.dtype == want.dtype
@@ -852,7 +854,7 @@ def test_mpnl_row_blocks_at_the_shipped_block(monkeypatch, b, calls):
     kernels = ("mpnl_detect_batch", "ml_detect_batch")
     direct = [_direct(k, plan, h, y, nv, QPSK) for k in kernels]
     assert rows == calls * 2 + [b]
-    monkeypatch.setattr(det, "SEARCH_BLOCK", b * 256)
+    monkeypatch.setattr(core, "SEARCH_BLOCK", b * 256)
     for got, want in zip(blocked, _both(d, plan, h, y, nv, QPSK)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for k, outs in zip(kernels, direct):
@@ -889,7 +891,8 @@ def test_detectors_row_independent_under_per_row_noise_variance(
     h, y, nv = _observed_stack(rng, 10, m, 2, c)
     nvs = nv * rng.uniform(0.5, 2.0, 10)
     d = det.DETECTORS[name]
-    monkeypatch.setattr(det, "SEARCH_BLOCK", 3 * (256 if name == "ml" else 32))
+    monkeypatch.setattr(core, "SEARCH_BLOCK",
+                        3 * (256 if name == "ml" else 32))
     listed = name in ("ml", "mpnl")
     if listed:
         calls = _record_rows(monkeypatch, f"{name}_detect_batch")
@@ -950,7 +953,7 @@ def test_kernel_memory_stays_within_row_blocks(kernel, per_row):
     MPNL paths per RE), a kernel's traced peak above what it returns stays
     under twice its peak on one block; scoring the whole stack at once
     peaks near 8 times that."""
-    rows = det.SEARCH_BLOCK // per_row
+    rows = core.SEARCH_BLOCK // per_row
     rng = np.random.default_rng(188)
     h, y, nv = _observed_stack(rng, 8 * rows, 4, 4, QPSK)
     plan = det.mpnl_plan_batch(h, nv, 32, QPSK)
@@ -967,6 +970,60 @@ def test_kernel_memory_stays_within_row_blocks(kernel, per_row):
     one, _ = _traced(lambda: call(slice(0, rows)))
     peak, kept = _traced(lambda: call(slice(None)))
     assert peak - kept < 2 * one
+
+
+def test_one_budget_drives_every_cut(monkeypatch):
+    """Patching core.SEARCH_BLOCK alone re-cuts every detection kernel.
+    At 768 candidates (QPSK, N = M = 4: 4 points per demapped symbol, 256
+    ML candidates and 32 MPNL paths per RE), a 50-RE stack runs demap_llr
+    in 2 one-block helper calls, ML in 17, and MPNL, its candidate LLRs
+    and the mpnl llrs entry in 3 each; at the shipped budget each runs in
+    one, and every output has the bytes of that one block."""
+    h, y, nv = _observed_stack(np.random.default_rng(189), 50, 4, 4, QPSK)
+    plan = det.mpnl_plan_batch(h, nv, 32, QPSK)
+    labels, metrics, _ = det.mpnl_detect_batch(plan, h, y, QPSK)
+    runs = {
+        "demap_llr": lambda: demap_llr(y, nv, QPSK),
+        "ml_detect_batch": lambda: det.ml_detect_batch(h, y, QPSK),
+        "mpnl_detect_batch": lambda: det.mpnl_detect_batch(plan, h, y, QPSK),
+        "_candidate_llrs_batch": lambda: det._candidate_llrs_batch(
+            labels, metrics, nv, QPSK),
+        "mpnl llrs": lambda: det.DETECTORS["mpnl"].llrs(plan, h, y, nv, QPSK),
+    }
+    blocks = {"demap_llr": {"_demap_rows": 2},
+              "ml_detect_batch": {"_path_metrics": 17},
+              "mpnl_detect_batch": {"_mpnl_rows": 3},
+              "_candidate_llrs_batch": {"_candidate_llrs_rows": 3},
+              "mpnl llrs": {"_mpnl_rows": 3, "_candidate_llrs_rows": 3}}
+    calls = collections.Counter()
+
+    def counted(helper, f):
+        return lambda *a: calls.update([helper]) or f(*a)
+
+    for module, helper in ((core, "_demap_rows"), (det, "_path_metrics"),
+                           (det, "_mpnl_rows"),
+                           (det, "_candidate_llrs_rows")):
+        monkeypatch.setattr(module, helper,
+                            counted(helper, getattr(module, helper)))
+
+    def run(name):
+        """The kernel's outputs as a tuple, and its helper call counts."""
+        calls.clear()
+        out = runs[name]()
+        return (out if isinstance(out, tuple) else (out,),
+                {k: calls[k] for k in blocks[name]})
+
+    whole = {}
+    for name, want in blocks.items():
+        whole[name], counts = run(name)
+        assert counts == dict.fromkeys(want, 1)
+    monkeypatch.setattr(core, "SEARCH_BLOCK", 768)
+    for name, want in blocks.items():
+        outs, counts = run(name)
+        assert counts == want
+        for got, one in zip(outs, whole[name]):
+            assert got.dtype == one.dtype and got.shape == one.shape
+            assert got.tobytes() == one.tobytes()
 
 
 def _table_golden_cases():
